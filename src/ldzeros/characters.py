@@ -8,8 +8,8 @@ on the segment, never per-element factorization.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .primes import factorize, smallest_prime_factor, squarefree_segment
 # chi_d residue tables are precomputed once per d up to this modulus; family
 # sweeps evaluate chi_d at millions of n and the table turns that into lookups.
 TABLE_THRESHOLD = 10**6
+TABLE_CACHE_SIZE = 64
 
 
 def kronecker(a: int, n: int) -> int:
@@ -54,13 +55,29 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@lru_cache(maxsize=64)
-def char_table(d: int) -> np.ndarray:
-    """chi_d(r) for r = 0..d-1 as an int8 array (lookup key: n mod d).
+# char_table's cache, d -> table, least recently used first; chi_values reads it
+_TABLES: OrderedDict[int, np.ndarray] = OrderedDict()
+_TABLE_COUNTS = [0, 0]  # hits, misses
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    Built multiplicatively from values at primes via a smallest-prime-factor
-    sieve; cached per d. Intended for |d| <= TABLE_THRESHOLD.
-    """
+
+def char_table(d: int) -> np.ndarray:
+    """chi_d(r) for r = 0..d-1 as an int8 array (lookup key: n mod d); the last
+    TABLE_CACHE_SIZE are cached, with functools.lru_cache's cache_info()."""
+    table = _TABLES.pop(d, None)
+    _TABLE_COUNTS[table is None] += 1
+    _TABLES[d] = table if table is not None else _build_table(d)
+    if len(_TABLES) > TABLE_CACHE_SIZE:
+        _TABLES.popitem(last=False)
+    return _TABLES[d]
+
+
+char_table.cache_info = lambda: CacheInfo(*_TABLE_COUNTS, TABLE_CACHE_SIZE, len(_TABLES))
+
+
+def _build_table(d: int) -> np.ndarray:
+    """Built multiplicatively from values at primes via a smallest-prime-factor
+    sieve. Intended for |d| <= TABLE_THRESHOLD."""
     if d > TABLE_THRESHOLD:
         raise DomainError(f"character table request for d={d} exceeds threshold {TABLE_THRESHOLD}")
     spf = smallest_prime_factor(d - 1) if d > 2 else np.zeros(2, dtype=np.int64)
@@ -73,23 +90,19 @@ def char_table(d: int) -> np.ndarray:
             t[r] = kronecker(d, r)
         else:
             t[r] = t[p] * t[r // p]
-    _TABLE_SEEN.add(d)
     return t
 
 
 def chi_values(d: int, n: np.ndarray) -> np.ndarray:
     """chi_d over an integer array, via the cached residue table when worthwhile.
 
-    Building the table costs O(d); short requests on an uncached d go through
-    the reciprocity loop directly.
+    Building the table costs O(d); short requests on a d whose table is not
+    cached go through the reciprocity loop directly.
     """
     n = np.asarray(n, dtype=np.int64)
-    if d <= TABLE_THRESHOLD and (d in _TABLE_SEEN or n.size >= max(4096, d // 16)):
+    if d <= TABLE_THRESHOLD and (d in _TABLES or n.size >= max(4096, d // 16)):
         return char_table(d)[n % d]
     return np.array([kronecker(d, int(k)) for k in n.ravel()], dtype=np.int8).reshape(n.shape)
-
-
-_TABLE_SEEN: set[int] = set()
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,6 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
     members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
     store = ResultStore(config.cache_dir)
-    indeterminate = 0
 
     def one(d: int) -> dict:
         def produce():

@@ -21,6 +21,9 @@ Two evaluation paths, one contract:
   few hundred complex exponentials. Contour sweeps and family scans run on
   this path; certificates are re-verified on the precise path. The fast
   path is cross-validated against the precise path at construction.
+  The theta sum exponentiates only terms above the normal-number floor
+  exp(-708) and sets the rest to 0: they cannot change omega by a bit, and
+  as subnormals they would send exp and the product down their slow paths.
 
 An independent oracle (Hurwitz zeta by Euler-Maclaurin) lives alongside for
 cross-checking; it shares no code with either path.
@@ -30,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .characters import chi_values
+from .characters import FundamentalDiscriminant, chi_values
 from .errors import ConditioningError, DomainError, NearZeroError, ResourceError
 from .specialfn import bernoulli_numbers, gamma, upper_gamma
 
@@ -45,6 +47,7 @@ COMPLEX_STEP_H = 1e-20
 ROUND_REL = 2e-13          # per-term rounding/backend model for the precise path
 L_FLOOR = 1e-12            # conditioning floor for -L'/L
 GAMMA_FACTOR_FLOOR = 1e-280
+EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 
 
 @dataclass
@@ -72,8 +75,8 @@ class LEngine:
 
     def __init__(self, d: int, eps_target: float = 1e-12, t_cap: float = 12.0,
                  n_trunc: int | None = None):
-        if d <= 0 or d % 8 != 0:
-            raise DomainError(f"engine requires a family discriminant 8m, got {d}")
+        # both paths assume chi_d primitive of conductor d: m = d/8 odd squarefree
+        FundamentalDiscriminant(int(d), int(d) // 8)
         self.d = int(d)
         self.eps_target = float(eps_target)
         self.t_cap = float(t_cap)
@@ -104,17 +107,17 @@ class LEngine:
         ratio = math.exp(-math.pi * (2 * n[-1] + 1) / self.d)
         return float(terms.sum() + terms[-1] * ratio / (1.0 - ratio))
 
-    def _check_strip(self, s: complex) -> None:
-        if not (RE_MIN <= s.real <= RE_MAX):
-            raise DomainError(f"Re(s)={s.real} outside engine strip [{RE_MIN}, {RE_MAX}]")
-        if abs(s.imag) > self.t_cap + 2.0:
-            raise DomainError(f"|Im(s)|={abs(s.imag)} beyond engine cap {self.t_cap}")
+    def _check_strip(self, s: np.ndarray) -> None:
+        """Raise DomainError unless every point of s lies in the engine's strip."""
+        bad = ~((s.real >= RE_MIN) & (s.real <= RE_MAX) & (np.abs(s.imag) <= self.t_cap + 2.0))
+        if bad.any():
+            raise DomainError(f"s={s[bad][0]} outside the engine strip {RE_MIN} <= Re s "
+                              f"<= {RE_MAX}, |Im s| <= {self.t_cap + 2.0}")
 
     def lambda_batch(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lambda(s) and error estimates for an array of strip points."""
         s = np.asarray(s, dtype=np.complex128).ravel()
-        for v in s[:1]:
-            self._check_strip(complex(v))
+        self._check_strip(s)
         out = np.empty(s.shape, dtype=np.complex128)
         err = np.empty(s.shape, dtype=np.float64)
         rows = max(1, int(3.0e6 // max(1, self.n_trunc)))
@@ -132,7 +135,6 @@ class LEngine:
 
     def lambda_value(self, s: complex) -> LValue:
         s = complex(s)
-        self._check_strip(s)
         lam, err = self.lambda_batch(np.array([s]))
         gf = self.gamma_factor(s)
         return LValue(s=s, lam=complex(lam[0]), l=complex(lam[0] / gf), err_est=float(err[0]))
@@ -143,9 +145,6 @@ class LEngine:
         if s == 0.0:
             raise ConditioningError("gamma factor pole at s = 0")
         return complex(np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0))
-
-    def completed_lambda(self, s: complex) -> LValue:
-        return self.lambda_value(s)
 
     def l_value(self, s: complex) -> tuple[complex, float]:
         """L(s, chi_d) with propagated absolute error estimate."""
@@ -216,12 +215,13 @@ class LEngine:
         t = np.exp(u)
         n_theta = math.ceil(math.sqrt(self.d * c / math.pi))
         n = np.arange(1, n_theta + 1, dtype=np.float64)
-        chi = chi_values(self.d, np.arange(1, n_theta + 1, dtype=np.int64)).astype(np.float64)
-        with np.errstate(under="ignore"):
-            expo = -math.pi * np.outer(n**2, t) / self.d
-            np.clip(expo, -745.0, None, out=expo)
-            omega = chi @ np.exp(expo)
-        self._theta = (u, w * omega)
+        tail = chi_values(self.d, np.arange(self.n_trunc + 1, n_theta + 1, dtype=np.int64))
+        chi = np.concatenate([self._chi[:n_theta], tail.astype(np.float64)])
+        expo = -math.pi * np.outer(n**2, t) / self.d
+        live = expo > EXP_NORMAL_FLOOR
+        np.exp(expo, out=expo, where=live)
+        expo[~live] = 0.0
+        self._theta = (u, w * (chi @ expo))
         # cross-validate against the precise path
         probes = np.array([0.62, 0.93 + 0.6j * min(self.t_cap, 10.0),
                            1.21 - 0.25j * min(self.t_cap, 10.0)], dtype=np.complex128)
@@ -239,9 +239,11 @@ class LEngine:
 
     def lambda_fast(self, s: np.ndarray) -> np.ndarray:
         """Lambda(s) on the cached theta quadrature (vectorized over s)."""
+        s = np.asarray(s, dtype=np.complex128)
+        self._check_strip(s)
         if self._theta is None:
             self._build_theta()
-        return self._lambda_fast_raw(np.asarray(s, dtype=np.complex128))
+        return self._lambda_fast_raw(s)
 
     def l_fast(self, s: np.ndarray) -> np.ndarray:
         """L(s) on the fast path (vectorized)."""
@@ -256,12 +258,6 @@ class LEngine:
         if abs(v.real) < L_FLOOR:
             raise NearZeroError(f"|L({sigma})| under floor on fast path", magnitude=abs(v.real))
         return -v.imag / COMPLEX_STEP_H / v.real
-
-
-@lru_cache(maxsize=24)
-def engine_for(d: int, eps_target: float = 1e-12, t_cap: float = 12.0) -> LEngine:
-    """Process-wide engine cache; engines are immutable after construction."""
-    return LEngine(d, eps_target=eps_target, t_cap=t_cap)
 
 
 # -- independent oracle ----------------------------------------------------

@@ -32,10 +32,6 @@ DEFAULT_SCAN_HEIGHT_CAP = 10.0
 MC_TAIL_TOL_FACTOR = 1e-4
 
 
-def default_engine_factory(d: int, t_cap: float = 12.0) -> LEngine:
-    return LEngine(d, t_cap=t_cap)
-
-
 # ---------------------------------------------------------------------------
 # moment matching (family vs random model)
 # ---------------------------------------------------------------------------
@@ -152,11 +148,10 @@ def _membership_worker(args) -> tuple[int, str | None, float | None, SigmaYD | N
         return d, f"indeterminate: {exc}", None, None
 
 
-def empirical_distribution(family: Family, z: float, engine_factory=None,
-                           members=None, scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
+def empirical_distribution(family: Family, z: float, members=None,
+                           scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
                            membership_c: float = MEMBERSHIP_C_DISTRIBUTION,
-                           eps_target: float = 1e-12, mapper=map,
-                           ) -> EmpiricalDistribution:
+                           eps_target: float = 1e-12, mapper=map) -> EmpiricalDistribution:
     """Ld(z)/V_z over family members certified to carry the default Selberg
     abscissa at y = exp(c V_z log(log x / V_z)); exclusions carry reasons.
 
@@ -224,16 +219,14 @@ class DiscrepancyReport:
 
 
 def discrepancy(family: Family, z: float, mc_samples: int, seed: int,
-                engine_factory=None, members=None,
-                scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
+                members=None, scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
                 mapper=map) -> DiscrepancyReport:
     """Exact two-sample sup-CDF distance between the family values and Monte
     Carlo draws of the model, plus the theoretical envelope and their ratio."""
     if mc_samples < 1:
         raise DomainError("mc_samples must be positive")
-    emp = empirical_distribution(family, z, engine_factory=engine_factory,
-                                 members=members, scan_height_cap=scan_height_cap,
-                                 mapper=mapper)
+    emp = empirical_distribution(family, z, members=members,
+                                 scan_height_cap=scan_height_cap, mapper=mapper)
     if len(emp.values) == 0:
         raise DomainError("family empty after membership exclusions")
     cutoff = default_cutoff(z, MC_TAIL_TOL_FACTOR * v_norm(z))
@@ -267,8 +260,7 @@ class CentralMomentReport:
     excluded: tuple[tuple[int, str], ...]
 
 
-def central_moments(family: Family, nu: float, k: int, s: complex,
-                    engine_factory=None, members=None,
+def central_moments(family: Family, nu: float, k: int, s: complex, members=None,
                     scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP) -> CentralMomentReport:
     """(1/|D(x)|) sum over the restricted subfamily of |Ld(s)|^{2k}, with both
     candidate envelopes (the two exponent variants are both reported rather
@@ -283,8 +275,6 @@ def central_moments(family: Family, nu: float, k: int, s: complex,
     logx = math.log(x)
     llx = math.log(logx)
     k_ok = k <= nu / 20.0
-    if engine_factory is None:
-        engine_factory = default_engine_factory
     y = x ** (4.0 / nu)
     nu_hyp = min(nu, llx**0.2)
     hyp_x_cap = llx**0.2
@@ -294,7 +284,7 @@ def central_moments(family: Family, nu: float, k: int, s: complex,
     use = family.members if members is None else members
     for f in use:
         try:
-            eng = engine_factory(f.d)
+            eng = LEngine(f.d, t_cap=12.0)
             scanner = make_region_scanner(eng, scan_height_cap=scan_height_cap)
             sig = sigma_y_d(f.d, max(y, 10.0), 0.0, scanner)
             if not sig.attained_by_default:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ldzeros.characters import (
+    TABLE_CACHE_SIZE,
     DomainError,
     FundamentalDiscriminant,
     char_average,
@@ -133,6 +134,23 @@ def test_chi_values_vectorized():
     got = chi_values(104, n)
     want = np.array([kronecker(104, int(k)) for k in n])
     assert np.array_equal(got, want)
+
+
+def test_short_request_on_evicted_d_builds_no_table():
+    # fill the cache past its size so that the first d is evicted
+    ds = [8 * m for m in range(1, 400, 2) if squarefree_oracle(m)][:TABLE_CACHE_SIZE + 6]
+    for d in ds:
+        char_table(d)
+    assert char_table.cache_info().currsize == TABLE_CACHE_SIZE
+    misses = char_table.cache_info().misses
+    n = np.arange(1, 40)
+    got = chi_values(ds[0], n)
+    assert char_table.cache_info().misses == misses
+    assert list(got) == [kronecker_oracle(ds[0], int(k)) for k in n]
+    # a short request on a d that is still cached uses its table
+    hits = char_table.cache_info().hits
+    chi_values(ds[-1], n)
+    assert char_table.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------

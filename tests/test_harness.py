@@ -185,6 +185,13 @@ def test_cli_eval_json(capsys):
     assert out["oracle_delta"] < 1e-10
 
 
+def test_cli_eval_non_fundamental_exit_1(capsys):
+    # d = 72 = 8 * 9: m is not squarefree, so chi_72 is not primitive
+    rc = main(["eval", "--d", "72", "--s", "0.7"])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_family_writes_csv(tmp_path, capsys):
     out = tmp_path / "fam.csv"
     rc = main(["family", "--x", "20", "--out", str(out)])

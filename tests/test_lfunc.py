@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ldzeros.characters import chi_values
+from ldzeros.characters import chi_values, kronecker
 from ldzeros.errors import DomainError, NearZeroError, ResourceError
 from ldzeros.lfunc import (
+    RE_MAX,
+    RE_MIN,
     LEngine,
     dirichlet_series_oracle,
     euler_maclaurin_oracle,
@@ -193,6 +195,31 @@ def test_engine_rejects_non_family_discriminant():
         LEngine(12)
 
 
+def test_engine_rejects_non_fundamental_discriminant():
+    # chi_72 is chi_8 with the multiples of 3 removed, an imprimitive
+    # character: the oracle gives L(s, chi_8)(1 - chi_8(3) 3^{-s}), while the
+    # expansion assumes conductor d and would return something else.
+    s = 0.7
+    want = euler_maclaurin_oracle(8, s) * (1.0 - kronecker(8, 3) * 3.0**-s)
+    assert abs(euler_maclaurin_oracle(72, s) - want) < 1e-10
+    for d in (72, 8 * 25, 16, 8 * 9999, -8, 0):
+        with pytest.raises(DomainError):
+            LEngine(d)
+    # m = 1 is squarefree: d = 8 stays legal
+    assert LEngine(8).d == 8
+
+
+def test_strip_checked_at_every_point(eng8):
+    inside = np.array([0.6, 0.8 + 3j, 1.1 - 2j])
+    for last in (RE_MAX + 0.1, RE_MIN - 0.1, 0.7 + 1j * (eng8.t_cap + 3.0), complex("nan")):
+        s = np.append(inside, last)
+        for f in (eng8.lambda_batch, eng8.lambda_fast, eng8.l_fast):
+            with pytest.raises(DomainError):
+                f(s)
+    eng8.lambda_batch(inside)
+    eng8.l_fast(inside)
+
+
 def test_err_est_honest_against_oracle():
     for d in (104, 1032):
         eng = LEngine(d)
@@ -207,7 +234,7 @@ def test_err_est_honest_against_oracle():
 # ---------------------------------------------------------------------------
 
 def test_fast_path_matches_precise():
-    for d in (8, 1032, 80008):
+    for d in (8, 1032, 80008, 799928):
         eng = LEngine(d, t_cap=12.0)
         rng = np.random.default_rng(d)
         s = rng.uniform(0.3, 1.2, 12) + 1j * rng.uniform(-10, 10, 12)
@@ -223,3 +250,36 @@ def test_fast_log_deriv_matches_precise(eng104):
         a = eng104.log_deriv_fast(sigma)
         b, _ = eng104.log_deriv(sigma)
         assert abs(a - b.real) < 1e-8
+
+
+def _theta_weights(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u = log t and weights of the fast path's quadrature on
+    [0, log t_max]: panels of 16-point Gauss-Legendre, as the engine lays
+    them out."""
+    c = math.log(1e15) + 3.0
+    U = math.log(max(d * c / math.pi, 40.0))
+    width = min(0.7, 4.0 * math.pi / max(t_cap, 1.0) / 1.5)
+    panels = max(4, math.ceil(U / width))
+    x, wts = np.polynomial.legendre.leggauss(16)
+    half = U / panels / 2.0
+    lo = np.arange(panels) * (U / panels)
+    return (lo[:, None] + half * (1.0 + x[None, :])).ravel(), np.tile(half * wts, panels)
+
+
+def test_theta_sum_matches_termwise_oracle():
+    # omega(t) = sum chi_d(n) e^{-pi n^2 t/d}, summed exactly (fsum) over
+    # every term that does not underflow, with chi from the reciprocity loop
+    for d in (8008, 79976, 799928):
+        eng = LEngine(d, t_cap=12.0)
+        eng.lambda_fast(np.array([0.7]))
+        u, w_omega = eng._theta
+        u_ref, w = _theta_weights(d, 12.0)
+        assert np.max(np.abs(u - u_ref)) < 1e-13
+        nodes = np.linspace(0, u.size - 1, 6).astype(int)
+        n_max = math.isqrt(int(745 * d / (math.pi * math.exp(u[nodes[0]])))) + 1
+        chi = [kronecker(d, n) for n in range(1, n_max + 1)]
+        for j in nodes:
+            t = math.exp(u[j])
+            omega = math.fsum(chi[n - 1] * math.exp(-math.pi * n * n * t / d)
+                              for n in range(1, n_max + 1) if math.pi * n * n * t / d < 745)
+            assert abs(w_omega[j] / w[j] - omega) <= 1e-14 * abs(omega), (d, t)
