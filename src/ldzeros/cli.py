@@ -3,8 +3,9 @@
 Subcommands: family, eval, zeros, gamma-min, fekete, discrepancy, moments,
 rd-stats, report, verify. Flags override values from --config (flat
 key=value file); the cache root may also come from the LDZEROS_CACHE
-environment variable. Exit codes: 0 ok, 1 usage, 2 strict-mode
-indeterminate, 3 resource.
+environment variable. Exit codes (EXIT_CODES maps every class in errors.py):
+0 ok, 1 usage, 2 strict-mode indeterminate, 3 resource, 4 numerical,
+5 cache.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomainError, IndeterminateError, ResourceError
+from . import errors
 from .harness import (
     RunConfig,
     load_config_file,
@@ -27,6 +28,19 @@ from .harness import (
     run_report,
     run_verify,
     run_zeros,
+)
+
+# (exception class, exit code, stderr label); a subclass precedes its base
+EXIT_CODES = (
+    (errors.DomainError, 1, "usage error"),
+    (errors.ContourProximityError, 2, "indeterminate"),
+    (errors.IndeterminateError, 2, "indeterminate"),
+    (errors.ResourceError, 3, "resource error"),
+    (errors.AccuracyError, 4, "numerical error"),
+    (errors.ConditioningError, 4, "numerical error"),
+    (errors.NearZeroError, 4, "numerical error"),
+    (errors.TruncationError, 4, "numerical error"),
+    (errors.CacheError, 5, "cache error"),
 )
 
 
@@ -182,15 +196,11 @@ def main(argv=None) -> int:
         for f in files:
             print(f)
         return 0
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except IndeterminateError as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        for cls, code, label in EXIT_CODES:
+            if isinstance(exc, cls):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across modules.
 
-The CLI maps these onto exit codes: usage errors -> 1, indeterminate numerics
-under --strict -> 2, resource errors -> 3.
+The CLI maps every class here onto an exit code (`cli.EXIT_CODES`): domain
+(usage) errors -> 1, indeterminate numerics under --strict -> 2, resource
+errors -> 3, accuracy, conditioning, near-zero and truncation errors
+(numerical) -> 4, cache errors -> 5.
 """
 
 

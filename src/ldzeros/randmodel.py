@@ -7,7 +7,9 @@ Independent three-point variables per odd prime,
 with X(2) = 0, extended completely multiplicatively. Sampling is counter
 based: every (seed, draw, prime-index) triple maps through a splitmix64-style
 mixer to one uniform, so assignments are bit-reproducible and independent of
-chunking or worker count.
+chunking or worker count. `mc_values` never forms those uniforms: it compares
+the mixer's top 53 bits with the integer thresholds ceil(q 2^53), which decides
+u < q exactly, in place over cache-sized chunks of draws.
 
 The model series
 
@@ -43,6 +45,7 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SH30, _SH27, _SH31, _SH11 = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
 _INV53 = float(2.0**-53)
+_CHUNK_BYTES = 1 << 19  # per mc_values buffer; its three buffers fit a 2 MB L2 cache
 
 
 def v_norm(z: complex) -> float:
@@ -249,12 +252,16 @@ def mc_values_cached(z: float, prime_cutoff: int, seed: int, n_draws: int) -> np
 
 
 def mc_values(z: float, prime_cutoff: int, seed: int, n_draws: int,
-              chunk: int = 512) -> np.ndarray:
+              chunk: int | None = None) -> np.ndarray:
     """n_draws independent truncated draws of the model series (vectorized).
 
     Draw k uses counter streams (seed, k, prime index); the result is
-    bit-identical for any chunk size or worker split.
+    bit-identical for any chunk size or worker split, and to the float route
+    `_uniforms` -> three-point law -> row sum. By default a chunk holds as many
+    draws as keep each chunk x primes buffer within _CHUNK_BYTES.
     """
+    if not 0.5 < z <= 1.0:
+        raise DomainError(f"z must lie in (1/2, 1], got {z}")
     primes = prime_sieve(prime_cutoff)
     odd = primes[primes > 2]
     pf = odd.astype(np.float64)
@@ -262,14 +269,42 @@ def mc_values(z: float, prime_cutoff: int, seed: int, n_draws: int,
     w_plus = lp / (pf**z - 1.0)
     w_minus = lp / (pf**z + 1.0)
     q = pf / (2.0 * (pf + 1.0))
-    # prime-index streams are global (offset by one for the skipped p = 2)
+    # u = (h >> 11) 2^-53 exactly, so u < q iff (h >> 11) < ceil(q 2^53)
+    t_plus = np.ceil(q * 2.0**53).astype(np.uint64)
+    t_minus = np.ceil(2.0 * q * 2.0**53).astype(np.uint64)
+    # prime-index streams are global (offset by one for the skipped p = 2);
+    # the last mixer round's "+ _G1" is folded in (uint64 addition wraps)
     stream = np.arange(1, len(odd) + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        stream_g = stream * _G1 + _G1
+        h_draw = _mix(_mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+                      + np.arange(n_draws, dtype=np.uint64) * _G1)
+    if chunk is None:
+        chunk = max(1, _CHUNK_BYTES // (8 * max(1, len(odd))))
     out = np.empty(n_draws, dtype=np.float64)
+    shape = (min(chunk, n_draws), len(odd))
+    h, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    plus = np.empty(shape, dtype=np.float64)
     for i in range(0, n_draws, chunk):
-        ks = np.arange(i, min(i + chunk, n_draws), dtype=np.uint64)
-        u = _uniforms(seed, ks[:, None], stream[None, :])
-        contrib = np.where(u < q, w_plus, 0.0) - np.where((u >= q) & (u < 2.0 * q), w_minus, 0.0)
-        out[i: i + len(ks)] = contrib.sum(axis=1)
+        m = min(chunk, n_draws - i)
+        hm, tmpm, pm = h[:m], tmp[:m], plus[:m]
+        # the last _mix round, in place
+        np.add(h_draw[i: i + m, None], stream_g, out=hm)
+        np.bitwise_xor(hm, np.right_shift(hm, _SH30, out=tmpm), out=hm)
+        np.multiply(hm, _M1, out=hm)
+        np.bitwise_xor(hm, np.right_shift(hm, _SH27, out=tmpm), out=hm)
+        np.multiply(hm, _M2, out=hm)
+        np.bitwise_xor(hm, np.right_shift(hm, _SH31, out=tmpm), out=hm)
+        np.right_shift(hm, _SH11, out=hm)
+        # 0/1 indicators times the positive weights give w or +0.0 exactly,
+        # so the row is w_plus [u < q] - w_minus [q <= u < 2q], as in the float route
+        minus = tmpm.view(np.float64)
+        np.less(hm, t_minus, out=minus)
+        np.less(hm, t_plus, out=pm)
+        np.subtract(minus, pm, out=minus)
+        np.multiply(pm, w_plus, out=pm)
+        np.multiply(minus, w_minus, out=minus)
+        out[i: i + m] = np.subtract(pm, minus, out=pm).sum(axis=1)
     return out
 
 

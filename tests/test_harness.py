@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ldzeros import CODE_VERSION_TAG
+from ldzeros import CODE_VERSION_TAG, errors
 from ldzeros.cli import main
 from ldzeros.harness import (
     ResultStore,
@@ -206,3 +206,42 @@ def test_cli_resource_error_exit_3(capsys):
     # oracle is capped at d = 1e4
     rc = main(["eval", "--d", "80008", "--s", "0.7", "--oracle"])
     assert rc == 3
+
+
+def test_cli_eval_gamma_pole_exit_4(capsys):
+    # s = 0 is a pole of the gamma factor: a ConditioningError, not a traceback
+    rc = main(["eval", "--d", "8", "--s", "0"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert "Traceback" not in err
+
+
+_DOCUMENTED_EXIT_CODES = [
+    (errors.DomainError("x"), 1, "usage error"),
+    (errors.IndeterminateError("x"), 2, "indeterminate"),
+    (errors.ContourProximityError("x"), 2, "indeterminate"),
+    (errors.ResourceError("x"), 3, "resource error"),
+    (errors.AccuracyError("x"), 4, "numerical error"),
+    (errors.ConditioningError("x"), 4, "numerical error"),
+    (errors.NearZeroError("x", 0.0), 4, "numerical error"),
+    (errors.TruncationError("x"), 4, "numerical error"),
+    (errors.CacheError("x"), 5, "cache error"),
+]
+
+
+def test_documented_exit_codes_cover_every_error_class():
+    defined = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert defined == {type(exc) for exc, _, _ in _DOCUMENTED_EXIT_CODES}
+
+
+@pytest.mark.parametrize("exc, code, label", _DOCUMENTED_EXIT_CODES,
+                         ids=[type(e).__name__ for e, _, _ in _DOCUMENTED_EXIT_CODES])
+def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, label):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("ldzeros.cli.run_eval", raise_it)
+    assert main(["eval", "--d", "8", "--s", "0.7"]) == code
+    assert capsys.readouterr().err == f"{label}: x\n"

@@ -194,6 +194,65 @@ def test_mc_values_match_assignment_route():
         assert vals[k] == pytest.approx(r.value, rel=1e-12)
 
 
+def _float_route(z, P, seed, n_draws):
+    # the float uniforms, the three-point law by np.where, one row sum per draw
+    from ldzeros.randmodel import _uniforms
+
+    odd = prime_sieve(P)
+    odd = odd[odd > 2]
+    pf = odd.astype(np.float64)
+    lp = np.log(pf)
+    w_plus, w_minus = lp / (pf**z - 1.0), lp / (pf**z + 1.0)
+    q = pf / (2.0 * (pf + 1.0))
+    stream = np.arange(1, len(odd) + 1, dtype=np.uint64)
+    u = _uniforms(seed, np.arange(n_draws, dtype=np.uint64)[:, None], stream[None, :])
+    contrib = np.where(u < q, w_plus, 0.0) - np.where((u >= q) & (u < 2.0 * q), w_minus, 0.0)
+    return contrib.sum(axis=1)
+
+
+@pytest.mark.parametrize("z, P, seed, n_draws, chunk", [
+    (0.9, 89861, 1, 40, None),        # the discrepancy cutoff at z = 0.9
+    (0.9, 89861, 2**63 + 5, 23, 7),   # seed >= 2^63; n_draws not a multiple of chunk
+    (0.75, 5000, 3, 5, 64),           # n_draws below chunk
+    (1.0, 20000, 2**64 - 1, 33, 16),
+])
+def test_mc_values_bit_identical_to_float_route(z, P, seed, n_draws, chunk):
+    got = mc_values(z, P, seed, n_draws, chunk=chunk)
+    want = _float_route(z, P, seed, n_draws)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_integer_threshold_decides_u_below_q():
+    # u = k 2^-53 is exact, so u < q must hold exactly when k < ceil(q 2^53)
+    primes = prime_sieve(89861)[1:].astype(np.float64)
+    for p in primes[[0, 1, 2, 10, 100, 1000, -1]]:
+        for q in (p / (2.0 * (p + 1.0)), 2.0 * (p / (2.0 * (p + 1.0)))):
+            t = math.ceil(q * 2.0**53)
+            for k in (t - 1, t):
+                assert (k * 2.0**-53 < q) == (k < t)
+            assert (t - 1) * 2.0**-53 < q <= t * 2.0**-53
+
+
+def test_mc_values_working_set_is_cache_sized():
+    # draw-sized temporaries (170 MB for this call) must not come back
+    import tracemalloc
+
+    prime_sieve(89861)
+    tracemalloc.start()
+    try:
+        mc_values(0.9, 89861, 1, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_mc_values_rejects_z_outside_model_domain():
+    for z in (0.5, 1.01, 0.0):
+        with pytest.raises(DomainError):
+            mc_values(z, 500, seed=1, n_draws=3)
+
+
 # ---------------------------------------------------------------------------
 # characteristic function
 # ---------------------------------------------------------------------------
