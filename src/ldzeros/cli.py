@@ -5,7 +5,8 @@ rd-stats, report, verify. Flags override values from --config (flat
 key=value file); the cache root may also come from the LDZEROS_CACHE
 environment variable. Exit codes (EXIT_CODES maps every class in errors.py):
 0 ok, 1 usage, 2 strict-mode indeterminate, 3 resource, 4 numerical,
-5 cache.
+5 cache. Malformed arguments are argparse usage errors, and those exit 1
+too, not argparse's default 2, which here means indeterminate.
 """
 
 from __future__ import annotations
@@ -70,15 +71,41 @@ def _build_config(args: argparse.Namespace, **extra) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# argument types: a ValueError becomes argparse's "invalid <__name__> value"
 def _parse_s(text: str) -> complex:
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(text), 0.0)
+    parts = [float(t) for t in text.split(",")]
+    if len(parts) > 2:
+        raise ValueError(text)
+    return complex(*parts)
+
+
+_parse_s.__name__ = "re[,im]"
+
+
+def _list_of(kind):
+    def parse(text: str) -> tuple:
+        return tuple(kind(t) for t in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+def _word_or_number(*words: str):
+    def parse(text: str) -> str:
+        if text not in words:
+            float(text)
+        return text
+    parse.__name__ = " or ".join(words + ("number",))
+    return parse
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ldzeros")
+    parser = _Parser(prog="ldzeros")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="enumerate the discriminant family, CSV d,m")
@@ -87,16 +114,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("eval", help="evaluate L at one point")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", required=True, help="re[,im]")
+    p.add_argument("--s", type=_parse_s, required=True, help="re[,im]")
     p.add_argument("--deriv", action="store_true")
     p.add_argument("--oracle", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("zeros", help="certified real-zero counts of L'")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--nu", default="auto")
+    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
     p.add_argument("--sample", type=int, default=100)
-    p.add_argument("--sigma-min", default="auto", dest="sigma_min")
+    p.add_argument("--sigma-min", type=_word_or_number("auto"), default="auto", dest="sigma_min")
     _add_common(p)
 
     p = sub.add_parser("gamma-min", help="least zero heights over a family sample")
@@ -113,7 +140,7 @@ def main(argv=None) -> int:
     _add_common(p)
 
     p = sub.add_parser("discrepancy", help="family vs model sup-CDF distance")
-    p.add_argument("--x", required=True, help="comma-separated x sweep")
+    p.add_argument("--x", type=_list_of(float), required=True, help="comma-separated x sweep")
     p.add_argument("--z", type=float, default=0.9)
     p.add_argument("--mc-samples", type=int, default=10000, dest="mc_samples")
     p.add_argument("--sample", type=int, default=2000)
@@ -124,16 +151,16 @@ def main(argv=None) -> int:
     p.add_argument("--kind", choices=("lemma22", "largesieve", "central"),
                    default="lemma22")
     p.add_argument("--y-max", type=int, default=10, dest="y_max")
-    p.add_argument("--k-list", default="1,2,3", dest="k_list")
+    p.add_argument("--k-list", type=_list_of(int), default="1,2,3", dest="k_list")
     p.add_argument("--y-lo", type=float, default=10.0, dest="y_lo")
     p.add_argument("--z-hi", type=float, default=40.0, dest="z_hi")
-    p.add_argument("--nu", default="auto")
+    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
     p.add_argument("--sample", type=int, default=50)
     _add_common(p)
 
     p = sub.add_parser("rd-stats", help="real-zero count statistics across x")
-    p.add_argument("--x-list", required=True, dest="x_list_arg")
-    p.add_argument("--nu", default="auto")
+    p.add_argument("--x-list", type=_list_of(float), required=True, dest="x_list_arg")
+    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
     p.add_argument("--sample", type=int, default=100)
     _add_common(p)
 
@@ -152,7 +179,7 @@ def main(argv=None) -> int:
             files = run_family(config)
         elif args.command == "eval":
             config = _build_config(args)
-            res = run_eval(config, args.d, _parse_s(args.s), args.deriv, args.oracle)
+            res = run_eval(config, args.d, args.s, args.deriv, args.oracle)
             print(json.dumps(res, sort_keys=True))
             return 0
         elif args.command == "zeros":
@@ -169,18 +196,15 @@ def main(argv=None) -> int:
             print(json.dumps(res, sort_keys=True))
             return 0
         elif args.command == "discrepancy":
-            xs = tuple(float(t) for t in args.x.split(","))
-            config = _build_config(args, x_list=xs, sample_size=args.sample)
+            config = _build_config(args, x_list=args.x, sample_size=args.sample)
             files = run_discrepancy(config)
         elif args.command == "moments":
-            ks = tuple(int(t) for t in args.k_list.split(","))
             config = _build_config(args, x_list=(args.x,), nu_policy=args.nu,
                                    sample_size=args.sample)
-            files = run_moments(config, args.kind, y_max=args.y_max, k_list=ks,
+            files = run_moments(config, args.kind, y_max=args.y_max, k_list=args.k_list,
                                 y_lo=args.y_lo, z_hi=args.z_hi)
         elif args.command == "rd-stats":
-            xs = tuple(float(t) for t in args.x_list_arg.split(","))
-            config = _build_config(args, x_list=xs, nu_policy=args.nu,
+            config = _build_config(args, x_list=args.x_list_arg, nu_policy=args.nu,
                                    sample_size=args.sample)
             files = run_rd_stats(config)
         elif args.command == "report":

@@ -10,22 +10,34 @@ machinery: the left by the L-evaluators, the right by double-exponential
 quadrature after the u = e^-v substitution.
 
 Coefficients are streamed from the cached character table; no coefficient
-arrays are materialized beyond the table itself.
+arrays are materialized beyond the table itself. The zero scan evaluates its
+grid (16 d points up to 2^17) through one reused power table a column block
+at a time, so its memory does not grow with the grid.
+
+F_d has a double zero at t = 1 (the full-period sum and the evenness of
+chi_d kill F_d(1) and F_d'(1)), so the scan's values near 1 sink under their
+error scale. An end certificate closes that gap: the exact integer moments
+F_d^(j)(1) and a Lagrange remainder bound prove F_d zero-free on
+(1 - delta*, 1), and the bound is checked against an exactly-rounded value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .characters import char_table
 from .errors import AccuracyError, DomainError, ResourceError
-from .lfunc import LEngine
+from .lfunc import LEngine, block_ranges
 from .specialfn import digamma, gamma
 
 MELLIN_D_CAP = 2000
+GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
+_GRID_BLOCK_BYTES = 1 << 23  # fekete_grid's power table: 4,096 grid columns
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -64,30 +76,45 @@ def fekete_eval_reversed(d: int, t: float) -> float:
     return s
 
 
-def fekete_grid(d: int, ts: np.ndarray, block: int = 256) -> np.ndarray:
+def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a grid (scan path; certificates re-use
     fekete_eval).
 
     Blocked Horner: F_d(t) = sum_b C_b(t) (t^B)^b with C_b a degree-(B-1)
-    polynomial chunk, so the inner work is one (n_blocks x B) @ (B x grid)
-    product instead of a length-d coefficient loop.
+    polynomial chunk (B = GRID_DEGREE_BLOCK), so the inner work is one
+    (n_blocks x B) @ (B x columns) product instead of a length-d coefficient
+    loop. The grid streams through one reused B x columns power table, a
+    column block at a time (columns from _GRID_BLOCK_BYTES), so memory stays
+    flat in the grid size, and the values are the unblocked product's bit
+    for bit. (For d <= B the product is a BLAS gemv whose last bits on a
+    long grid depend on BLAS's thread split, blocked or not.)
     """
     ts = np.asarray(ts, dtype=np.float64)
+    flat = ts.ravel()
+    block = GRID_DEGREE_BLOCK
     coeffs = char_table(d).astype(np.float64)  # index = exponent, coeffs[0] = 0
     n_blocks = (d + block - 1) // block
     padded = np.zeros(n_blocks * block, dtype=np.float64)
     padded[:d] = coeffs
     chunk_mat = padded.reshape(n_blocks, block)
-    powers = np.empty((block, ts.size), dtype=np.float64)
-    powers[0] = 1.0
-    for j in range(1, block):
-        powers[j] = powers[j - 1] * ts
-    chunk_vals = chunk_mat @ powers          # (n_blocks, grid)
-    t_block = powers[block - 1] * ts         # ts^block
-    out = np.zeros(ts.shape, dtype=np.float64)
-    for b in range(n_blocks - 1, -1, -1):
-        out = out * t_block + chunk_vals[b]
-    return out
+    cols = block_ranges(flat.size, _GRID_BLOCK_BYTES // (8 * block))
+    width = max((b - a for a, b in cols), default=0)
+    table = np.empty(block * width, dtype=np.float64)
+    out = np.empty(flat.shape, dtype=np.float64)
+    for a, b in cols:
+        t = flat[a:b]
+        powers = table[: block * (b - a)].reshape(block, b - a)
+        powers[0] = 1.0
+        for j in range(1, block):
+            np.multiply(powers[j - 1], t, out=powers[j])
+        chunk_vals = chunk_mat @ powers      # (n_blocks, columns)
+        t_block = powers[block - 1] * t      # t^block
+        acc = np.zeros(t.shape, dtype=np.float64)
+        for c in range(n_blocks - 1, -1, -1):
+            np.multiply(acc, t_block, out=acc)
+            np.add(acc, chunk_vals[c], out=acc)
+        out[a:b] = acc
+    return out.reshape(ts.shape)
 
 
 def zero_scan_grid(d: int, n_points: int) -> np.ndarray:
@@ -106,6 +133,47 @@ def zero_scan_grid(d: int, n_points: int) -> np.ndarray:
     return np.unique(np.concatenate([uni, geom]))
 
 
+def end_moment(d: int) -> tuple[int, int]:
+    """(k, M_k): the order of the zero of F_d at t = 1 and its leading moment.
+
+    M_j = F_d^(j)(1) = sum_n n (n-1) ... (n-j+1) chi_d(n), exactly, in Python
+    integers; k is the first j with M_j != 0. M_0 is a full-period character
+    sum, and M_1 = 0 for even chi_d since chi_d(d - n) = chi_d(n), so k = 2
+    across the family: the zero at t = 1 is double.
+    """
+    chi = char_table(d)[1:].tolist()
+    falling = [1] * len(chi)  # n^(j) for n = 1 .. d-1
+    for k in itertools.count():
+        m_k = sum(c * f for c, f in zip(chi, falling))
+        if m_k:
+            return k, m_k
+        falling = [f * (n - k) for n, f in enumerate(falling, start=1)]
+
+
+def end_interval(d: int, k: int, m_k: int) -> float:
+    """delta* such that F_d has no zero, and the sign of (-1)^k M_k, on
+    (1 - delta*, 1).
+
+    Taylor at t = 1 with the Lagrange remainder: F_d(1 - delta) =
+    (-1)^k M_k delta^k / k! + R with |R| <= S delta^(k+1) / (k+1)!, where
+    S = sum_n n^(k+1) = d^(k+2) / (k+2) in falling powers (|chi_d| <= 1 and
+    xi^n <= 1 on the interval). Half the delta at which the bound on |R|
+    meets the leading term keeps that term at least twice |R|. The moment is
+    then checked on the exactly-rounded path: F_d(1 - delta*) must have the
+    leading term's sign and lie within |R|'s bound plus 3 err of it, or
+    AccuracyError.
+    """
+    s = math.perm(d, k + 2) // (k + 2)
+    delta = float(Fraction(abs(m_k) * (k + 1), 2 * s))
+    value, err = fekete_eval(d, 1.0 - delta)
+    lead = (-1) ** k * m_k * delta**k / math.factorial(k)
+    rem = s * delta ** (k + 1) / math.factorial(k + 1)
+    if not (value * lead > 0 and abs(value) > 3.0 * err and abs(value - lead) <= rem + 3.0 * err):
+        raise AccuracyError(f"F_{d}(1 - {delta:.3e}) = {value:.6e} does not match its order-{k} "
+                            f"Taylor term {lead:.6e} within {rem:.3e}")
+    return delta
+
+
 @dataclass
 class FeketeZeroReport:
     d: int
@@ -113,21 +181,38 @@ class FeketeZeroReport:
     zeros: list[tuple[float, float]] = field(default_factory=list)  # (location, half_width)
     suspects: list[dict] = field(default_factory=list)
     grid_points: int = 0
+    end_order: int = 0        # k: order of the zero at t = 1
+    end_delta: float = 0.0    # delta*: no zero on (1 - delta*, 1); 0 if not certified
 
 
 def fekete_real_zeros(d: int, grid_points: int | None = None,
                       refine_tol: float = 1e-12) -> FeketeZeroReport:
     """Certified sign-change count of F_d on (0, 1) (a lower bound; suspects
-    flagged). Grid refinement can only increase the certified count."""
+    flagged). Grid refinement can only increase the certified count.
+
+    Near t = 1 the grid values sink under their error scale because of F_d's
+    double zero there; the end certificate (end_moment, end_interval) proves
+    (1 - delta*, 1) zero-free, so dips inside it are not suspects and a sign
+    flip inside it is one.
+    """
     if grid_points is None:
         grid_points = min(16 * d, 1 << 17)
     ts = zero_scan_grid(d, grid_points)
     vals = fekete_grid(d, ts)
     report = FeketeZeroReport(d=d, count=0, grid_points=len(ts))
+    try:
+        report.end_order, m_k = end_moment(d)
+        report.end_delta = end_interval(d, report.end_order, m_k)
+    except AccuracyError as exc:
+        report.suspects.append({"reason": f"end certificate failed: {exc}"})
+    t_end = 1.0 - report.end_delta
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
     for i in flips:
         lo, hi = float(ts[i]), float(ts[i + 1])
+        if lo >= t_end:
+            report.suspects.append({"interval": (lo, hi), "reason": "sign flip in the end interval"})
+            continue
         flo = float(fekete_grid(d, np.array([lo]))[0])
         fhi = float(fekete_grid(d, np.array([hi]))[0])
         if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
@@ -164,10 +249,11 @@ def fekete_real_zeros(d: int, grid_points: int | None = None,
             report.suspects.append({"interval": (lo, hi), "reason": "endpoint margin too thin"})
     # grid cells whose values dip under the local error scale without flipping
     errs = 45.0 * np.finfo(float).eps * np.minimum(ts / (1.0 - ts), float(d))
-    dips = np.nonzero(np.abs(vals) < 3 * errs)[0]
-    for i in dips:
-        if not any(abs(ts[i] - z) <= w * 4 + 1e-10 for z, w in report.zeros):
-            report.suspects.append({"at": float(ts[i]), "reason": "value under error scale"})
+    dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]
+    if report.zeros:
+        z, w = np.array(report.zeros).T
+        dips = dips[~(np.abs(dips[:, None] - z) <= w * 4 + 1e-10).any(axis=1)]
+    report.suspects.extend({"at": float(t), "reason": "value under error scale"} for t in dips)
     report.count = len(report.zeros)
     return report
 

@@ -84,27 +84,34 @@ class RunConfig:
             if f.name not in mapping:
                 continue
             raw = mapping[f.name]
-            if f.name == "x_list":
-                if isinstance(raw, str):
-                    raw = tuple(float(t) for t in raw.split(",") if t)
+            try:
+                if f.name == "x_list":
+                    if isinstance(raw, str):
+                        raw = tuple(float(t) for t in raw.split(",") if t)
+                    else:
+                        raw = tuple(float(t) for t in raw)
+                    kwargs[f.name] = raw
+                elif f.type in ("int",):
+                    kwargs[f.name] = int(raw)
+                elif f.type in ("float",):
+                    kwargs[f.name] = float(raw)
+                elif f.type in ("bool",):
+                    kwargs[f.name] = raw in (True, "1", "true", "True", "yes")
                 else:
-                    raw = tuple(float(t) for t in raw)
-                kwargs[f.name] = raw
-            elif f.type in ("int",):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("float",):
-                kwargs[f.name] = float(raw)
-            elif f.type in ("bool",):
-                kwargs[f.name] = raw in (True, "1", "true", "True", "yes")
-            else:
-                kwargs[f.name] = str(raw)
+                    kwargs[f.name] = str(raw)
+            except ValueError:
+                raise DomainError(f"malformed config value {f.name}={raw!r}") from None
         return cls(**kwargs)
 
 
 def load_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and #-comments ignored."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -301,6 +308,7 @@ def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: boo
         res["count"] = rep.count
         res["zeros"] = [{"loc": z, "halfwidth": w} for z, w in rep.zeros]
         res["suspects"] = len(rep.suspects)
+        res["end"] = {"order": rep.end_order, "delta": rep.end_delta}
     if check_identity:
         rep = mellin_identity_check(d, s)
         res["identity"] = {"s": s, "residual_first": rep.residual_first,

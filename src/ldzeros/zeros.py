@@ -17,7 +17,10 @@ Counting conventions:
   its Taylor coefficients recovered by FFT, and f in {L, L'} plus its
   derivative read off the series well inside the sampled radius. Node
   counts double until the integer stabilizes; the raw integral must land
-  within 0.1 of an integer. A phase-winding cross-check must agree.
+  within 0.1 of an integer. A phase-winding cross-check must agree. A
+  doubling samples L only at the new odd nodes (the even ones are the
+  previous nodes exactly), and the Jensen bound reuses the sampling circle
+  of its own zero-free pre-check.
 
 * Rectangle counts (used for zero-free-region certificates) accumulate the
   argument of L along the boundary with adaptive segment refinement.
@@ -46,6 +49,7 @@ TRAPEZOID_MAX_NODES = 2048
 INTEGER_GATE = 0.1
 SAMPLER_RATIO = 0.72       # target-circle radius over sampling-circle radius
 CENTER_FLOOR = 1e-9        # conditioning floor for the Jensen center value
+JENSEN_NODES = 1024        # sampling-circle nodes behind the Jensen maximum
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +113,30 @@ def build_cover(x: float, nu: float) -> CircleCover:
 # ---------------------------------------------------------------------------
 
 class _CircleSampler:
-    def __init__(self, engine: LEngine, center: complex, radius: float, nodes: int):
+    """L sampled at `nodes` equispaced points of one circle, with the Taylor
+    coefficients read off by FFT.
+
+    Given a sampler `prev` of the same circle with half as many nodes, only
+    the odd nodes are sampled: the even ones are prev's nodes bit for bit,
+    since 2 pi (2j) / (2m) and 2 pi j / m round to the same double, and
+    prev's samples are reused. With twice as many nodes, every other sample
+    of prev is taken. Either way the sampler equals a freshly built one.
+    """
+
+    def __init__(self, engine: LEngine, center: complex, radius: float, nodes: int,
+                 prev: _CircleSampler | None = None):
         self.center = complex(center)
         self.radius = float(radius)
         theta = 2.0 * math.pi * np.arange(nodes) / nodes
         pts = self.center + self.radius * np.exp(1j * theta)
-        vals = engine.l_fast(pts)
+        if prev is not None and 2 * prev.nodes == nodes:
+            vals = np.empty(nodes, dtype=np.complex128)
+            vals[0::2] = prev.samples
+            vals[1::2] = engine.l_fast(pts[1::2])
+        elif prev is not None and prev.nodes == 2 * nodes:
+            vals = prev.samples[0::2].copy()
+        else:
+            vals = engine.l_fast(pts)
         # c_k R^k = FFT(samples)/M; aliasing is negligible for entire L here
         self.coeff = np.fft.fft(vals) / nodes
         self.nodes = nodes
@@ -168,8 +190,16 @@ def contour_zero_count(engine: LEngine, center: complex, radius: float,
 
     Trapezoid rule on f'/f with node doubling from TRAPEZOID_START_NODES until
     the rounded count stabilizes; errors if the raw integral is farther than
-    INTEGER_GATE from an integer or the contour grazes a zero.
+    INTEGER_GATE from an integer or the contour grazes a zero. Each doubling
+    samples L only at the new (odd) nodes of the sampling circle.
     """
+    return _contour_count(engine, center, radius, f_selector)[0]
+
+
+def _contour_count(engine: LEngine, center: complex, radius: float,
+                   f_selector: str) -> tuple[ContourCount, _CircleSampler]:
+    """contour_zero_count, plus the last sampler it built (its circle has
+    radius radius / SAMPLER_RATIO) for callers that sample that circle again."""
     if f_selector not in ("L", "Lprime"):
         raise DomainError(f"unknown f_selector {f_selector!r}")
     order = 0 if f_selector == "L" else 1
@@ -177,9 +207,10 @@ def contour_zero_count(engine: LEngine, center: complex, radius: float,
     prev = None
     last_failure = None
     newton_dist = math.inf
+    sampler = None
     m = TRAPEZOID_START_NODES
     while m <= TRAPEZOID_MAX_NODES:
-        sampler = _CircleSampler(engine, center, radius / SAMPLER_RATIO, m)
+        sampler = _CircleSampler(engine, center, radius / SAMPLER_RATIO, m, prev=sampler)
         theta = 2.0 * math.pi * np.arange(m) / m
         ring = center + radius * np.exp(1j * theta)
         f = sampler.eval(ring, order=order)
@@ -212,7 +243,7 @@ def contour_zero_count(engine: LEngine, center: complex, radius: float,
             continue
         if prev is not None and prev.count == count:
             return ContourCount(count=count, integral=integral, nodes=m,
-                                min_modulus=min_mod, f_selector=f_selector)
+                                min_modulus=min_mod, f_selector=f_selector), sampler
         prev = ContourCount(count=count, integral=integral, nodes=m,
                             min_modulus=min_mod, f_selector=f_selector)
         m *= 2
@@ -526,19 +557,22 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int,
 
     Pre-check: L has no zeros in |z - z_j| <= (7/4) r_j, so -L'/L is analytic
     on the closed outer disc. M_jd is a dense-sample maximum on the outer
-    circle; the center value uses the precise path.
+    circle, read from the pre-check's own sampling circle refined to 1024
+    nodes; the center value uses the precise path.
     """
     if not 1 <= j <= cover.J:
         raise DomainError(f"circle index {j} outside 1..{cover.J}")
     zj = float(cover.centers[j - 1])
     rj = float(cover.radii[j - 1])
     Rj = float(cover.outer_radii[j - 1])
-    outer = contour_zero_count(engine, complex(zj), 1.75 * rj, f_selector="L")
+    outer, sampler = _contour_count(engine, complex(zj), 1.75 * rj, f_selector="L")
     if outer.count != 0:
         raise IndeterminateError(
             f"L has {outer.count} zeros within (7/4) r_j of z_{j}; Jensen bound not applicable"
         )
-    sampler = _CircleSampler(engine, complex(zj), 1.75 * rj / SAMPLER_RATIO, 1024)
+    while sampler.nodes != JENSEN_NODES:
+        nodes = 2 * sampler.nodes if sampler.nodes < JENSEN_NODES else sampler.nodes // 2
+        sampler = _CircleSampler(engine, complex(zj), sampler.radius, nodes, prev=sampler)
     theta = 2.0 * math.pi * np.arange(m_samples) / m_samples
     ring = zj + Rj * np.exp(1j * theta)
     lvals = sampler.eval(ring, order=0)

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ldzeros.characters import enumerate_family, kronecker
-from ldzeros.errors import DomainError, ResourceError
+from ldzeros import fekete
+from ldzeros.characters import char_table, enumerate_family, kronecker
+from ldzeros.errors import AccuracyError, DomainError, ResourceError
 from ldzeros.fekete import (
+    GRID_DEGREE_BLOCK,
+    end_interval,
+    end_moment,
     fekete_eval,
     fekete_eval_reversed,
     fekete_grid,
@@ -128,3 +133,131 @@ def test_kronecker_consistency_of_coefficients():
     tab = char_table(104)
     for n in range(1, 104):
         assert tab[n] == kronecker(104, n)
+
+
+# ---------------------------------------------------------------------------
+# blocked grid evaluation
+# ---------------------------------------------------------------------------
+
+def _fekete_grid_unblocked(d: int, ts: np.ndarray, block: int = 256) -> np.ndarray:
+    """The scan as one B x grid power table and one product, without column
+    blocks."""
+    ts = np.asarray(ts, dtype=np.float64)
+    coeffs = char_table(d).astype(np.float64)
+    n_blocks = (d + block - 1) // block
+    padded = np.zeros(n_blocks * block, dtype=np.float64)
+    padded[:d] = coeffs
+    chunk_mat = padded.reshape(n_blocks, block)
+    powers = np.empty((block, ts.size), dtype=np.float64)
+    powers[0] = 1.0
+    for j in range(1, block):
+        powers[j] = powers[j - 1] * ts
+    chunk_vals = chunk_mat @ powers
+    t_block = powers[block - 1] * ts
+    out = np.zeros(ts.shape, dtype=np.float64)
+    for b in range(n_blocks - 1, -1, -1):
+        out = out * t_block + chunk_vals[b]
+    return out
+
+
+@pytest.mark.parametrize("d", [104, 7976])
+def test_fekete_grid_bit_identical_to_unblocked(d):
+    cols = fekete._GRID_BLOCK_BYTES // (8 * GRID_DEGREE_BLOCK)
+    ts = zero_scan_grid(d, max(16 * d, cols + 1))
+    sizes = [1, cols - 1, cols, cols + 1, 16 * d]
+    if d > GRID_DEGREE_BLOCK:  # several column blocks, a product per block
+        sizes += [2 * cols + 1, 3 * cols - 1]
+    for n in sizes:
+        got = fekete_grid(d, ts[-n:])
+        want = _fekete_grid_unblocked(d, ts[-n:])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    assert fekete_grid(d, np.float64(0.5)).shape == ()
+    assert fekete_grid(d, np.float64(0.5)) == _fekete_grid_unblocked(d, np.array([0.5]))[0]
+
+
+def test_fekete_grid_memory_flat_in_grid_size():
+    # the unblocked table alone is 256 x 16d doubles, 261 MB at d = 7976
+    import tracemalloc
+
+    d = 7976
+    ts = zero_scan_grid(d, 16 * d)
+    char_table(d)
+    tracemalloc.start()
+    try:
+        fekete_grid(d, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# end certificate
+# ---------------------------------------------------------------------------
+
+def test_end_moment_from_factored_forms():
+    # F_8 = t (1 - t^2)(1 - t^4) ~ 8 delta^2 and F_5 = t (1 - t)^2 (1 + t)
+    # ~ 2 delta^2 at t = 1 - delta, so M_2 = 2! * 8 and 2! * 2
+    assert end_moment(8) == (2, 16)
+    assert end_moment(5) == (2, 4)
+
+
+def _fekete_exact(d: int, t: Fraction) -> Fraction:
+    chi = char_table(d)
+    acc = Fraction(0)
+    for n in range(d - 1, 0, -1):
+        acc = (acc + int(chi[n])) * t
+    return acc
+
+
+@pytest.mark.parametrize("d", [8, 104, 136, 152])
+def test_end_interval_is_zero_free_in_exact_arithmetic(d):
+    k, m_k = end_moment(d)
+    assert k == 2  # chi_d even: F_d(1) = F_d'(1) = 0
+    delta = Fraction(end_interval(d, k, m_k))
+    want = 1 if (-1) ** k * m_k > 0 else -1
+    for frac in (Fraction(1, 1000), Fraction(1, 3), Fraction(999, 1000)):
+        v = _fekete_exact(d, 1 - frac * delta)
+        assert v != 0 and (v > 0) == (want > 0), (d, frac)
+
+
+@pytest.mark.parametrize("corrupt", [lambda m: -m, lambda m: 3 * m, lambda m: m // 3])
+def test_end_certificate_fails_on_corrupted_moment(corrupt):
+    for d in (104, 4168):
+        k, m_k = end_moment(d)
+        end_interval(d, k, m_k)
+        with pytest.raises(AccuracyError):
+            end_interval(d, k, corrupt(m_k))
+
+
+def test_end_interval_clears_the_error_scale_dips():
+    # every "value under error scale" cell of this d sits within 1.5e-9 of t = 1
+    rep = fekete_real_zeros(4168)
+    assert rep.end_order == 2 and 1e-7 < rep.end_delta < 1e-5
+    assert rep.suspects == []
+    assert rep.count == 2
+
+
+def test_failed_end_certificate_leaves_the_dips_suspect(monkeypatch):
+    k, m_k = end_moment(4168)
+    monkeypatch.setattr(fekete, "end_moment", lambda d: (k, -m_k))
+    rep = fekete_real_zeros(4168)
+    assert rep.end_delta == 0.0 and rep.count == 2
+    assert rep.suspects[0]["reason"].startswith("end certificate failed")
+    dips = [s for s in rep.suspects if s["reason"] == "value under error scale"]
+    assert len(dips) > 1000 and all(1.0 - s["at"] < 1.5e-9 for s in dips)
+
+
+def test_grid_flip_inside_end_interval_is_a_suspect(monkeypatch):
+    real = fekete.fekete_grid
+
+    def flipped(d, ts):
+        vals = real(d, ts)
+        if np.size(ts) > 1:
+            vals[-1] = -vals[-1]  # a sign flip deep inside (1 - delta*, 1)
+        return vals
+
+    monkeypatch.setattr(fekete, "fekete_grid", flipped)
+    rep = fekete_real_zeros(4168)
+    assert rep.count == 2
+    assert [s["reason"] for s in rep.suspects] == ["sign flip in the end interval"]

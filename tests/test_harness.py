@@ -245,3 +245,45 @@ def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, la
     monkeypatch.setattr("ldzeros.cli.run_eval", raise_it)
     assert main(["eval", "--d", "8", "--s", "0.7"]) == code
     assert capsys.readouterr().err == f"{label}: x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--d", "8", "--s", "abc"],
+    ["eval", "--d", "8", "--s", "0.7,abc"],
+    ["eval", "--d", "8", "--s", "1,2,3"],
+    ["eval", "--d", "8"],
+    ["discrepancy", "--x", "1e3,abc"],
+    ["rd-stats", "--x-list", "1e3,abc"],
+    ["moments", "--x", "100", "--k-list", "1,a"],
+    ["zeros", "--x", "1e3", "--nu", "abc"],
+    ["zeros", "--x", "1e3", "--sigma-min", "abc"],
+], ids=["s-abc", "s-im-abc", "s-three-parts", "s-missing", "x-list-abc", "rd-x-list-abc",
+        "k-list-a", "nu-abc", "sigma-min-abc"])
+def test_cli_malformed_argument_is_usage_error_exit_1(capsys, argv):
+    # argparse's own exit code 2 is this CLI's "indeterminate"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"ldzeros {argv[0]}: error: argument" in err or "required" in err
+    assert "Traceback" not in err
+
+
+def test_cli_parses_complex_s_and_lists(monkeypatch, capsys):
+    seen = {}
+    monkeypatch.setattr("ldzeros.cli.run_eval", lambda config, d, s, *a: seen.update(s=s) or {})
+    assert main(["eval", "--d", "8", "--s", "0.75, -2.5"]) == 0
+    assert seen["s"] == complex(0.75, -2.5)
+    monkeypatch.setattr("ldzeros.cli.run_discrepancy",
+                        lambda config: seen.update(x=config.x_list) or [])
+    assert main(["discrepancy", "--x", "1e3,2e3"]) == 0
+    assert seen["x"] == (1000.0, 2000.0)
+
+
+def test_cli_malformed_or_missing_config_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed=abc\n")
+    assert main(["family", "--x", "20", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == "usage error: malformed config value seed='abc'\n"
+    assert main(["family", "--x", "20", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: cannot read config file")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ldzeros.characters import chi_values, kronecker
+from ldzeros import lfunc
 from ldzeros.errors import DomainError, NearZeroError, ResourceError
 from ldzeros.lfunc import (
     RE_MAX,
     RE_MIN,
     LEngine,
+    block_ranges,
     dirichlet_series_oracle,
     euler_maclaurin_oracle,
     hurwitz_zeta_shifted,
@@ -283,3 +285,37 @@ def test_theta_sum_matches_termwise_oracle():
             omega = math.fsum(chi[n - 1] * math.exp(-math.pi * n * n * t / d)
                               for n in range(1, n_max + 1) if math.pi * n * n * t / d < 745)
             assert abs(w_omega[j] / w[j] - omega) <= 1e-14 * abs(omega), (d, t)
+
+
+def _lambda_fast_unblocked(u: np.ndarray, wo: np.ndarray, s) -> np.ndarray:
+    """The fast path as one (points x nodes) product, without row blocks."""
+    s = np.asarray(s, dtype=np.complex128)
+    e1 = np.exp(np.multiply.outer(s / 2.0, u))
+    e2 = np.exp(np.multiply.outer((1.0 - s) / 2.0, u))
+    return (e1 + e2) @ wo
+
+
+@pytest.mark.parametrize("d, t_cap", [(8, 60.0), (7976, 12.0), (7976, 52.0)])
+def test_fast_path_blocks_bit_identical_to_unblocked(d, t_cap):
+    eng = LEngine(d, t_cap=t_cap)
+    eng.lambda_fast(np.array([0.7]))
+    u, wo = eng._theta
+    rows = max(2, lfunc._FAST_BLOCK_BYTES // (16 * u.size))
+    rng = np.random.default_rng(d)
+    s = rng.uniform(0.5, 1.2, 2048) + 1j * rng.uniform(-t_cap, t_cap, 2048)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 2048):
+        got = eng._lambda_fast_raw(s[:n])
+        want = _lambda_fast_unblocked(u, wo, s[:n])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    got = eng._lambda_fast_raw(s[3])
+    want = _lambda_fast_unblocked(u, wo, s[3])
+    assert got.shape == want.shape == ()
+    assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+
+
+def test_block_ranges_cover_and_never_go_narrow():
+    for n in range(0, 60):
+        for size in (2, 3, 7, 16):
+            blocks = block_ranges(n, size)
+            assert [a for a, _ in blocks] + [n] == [0] + [b for _, b in blocks]
+            assert all(min(n, size // 2) <= b - a <= size + size // 2 for a, b in blocks)

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from ldzeros.errors import DomainError
 from ldzeros.lfunc import LEngine
 from ldzeros.zeros import (
+    JENSEN_NODES,
+    SAMPLER_RATIO,
     _CircleSampler,
     build_cover,
     contour_zero_count,
@@ -239,3 +242,58 @@ def test_hypothesis_failure_or_indeterminate_with_witness():
     if not outcomes:
         pytest.skip("no discriminant with a disc-interior zero in this family")
     assert all(o in ("indeterminate", "failed-with-witness") for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# sample reuse across node doublings
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def test_refined_and_coarsened_samplers_equal_fresh_ones(eng40008):
+    center, radius = 5.0 / 6.0 + 0.0j, 1.75 / 6.0 / SAMPLER_RATIO
+    base = _CircleSampler(eng40008, center, radius, 256)
+    fine = _CircleSampler(eng40008, center, radius, 512, prev=base)
+    fresh = _CircleSampler(eng40008, center, radius, 512)
+    assert np.array_equal(_bits(fine.samples), _bits(fresh.samples))
+    assert np.array_equal(_bits(fine.coeff), _bits(fresh.coeff))
+    coarse = _CircleSampler(eng40008, center, radius, 256, prev=fresh)
+    assert np.array_equal(_bits(coarse.coeff), _bits(base.coeff))
+
+
+class _CountingEngine:
+    """Forwards to an engine and counts the points sent to l_fast."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.points = 0
+
+    def l_fast(self, s):
+        self.points += np.size(s)
+        return self._engine.l_fast(s)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+def test_node_doubling_samples_only_new_nodes(eng8):
+    eng = _CountingEngine(eng8)
+    cc = contour_zero_count(eng, 1.4 + 0.0j, 0.2, f_selector="L")
+    assert cc.nodes == 512
+    assert eng.points == 512  # 256 + the 256 odd nodes, not 256 + 512
+
+
+def test_jensen_reuses_its_precheck_circle(eng40008):
+    cov = build_cover(1e4, math.log(math.log(1e4)))
+    eng = _CountingEngine(eng40008)
+    jb = jensen_upper_bound(eng, cov, 1)
+    pre = contour_zero_count(eng40008, complex(cov.centers[0]), 1.75 * cov.radii[0], "L")
+    assert eng.points == max(pre.nodes, JENSEN_NODES)
+    # the bound equals one read from a freshly sampled 1024-node circle
+    zj, rj, Rj = float(cov.centers[0]), float(cov.radii[0]), float(cov.outer_radii[0])
+    sampler = _CircleSampler(eng40008, complex(zj), 1.75 * rj / SAMPLER_RATIO, 1024)
+    ring = zj + Rj * np.exp(1j * 2.0 * math.pi * np.arange(512) / 512)
+    m_jd = float(np.max(np.abs(sampler.eval(ring, order=1) / sampler.eval(ring, order=0))))
+    assert jb.m_jd == m_jd
