@@ -182,13 +182,3 @@ def expected_char_average(n: int):
             return Fraction(0)
         out *= Fraction(p, p + 1)
     return out
-
-
-def family_to_csv(family: Family, path: str, provenance: str | None = None) -> None:
-    """Write the family as CSV rows `d,m`, ascending, with optional header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if provenance is not None:
-            fh.write(f"# {provenance}\n")
-        fh.write("d,m\n")
-        for f in family.members:
-            fh.write(f"{f.d},{f.m}\n")

@@ -1,12 +1,16 @@
 """Command-line entry point.
 
 Subcommands: family, eval, zeros, gamma-min, fekete, discrepancy, moments,
-rd-stats, report, verify. Flags override values from --config (flat
-key=value file); the cache root may also come from the LDZEROS_CACHE
-environment variable. Exit codes (EXIT_CODES maps every class in errors.py):
-0 ok, 1 usage, 2 strict-mode indeterminate, 3 resource, 4 numerical,
-5 cache. Malformed arguments are argparse usage errors, and those exit 1
-too, not argparse's default 2, which here means indeterminate.
+rd-stats, report, verify. One table (`_parser`) gives each subcommand its
+driver call and only the flags that driver reads. A flag that sets a
+RunConfig field has that field as its dest; the configuration is the
+subcommand's defaults, then the --config file (flat key=value), then the
+flags actually given. The cache root may also come from the LDZEROS_CACHE
+environment variable. Exit codes are EXIT_CODES, which maps every class in
+errors.py: 0 ok, 1 usage, 2 strict-mode indeterminate, 3 resource,
+4 numerical, 5 cache. Malformed or unknown arguments are argparse usage
+errors, and those exit 1 too, not argparse's default 2, which here means
+indeterminate.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import errors
 from .harness import (
@@ -44,31 +49,7 @@ EXIT_CODES = (
     (errors.CacheError, 5, "cache error"),
 )
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--eps-target", type=float, dest="eps_target")
-    p.add_argument("--cache-dir", dest="cache_dir")
-    p.add_argument("--out")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.add_argument("--verify-cache", action="store_true", default=None,
-                   dest="verify_cache")
-
-
-def _build_config(args: argparse.Namespace, **extra) -> RunConfig:
-    mapping: dict = {}
-    if getattr(args, "config", None):
-        mapping.update(load_config_file(args.config))
-    for key in ("seed", "threads", "eps_target", "cache_dir", "out", "strict",
-                "verify_cache", "sample_size", "nu_policy", "z", "mc_samples",
-                "scan_height_cap", "x_list"):
-        v = getattr(args, key, None)
-        if v is not None:
-            mapping[key] = v
-    mapping.update({k: v for k, v in extra.items() if v is not None})
-    return RunConfig.from_mapping(mapping)
+_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +76,13 @@ def _list_of(kind):
     return parse
 
 
+def _one_float(text: str) -> tuple:
+    return (float(text),)
+
+
+_one_float.__name__ = "float"
+
+
 def _word_or_number(*words: str):
     def parse(text: str) -> str:
         if text not in words:
@@ -104,127 +92,121 @@ def _word_or_number(*words: str):
     return parse
 
 
-def main(argv=None) -> int:
+# flags that set a RunConfig field (their dest); --config names the file
+_CONFIG_FLAGS = {
+    "--x": dict(type=_one_float, required=True, dest="x_list"),
+    "--x-list": dict(type=_list_of(float), required=True, dest="x_list"),
+    "--sample": dict(type=int, dest="sample_size"),
+    "--nu": dict(type=_word_or_number("auto", "hyp"), dest="nu_policy"),
+    "--z": dict(type=float),
+    "--mc-samples": dict(type=int, dest="mc_samples"),
+    "--seed": dict(type=int),
+    "--threads": dict(type=int),
+    "--eps-target": dict(type=float, dest="eps_target"),
+    "--cache-dir": dict(dest="cache_dir"),
+    "--verify-cache": dict(action="store_true", dest="verify_cache"),
+    "--strict": dict(action="store_true"),
+    "--out": {},
+    "--config": dict(help="flat key=value config file"),
+}
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    mapping = dict(args.defaults)
+    if "config" in args:
+        mapping.update(load_config_file(args.config))
+    mapping.update((k, v) for k, v in vars(args).items() if k in _FIELDS)
+    return RunConfig.from_mapping(mapping)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ldzeros")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("family", help="enumerate the discriminant family, CSV d,m")
-    p.add_argument("--x", type=float, required=True)
-    _add_common(p)
+    def command(name, help, flags, run, **defaults):
+        """One row: a subcommand offering `flags` (keys of _CONFIG_FLAGS; a
+        flag not given leaves its field to the file or `defaults`) and
+        calling `run(args, config)`, which names a module-level run_* at
+        call time so a monkeypatched or traced binding is the one called."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, default=argparse.SUPPRESS, **_CONFIG_FLAGS[flag])
+        p.set_defaults(run=run, defaults=defaults)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate L at one point")
+    command("family", "enumerate the discriminant family, CSV d,m", "--x --out --config",
+            lambda a, c: run_family(c))
+
+    p = command("eval", "evaluate L at one point", "--eps-target --config",
+                lambda a, c: run_eval(c, a.d, a.s, a.deriv, a.oracle))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=_parse_s, required=True, help="re[,im]")
     p.add_argument("--deriv", action="store_true")
     p.add_argument("--oracle", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser("zeros", help="certified real-zero counts of L'")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
-    p.add_argument("--sample", type=int, default=100)
+    p = command("zeros", "certified real-zero counts of L'",
+                "--x --nu --sample --seed --eps-target --cache-dir --verify-cache --strict"
+                " --out --config",
+                lambda a, c: run_zeros(c, sigma_min=a.sigma_min))
     p.add_argument("--sigma-min", type=_word_or_number("auto"), default="auto", dest="sigma_min")
-    _add_common(p)
 
-    p = sub.add_parser("gamma-min", help="least zero heights over a family sample")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sample", type=int, default=100)
+    p = command("gamma-min", "least zero heights over a family sample",
+                "--x --sample --seed --eps-target --cache-dir --verify-cache --out --config",
+                lambda a, c: run_gamma_min(c, t_max=a.t_max))
     p.add_argument("--t-max", type=float, default=50.0, dest="t_max")
-    _add_common(p)
 
-    p = sub.add_parser("fekete", help="Fekete zero counts / Mellin identities")
+    p = command("fekete", "Fekete zero counts / Mellin identities", "",
+                lambda a, c: run_fekete(c, a.d, a.count_zeros, a.check_identity, s=a.s))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count-zeros", action="store_true", dest="count_zeros")
     p.add_argument("--check-identity", action="store_true", dest="check_identity")
     p.add_argument("--s", type=float, default=0.75)
-    _add_common(p)
 
-    p = sub.add_parser("discrepancy", help="family vs model sup-CDF distance")
-    p.add_argument("--x", type=_list_of(float), required=True, help="comma-separated x sweep")
-    p.add_argument("--z", type=float, default=0.9)
-    p.add_argument("--mc-samples", type=int, default=10000, dest="mc_samples")
-    p.add_argument("--sample", type=int, default=2000)
-    _add_common(p)
+    p = command("discrepancy", "family vs model sup-CDF distance",
+                "--z --mc-samples --sample --seed --threads --strict --out --config",
+                lambda a, c: run_discrepancy(c), sample_size=2000)
+    p.add_argument("--x", type=_list_of(float), required=True, dest="x_list",
+                   default=argparse.SUPPRESS, help="comma-separated x sweep")
 
-    p = sub.add_parser("moments", help="moment-matching and moment-bound checks")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--kind", choices=("lemma22", "largesieve", "central"),
-                   default="lemma22")
+    p = command("moments", "moment-matching and moment-bound checks",
+                "--x --nu --sample --seed --out --config",
+                lambda a, c: run_moments(c, a.kind, y_max=a.y_max, k_list=a.k_list,
+                                         y_lo=a.y_lo, z_hi=a.z_hi),
+                sample_size=50)
+    p.add_argument("--kind", choices=("lemma22", "largesieve", "central"), default="lemma22")
     p.add_argument("--y-max", type=int, default=10, dest="y_max")
     p.add_argument("--k-list", type=_list_of(int), default="1,2,3", dest="k_list")
     p.add_argument("--y-lo", type=float, default=10.0, dest="y_lo")
     p.add_argument("--z-hi", type=float, default=40.0, dest="z_hi")
-    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
-    p.add_argument("--sample", type=int, default=50)
-    _add_common(p)
 
-    p = sub.add_parser("rd-stats", help="real-zero count statistics across x")
-    p.add_argument("--x-list", type=_list_of(float), required=True, dest="x_list_arg")
-    p.add_argument("--nu", type=_word_or_number("auto", "hyp"), default="auto")
-    p.add_argument("--sample", type=int, default=100)
-    _add_common(p)
+    command("rd-stats", "real-zero count statistics across x",
+            "--x-list --nu --sample --seed --threads --eps-target --strict --out --config",
+            lambda a, c: run_rd_stats(c))
 
-    p = sub.add_parser("report", help="aggregate zeros JSONL into plot data")
+    p = command("report", "aggregate zeros JSONL into plot data", "--out --config",
+                lambda a, c: run_report(c, a.in_path))
     p.add_argument("--in", required=True, dest="in_path")
-    _add_common(p)
 
-    p = sub.add_parser("verify", help="run the fast invariant battery")
-    _add_common(p)
+    command("verify", "run the fast invariant battery", "--seed --config",
+            lambda a, c: run_verify(c))
+    return parser
 
-    args = parser.parse_args(argv)
 
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "family":
-            config = _build_config(args, x_list=(args.x,))
-            files = run_family(config)
-        elif args.command == "eval":
-            config = _build_config(args)
-            res = run_eval(config, args.d, args.s, args.deriv, args.oracle)
-            print(json.dumps(res, sort_keys=True))
-            return 0
-        elif args.command == "zeros":
-            config = _build_config(args, x_list=(args.x,), nu_policy=args.nu,
-                                   sample_size=args.sample)
-            files = run_zeros(config, sigma_min=args.sigma_min)
-        elif args.command == "gamma-min":
-            config = _build_config(args, x_list=(args.x,), sample_size=args.sample)
-            files = run_gamma_min(config, t_max=args.t_max)
-        elif args.command == "fekete":
-            config = _build_config(args)
-            res = run_fekete(config, args.d, args.count_zeros, args.check_identity,
-                             s=args.s)
-            print(json.dumps(res, sort_keys=True))
-            return 0
-        elif args.command == "discrepancy":
-            config = _build_config(args, x_list=args.x, sample_size=args.sample)
-            files = run_discrepancy(config)
-        elif args.command == "moments":
-            config = _build_config(args, x_list=(args.x,), nu_policy=args.nu,
-                                   sample_size=args.sample)
-            files = run_moments(config, args.kind, y_max=args.y_max, k_list=args.k_list,
-                                y_lo=args.y_lo, z_hi=args.z_hi)
-        elif args.command == "rd-stats":
-            config = _build_config(args, x_list=args.x_list_arg, nu_policy=args.nu,
-                                   sample_size=args.sample)
-            files = run_rd_stats(config)
-        elif args.command == "report":
-            config = _build_config(args)
-            files = run_report(config, args.in_path)
-        elif args.command == "verify":
-            config = _build_config(args)
-            res = run_verify(config)
-            print(json.dumps(res, sort_keys=True, default=str))
-            return 0
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-        for f in files:
-            print(f)
-        return 0
+        res = args.run(args, _build_config(args))
     except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
         for cls, code, label in EXIT_CODES:
             if isinstance(exc, cls):
                 print(f"{label}: {exc}", file=sys.stderr)
                 return code
+    if isinstance(res, dict):
+        print(json.dumps(res, sort_keys=True, default=str))
+    else:
+        for f in res:
+            print(f)
+    return 0
 
 
 if __name__ == "__main__":

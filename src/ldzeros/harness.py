@@ -11,7 +11,7 @@ Contracts the drivers keep:
 * expensive per-d artifacts go through a content-addressed store whose hits
   can be spot-verified against fresh computation (--verify-cache).
 
-Exit codes: 0 ok, 1 usage, 2 indeterminate under --strict, 3 resource.
+Drivers raise the classes in errors.py; the CLI maps them to exit codes.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import json
 import math
 import multiprocessing
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import CODE_VERSION_TAG
-from .characters import enumerate_family, family_to_csv
-from .errors import CacheError, DomainError, IndeterminateError
+from .characters import enumerate_family
+from .errors import AccuracyError, CacheError, DomainError, IndeterminateError
 from .fekete import fekete_real_zeros, mellin_identity_check
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
@@ -79,6 +79,9 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
+        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown config key {unknown[0]!r}")
         kwargs = {}
         for f in fields(cls):
             if f.name not in mapping:
@@ -123,8 +126,24 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def provenance_line(config: RunConfig) -> str:
-    return f"# {CODE_VERSION_TAG} {config.serialize()}"
+def provenance_line(config: RunConfig, jsonl: bool = False) -> str:
+    """The first line of every output file: the code version tag and the
+    serialized configuration, as a JSON object or a #-comment."""
+    text = f"{CODE_VERSION_TAG} {config.serialize()}"
+    return json.dumps({"provenance": text}, sort_keys=True) if jsonl else f"# {text}"
+
+
+def _write(path: str, config: RunConfig, lines, jsonl: bool = False) -> str:
+    """Write the provenance line, then one line per item of `lines` (text,
+    or dicts written as sorted-key JSON when `jsonl`); returns `path`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(provenance_line(config, jsonl) + "\n")
+            for line in lines:
+                fh.write((json.dumps(line, sort_keys=True) if jsonl else line) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
+    return path
 
 
 def _canonical_json(value) -> str:
@@ -185,10 +204,14 @@ class ResultStore:
         return value
 
 
-def _pool_context(threads: int):
-    if threads and threads > 1:
-        return multiprocessing.get_context("fork").Pool(threads)
-    return nullcontext(None)
+@contextmanager
+def _mapper(threads: int):
+    """Yield `map`, or a forked pool's `map` when threads > 1."""
+    if threads > 1:
+        with multiprocessing.get_context("fork").Pool(threads) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +221,7 @@ def _pool_context(threads: int):
 def run_family(config: RunConfig) -> list[str]:
     fam = enumerate_family(config.x_list[0])
     out = config.out or f"family_{int(config.x_list[0])}.csv"
-    family_to_csv(fam, out, provenance=f"{CODE_VERSION_TAG} {config.serialize()}")
-    return [out]
+    return [_write(out, config, ["d,m"] + [f"{f.d},{f.m}" for f in fam.members])]
 
 
 def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -> dict:
@@ -261,12 +283,7 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     rows.sort(key=lambda r: r["d"])
     indeterminate = sum(1 for r in rows for s in r["suspects"]
                         if "indeterminate" in str(s.get("reason", "")))
-    out = config.out or f"zeros_{int(x)}.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": f"{CODE_VERSION_TAG} {config.serialize()}"},
-                            sort_keys=True) + "\n")
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    out = _write(config.out or f"zeros_{int(x)}.jsonl", config, rows, jsonl=True)
     if config.strict and indeterminate:
         raise IndeterminateError(f"{indeterminate} suspect cells flagged indeterminate")
     return [out]
@@ -291,13 +308,7 @@ def run_gamma_min(config: RunConfig, t_max: float = 50.0) -> list[str]:
         key = f"gamma_min|d={f.d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}"
         rows.append(store.load_or_compute(key, produce, verify=config.verify_cache))
     rows.sort(key=lambda r: r["d"])
-    out = config.out or f"gamma_min_{int(x)}.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": f"{CODE_VERSION_TAG} {config.serialize()}"},
-                            sort_keys=True) + "\n")
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
-    return [out]
+    return [_write(config.out or f"gamma_min_{int(x)}.jsonl", config, rows, jsonl=True)]
 
 
 def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: bool,
@@ -321,8 +332,7 @@ def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     dat = os.path.splitext(out)[0] + ".dat"
     rows = []
-    with _pool_context(config.threads) as pool:
-        mapper = pool.map if pool is not None else map
+    with _mapper(config.threads) as mapper:
         for x in config.x_list:
             fam = enumerate_family(x)
             members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
@@ -332,16 +342,10 @@ def run_discrepancy(config: RunConfig) -> list[str]:
             rows.append(rep)
             if config.strict and any("indeterminate" in r for _, r in rep.excluded):
                 raise IndeterminateError("membership scan indeterminate under --strict")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line(config) + "\n")
-        fh.write("x,z,n_family,n_mc,D,bound,ratio,n_excluded\n")
-        for r in rows:
-            fh.write(f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},"
-                     f"{r.bound!r},{r.ratio!r},{len(r.excluded)}\n")
-    with open(dat, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line(config) + "\n")
-        for r in rows:
-            fh.write(f"{r.x!r}  {r.ratio!r}\n")
+    _write(out, config, ["x,z,n_family,n_mc,D,bound,ratio,n_excluded"] + [
+        f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},{r.bound!r},{r.ratio!r},"
+        f"{len(r.excluded)}" for r in rows])
+    _write(dat, config, [f"{r.x!r}  {r.ratio!r}" for r in rows])
     return [out, dat]
 
 
@@ -350,61 +354,54 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
     x = config.x_list[0]
     fam = enumerate_family(x)
     out = config.out or f"moments_{kind}_{int(x)}.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line(config) + "\n")
+
+    def lines():
         if kind == "lemma22":
             b = {n: 1.0 for n in (2, 3, 5, 7) if n <= y_max}
-            fh.write("k,lhs,rand,abs_diff\n")
+            yield "k,lhs,rand,abs_diff"
             for k in k_list:
                 lhs = moment_lhs(fam, b, y_max, k)
                 rnd = float(moment_rand({n: 1 for n in b}, y_max, k))
-                fh.write(f"{k},{lhs!r},{rnd!r},{abs(lhs - rnd)!r}\n")
+                yield f"{k},{lhs!r},{rnd!r},{abs(lhs - rnd)!r}"
         elif kind == "largesieve":
-            fh.write("k,lhs,rhs,ratio,in_lemma_range\n")
+            yield "k,lhs,rhs,ratio,in_lemma_range"
             for k in k_list:
                 rep = large_sieve_check(fam, lambda n: 1.0, y_lo, z_hi, k)
                 rhs = rep.rhs_diagonal + rep.rhs_squares + rep.rhs_small
-                fh.write(f"{k},{rep.lhs!r},{rhs!r},{rep.ratio!r},{rep.in_lemma_range}\n")
+                yield f"{k},{rep.lhs!r},{rhs!r},{rep.ratio!r},{rep.in_lemma_range}"
         elif kind == "central":
             from .stats import central_moments
 
             nu = nu_from_policy(config.nu_policy, x)
             s0 = 0.5 + nu / math.log(x)
             members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
-            fh.write("k,moment,ratio_first,ratio_second,k_in_range,n_restricted\n")
+            yield "k,moment,ratio_first,ratio_second,k_in_range,n_restricted"
             for k in k_list:
                 rep = central_moments(fam, nu, k, s0, members=members,
                                       scan_height_cap=config.scan_height_cap)
-                fh.write(f"{k},{rep.moment!r},{rep.ratio_first!r},{rep.ratio_second!r},"
-                         f"{rep.k_in_range},{rep.n_restricted}\n")
+                yield (f"{k},{rep.moment!r},{rep.ratio_first!r},{rep.ratio_second!r},"
+                       f"{rep.k_in_range},{rep.n_restricted}")
         else:
             raise DomainError(f"unknown moments kind {kind!r}")
-    return [out]
+
+    return [_write(out, config, lines())]
 
 
 def run_rd_stats(config: RunConfig) -> list[str]:
     out = config.out or "rd_stats.jsonl"
     dat = os.path.splitext(out)[0] + ".dat"
-    with _pool_context(config.threads) as pool:
-        mapper = pool.map if pool is not None else map
+    with _mapper(config.threads) as mapper:
         st = rd_statistics(config.x_list, config.nu_policy, config.sample_size,
                            config.seed, eps_target=config.eps_target, mapper=mapper)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": f"{CODE_VERSION_TAG} {config.serialize()}"},
-                            sort_keys=True) + "\n")
-        for s in st.samples:
-            fh.write(json.dumps({
-                "x": s.x, "nu": s.nu, "sigma1": s.sigma1, "n": len(s.counts),
-                "mean": s.mean, "std_err": s.std_err, "max": s.max_count,
-                "suspects": s.suspects,
-                "histogram": {str(k): v for k, v in sorted(s.histogram.items())},
-                "loglog_x": s.loglog_x, "logloglog_x": s.logloglog_x,
-                "d_values": s.d_values, "counts": s.counts,
-            }, sort_keys=True) + "\n")
-    with open(dat, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line(config) + "\n")
-        for s in st.samples:
-            fh.write(f"{s.x!r}  {s.mean!r}  {s.loglog_x!r}\n")
+    _write(out, config, [{
+        "x": s.x, "nu": s.nu, "sigma1": s.sigma1, "n": len(s.counts),
+        "mean": s.mean, "std_err": s.std_err, "max": s.max_count,
+        "suspects": s.suspects,
+        "histogram": {str(k): v for k, v in sorted(s.histogram.items())},
+        "loglog_x": s.loglog_x, "logloglog_x": s.logloglog_x,
+        "d_values": s.d_values, "counts": s.counts,
+    } for s in st.samples], jsonl=True)
+    _write(dat, config, [f"{s.x!r}  {s.mean!r}  {s.loglog_x!r}" for s in st.samples])
     if config.strict and any(s.suspects for s in st.samples):
         raise IndeterminateError("suspect zero cells under --strict")
     return [out, dat]
@@ -413,47 +410,33 @@ def run_rd_stats(config: RunConfig) -> list[str]:
 def run_report(config: RunConfig, in_path: str) -> list[str]:
     """Aggregate a zeros JSONL file into `x  mean_Rd  loglog_x` plot data."""
     per_x: dict[float, list[int]] = {}
-    with open(in_path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            if "provenance" in row:
-                continue
-            per_x.setdefault(float(row["x"]), []).append(int(row["count"]))
-    out = config.out or "report.dat"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line(config) + "\n")
-        for x in sorted(per_x):
-            counts = per_x[x]
-            fh.write(f"{x!r}  {sum(counts) / len(counts)!r}  {math.log(math.log(x))!r}\n")
-    return [out]
-
-
-def run(subcommand: str, config: RunConfig, **kwargs):
-    """Dispatch one experiment; returns the produced files (or a result dict
-    for the value-printing subcommands). The CLI wraps this with exit-code
-    mapping."""
-    dispatch = {
-        "family": run_family,
-        "eval": run_eval,
-        "zeros": run_zeros,
-        "gamma-min": run_gamma_min,
-        "fekete": run_fekete,
-        "discrepancy": run_discrepancy,
-        "moments": run_moments,
-        "rd-stats": run_rd_stats,
-        "report": run_report,
-        "verify": run_verify,
-    }
-    if subcommand not in dispatch:
-        raise DomainError(f"unknown subcommand {subcommand!r}")
-    return dispatch[subcommand](config, **kwargs)
+    n = 1
+    try:
+        with open(in_path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                row = json.loads(line)
+                if "provenance" not in row:
+                    per_x.setdefault(float(row["x"]), []).append(int(row["count"]))
+    except OSError as exc:
+        raise DomainError(f"cannot read {in_path!r}: {exc.strerror}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{in_path!r} line {n} is not a zeros row "
+                          f"({type(exc).__name__}: {exc})") from None
+    return [_write(config.out or "report.dat", config,
+                   [f"{x!r}  {sum(c) / len(c)!r}  {math.log(math.log(x))!r}"
+                    for x, c in sorted(per_x.items())])]
 
 
 def run_verify(config: RunConfig) -> dict:
     """Fast invariant battery: functional equation, oracle agreement, weight
-    continuity, cover anchors, a certified zero record. Raises on failure."""
+    continuity, cover anchors, a certified zero record. A failed check
+    raises AccuracyError."""
     from .selberg import weight
     from .zeros import count_real_zeros
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise AccuracyError(f"verify: {what}")
 
     results = {}
     eng = LEngine(104, t_cap=12.0)
@@ -464,7 +447,7 @@ def run_verify(config: RunConfig) -> dict:
         a = eng.lambda_value(s)
         b = eng.lambda_value(1.0 - s)
         worst = max(worst, abs(a.lam - b.lam) / (1.0 + abs(a.lam)))
-    assert worst <= 1e-10, f"functional equation residual {worst}"
+    check(worst <= 1e-10, f"functional equation residual {worst}")
     results["functional_equation_residual"] = worst
 
     delta = 0.0
@@ -473,20 +456,20 @@ def run_verify(config: RunConfig) -> dict:
         for s in (0.6, 1.0):
             v, _ = e.l_value(s)
             delta = max(delta, abs(v - euler_maclaurin_oracle(d, s)))
-    assert delta <= 1e-8, f"oracle delta {delta}"
+    check(delta <= 1e-8, f"oracle delta {delta}")
     results["oracle_delta"] = delta
 
     for y in (10.0, 100.0):
-        assert abs(weight(y, y) - 1.0) <= 1e-12
-        assert abs(weight(y, y * y) - 0.5) <= 1e-12
+        check(abs(weight(y, y) - 1.0) <= 1e-12 and abs(weight(y, y * y) - 0.5) <= 1e-12,
+              f"weight continuity at y = {y}")
     results["weight_continuity"] = True
 
     cov = build_cover(1e4, math.log(math.log(1e4)))
-    assert cov.centers[0] == 5.0 / 6.0 and cov.radii[0] == 1.0 / 6.0
-    assert cov.covers_grid()
+    check(cov.centers[0] == 5.0 / 6.0 and cov.radii[0] == 1.0 / 6.0 and cov.covers_grid(),
+          "cover anchors")
     results["cover"] = {"J": cov.J}
 
     rec = count_real_zeros(LEngine(40008, t_cap=12.0), 0.55, 1.0)
-    assert rec.verify()
+    check(rec.verify(), "zero record of d = 40008")
     results["zero_record_verified"] = rec.count
     return results

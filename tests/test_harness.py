@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from ldzeros import CODE_VERSION_TAG, errors
+from ldzeros import cli
 from ldzeros.cli import main
 from ldzeros.harness import (
     ResultStore,
@@ -158,14 +161,21 @@ def test_run_verify_passes():
     assert res["oracle_delta"] <= 1e-8
 
 
-def test_run_dispatcher(tmp_path):
-    from ldzeros.errors import DomainError
-    from ldzeros.harness import run
+def test_config_unknown_key_rejected(tmp_path):
+    with pytest.raises(errors.DomainError, match="unknown config key 'sample'"):
+        RunConfig.from_mapping({"sample": "3"})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sample=3\n")
+    assert main(["zeros", "--x", "1e3", "--config", str(cfg)]) == 1
 
-    files = run("family", RunConfig(x_list=(20.0,), out=str(tmp_path / "f.csv")))
-    assert files == [str(tmp_path / "f.csv")]
-    with pytest.raises(DomainError):
-        run("nonsense", RunConfig())
+
+def test_run_verify_failure_is_accuracy_error(monkeypatch, capsys):
+    monkeypatch.setattr("ldzeros.harness.euler_maclaurin_oracle", lambda d, s: 0.0)
+    with pytest.raises(errors.AccuracyError, match="oracle delta"):
+        run_verify(RunConfig())
+    assert main(["verify"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: verify: oracle delta")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +186,26 @@ def test_cli_usage_error_exit_1(capsys):
     rc = main(["family", "--x", "1"])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_unknown_subcommand_exit_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-min", "--x", "1e3", "--threads", "2"],
+    ["zeros", "--x", "1e3", "--threads", "2"],
+    ["fekete", "--d", "8", "--seed", "3"],
+    ["eval", "--d", "8", "--s", "0.7", "--out", "f"],
+], ids=["gamma-min-threads", "zeros-threads", "fekete-seed", "eval-out"])
+def test_cli_flag_not_offered_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_cli_eval_json(capsys):
@@ -287,3 +317,126 @@ def test_cli_malformed_or_missing_config_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "usage error: malformed config value seed='abc'\n"
     assert main(["family", "--x", "20", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert capsys.readouterr().err.startswith("usage error: cannot read config file")
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+# ---------------------------------------------------------------------------
+
+# the arguments each subcommand requires besides its config-backed flags
+_REQUIRED = {"family": [], "eval": ["--d", "8", "--s", "0.7"], "zeros": [],
+             "gamma-min": [], "fekete": ["--d", "8"], "discrepancy": [], "moments": [],
+             "rd-stats": [], "report": ["--in", "z.jsonl"], "verify": []}
+# field -> (flag value, the value it must put into RunConfig); none is the default
+_FLAG_VALUES = {"x_list": ("2e3", (2000.0,)), "sample_size": ("9", 9),
+                "nu_policy": ("hyp", "hyp"), "z": ("0.75", 0.75), "mc_samples": ("77", 77),
+                "seed": ("7", 7), "threads": ("3", 3), "eps_target": ("1e-9", 1e-9),
+                "cache_dir": ("c", "c"), "verify_cache": (None, True),
+                "strict": (None, True), "out": ("o.txt", "o.txt")}
+
+
+def _subparsers():
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+_OFFERED = [(cmd, act.option_strings[0], act.dest, act.required)
+            for cmd, p in _subparsers().items() for act in p._actions
+            if act.dest in {f.name for f in fields(RunConfig)}]
+
+
+def test_table_offers_each_flag_only_where_its_driver_reads_it():
+    by_flag = {}
+    for cmd, flag, _, _ in _OFFERED:
+        by_flag.setdefault(flag, set()).add(cmd)
+    assert by_flag["--threads"] == {"rd-stats", "discrepancy"}
+    assert by_flag["--cache-dir"] == by_flag["--verify-cache"] == {"zeros", "gamma-min"}
+    assert by_flag["--strict"] == {"zeros", "discrepancy", "rd-stats"}
+    assert by_flag["--eps-target"] == {"eval", "zeros", "gamma-min", "rd-stats"}
+    assert by_flag["--seed"] == {"zeros", "gamma-min", "discrepancy", "moments", "rd-stats",
+                                 "verify"}
+    assert by_flag["--out"] == {"family", "zeros", "gamma-min", "discrepancy", "moments",
+                                "rd-stats", "report"}
+    assert {cmd for cmd, p in _subparsers().items()
+            if any(a.dest == "config" for a in p._actions)} == set(_REQUIRED) - {"fekete"}
+    # the eight flags every subcommand used to take: 80 slots, now 35
+    common = ("--seed", "--threads", "--eps-target", "--cache-dir", "--out", "--strict",
+              "--verify-cache")
+    assert sum(len(by_flag[f]) for f in common) + len(_REQUIRED) - 1 == 35
+
+
+@pytest.mark.parametrize("cmd, flag, field, required", _OFFERED,
+                         ids=[f"{c}{f}" for c, f, _, _ in _OFFERED])
+def test_every_offered_config_flag_reaches_the_driver(monkeypatch, cmd, flag, field, required):
+    seen = {}
+    monkeypatch.setattr(f"ldzeros.cli.run_{cmd.replace('-', '_')}",
+                        lambda config, *a, **k: seen.setdefault("config", config) and [])
+    text, want = _FLAG_VALUES[field]
+    argv = [cmd] + _REQUIRED[cmd] + [flag] + ([text] if text is not None else [])
+    # the other required config-backed flags (--x, --x-list) at any value
+    argv += [x for c, f, d, r in _OFFERED if c == cmd and r and f != flag for x in (f, "3e3")]
+    assert getattr(RunConfig(), field) != want
+    assert main(argv) == 0
+    assert getattr(seen["config"], field) == want
+
+
+def _capture_config(monkeypatch, driver):
+    seen = {}
+    monkeypatch.setattr(f"ldzeros.cli.{driver}",
+                        lambda config, *a, **k: seen.setdefault("config", config) and [])
+    return seen
+
+
+def test_config_file_beats_defaults_and_given_flags_beat_the_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sample_size=3\nnu_policy=hyp\nz=0.8\nmc_samples=50\n")
+    seen = _capture_config(monkeypatch, "run_zeros")
+    assert main(["zeros", "--x", "1e3", "--config", str(cfg)]) == 0
+    assert (seen["config"].sample_size, seen["config"].nu_policy) == (3, "hyp")
+    seen = _capture_config(monkeypatch, "run_discrepancy")
+    assert main(["discrepancy", "--x", "1e3", "--config", str(cfg)]) == 0
+    c = seen["config"]
+    assert (c.z, c.mc_samples, c.sample_size) == (0.8, 50, 3)
+    seen = _capture_config(monkeypatch, "run_discrepancy")
+    assert main(["discrepancy", "--x", "1e3", "--config", str(cfg), "--z", "0.7",
+                 "--mc-samples", "60", "--sample", "4"]) == 0
+    c = seen["config"]
+    assert (c.z, c.mc_samples, c.sample_size) == (0.7, 60, 4)
+    # without a file, the subcommand's own defaults
+    seen = _capture_config(monkeypatch, "run_discrepancy")
+    assert main(["discrepancy", "--x", "1e3"]) == 0
+    assert (seen["config"].sample_size, seen["config"].mc_samples) == (2000, 10000)
+    seen = _capture_config(monkeypatch, "run_moments")
+    assert main(["moments", "--x", "1e3"]) == 0
+    assert seen["config"].sample_size == 50
+
+
+# ---------------------------------------------------------------------------
+# file errors
+# ---------------------------------------------------------------------------
+
+def test_cli_report_missing_input_exit_1(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path / "missing.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot read") and "Traceback" not in err
+
+
+def test_cli_report_row_without_count_exit_1(tmp_path, capsys):
+    z = tmp_path / "z.jsonl"
+    z.write_text('{"provenance": "p"}\n{"d": 8, "x": 1000.0}\n')
+    assert main(["report", "--in", str(z), "--out", str(tmp_path / "r.dat")]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {str(z)!r} line 2 is not a zeros row")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--x", "20"],
+    ["zeros", "--x", "100", "--sample", "1"],
+    ["gamma-min", "--x", "100", "--sample", "1", "--t-max", "5"],
+    ["discrepancy", "--x", "100", "--sample", "2", "--mc-samples", "10"],
+    ["moments", "--x", "100", "--k-list", "1"],
+    ["rd-stats", "--x-list", "1e3", "--sample", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_exit_1(capsys, argv):
+    out = "/nonexistent/dir/f.csv"
+    assert main(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {out!r}")
