@@ -1,8 +1,10 @@
 """The discriminant family d = 8m (m odd squarefree) and its Kronecker characters.
 
 chi_d(n) is the Kronecker symbol (d/n): a primitive real even character mod d.
-Family members carry m with x/2 <= m <= x; enumeration uses a squarefree sieve
-on the segment, never per-element factorization.
+The family D(x) is one ascending int64 array of the m with x/2 <= m <= x
+(d = 8m), taken straight from a squarefree sieve on the segment: no
+per-member object and no per-member factorization. A single d from outside
+the sieve is validated at the boundary by FundamentalDiscriminant.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def chi_values(d: int, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalDiscriminant:
-    """A family member d = 8m with m odd and squarefree."""
+    """A validated d = 8m with m odd and squarefree: the boundary check for a
+    d that did not come out of the sieve (LEngine, the CLI's --d)."""
 
     d: int
     m: int
@@ -120,22 +123,26 @@ class FundamentalDiscriminant:
         if any(a > 1 for _, a in factorize(self.m)):
             raise DomainError(f"m={self.m} is not squarefree")
 
-    def chi(self, n: int) -> int:
-        return kronecker(self.d, n)
+
+Member = namedtuple("Member", "d m")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
-    """D(x): all d = 8m with m odd squarefree and x/2 <= m <= x, ascending."""
+    """D(x): all d = 8m with m odd squarefree and x/2 <= m <= x, held as one
+    ascending read-only int64 array of m; d = 8m."""
 
     x: float
-    members: tuple[FundamentalDiscriminant, ...] = field(repr=False)
+    m: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.m)
 
-    def discriminants(self) -> np.ndarray:
-        return np.array([f.d for f in self.members], dtype=np.int64)
+    @property
+    def members(self) -> tuple[Member, ...]:
+        """(d, m) records with Python-int fields, built from the array on
+        each access."""
+        return tuple(Member(8 * m, m) for m in self.m.tolist())
 
 
 def enumerate_family(x: float) -> Family:
@@ -144,13 +151,12 @@ def enumerate_family(x: float) -> Family:
         raise DomainError(f"family requires x >= 2, got {x}")
     lo = math.ceil(x / 2)
     hi = math.floor(x)
-    mask = squarefree_segment(lo, hi)
     ms = np.arange(lo, hi + 1, dtype=np.int64)
-    keep = mask & (ms % 2 == 1)
-    members = tuple(FundamentalDiscriminant(int(8 * m), int(m)) for m in ms[keep])
-    if not members:
+    ms = ms[squarefree_segment(lo, hi) & (ms % 2 == 1)]
+    if not len(ms):
         raise DomainError(f"family D(x) is empty at x={x}")
-    return Family(x=float(x), members=members)
+    ms.flags.writeable = False
+    return Family(x=float(x), m=ms)
 
 
 def char_average(family: Family, n: int) -> float:
@@ -165,20 +171,5 @@ def char_average(family: Family, n: int) -> float:
         raise DomainError("char_average over an empty family")
     if n > family.x:
         raise DomainError(f"char_average range requires n <= x ({n} > {family.x})")
-    total = sum(kronecker(f.d, n) for f in family.members)
+    total = sum(kronecker(8 * m, n) for m in family.m.tolist())
     return total / len(family)
-
-
-def expected_char_average(n: int):
-    """Exact large-x limit of char_average as a Fraction (0 unless n is an odd square)."""
-    from fractions import Fraction
-
-    fac = factorize(n) if n > 1 else []
-    out = Fraction(1)
-    for p, a in fac:
-        if p == 2:
-            return Fraction(0)
-        if a % 2 == 1:
-            return Fraction(0)
-        out *= Fraction(p, p + 1)
-    return out

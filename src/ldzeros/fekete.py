@@ -62,20 +62,6 @@ def fekete_eval(d: int, t: float) -> tuple[float, float]:
     return value, err
 
 
-def fekete_eval_reversed(d: int, t: float) -> float:
-    """Same sum accumulated from the top power down (order-robustness check)."""
-    chi = char_table(d)
-    s = 0.0
-    c = 0.0
-    for n in range(d - 1, 0, -1):
-        v = float(chi[n % d]) * t**n
-        y = v - c
-        tt = s + y
-        c = (tt - s) - y
-        s = tt
-    return s
-
-
 def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a grid (scan path; certificates re-use
     fekete_eval).
@@ -260,15 +246,15 @@ def fekete_real_zeros(d: int, grid_points: int | None = None,
 
 def find_zero_bearing(family, grid_points: int = 2048, limit: int | None = None):
     """First family member whose Fekete polynomial has a certified zero in (0,1)."""
-    members = family.members if limit is None else family.members[:limit]
-    for f in members:
-        ts = zero_scan_grid(f.d, grid_points)
-        vals = fekete_grid(f.d, ts)
+    for m in family.m[:limit].tolist():
+        d = 8 * m
+        ts = zero_scan_grid(d, grid_points)
+        vals = fekete_grid(d, ts)
         sign = np.sign(vals)
         if np.any((sign[:-1] * sign[1:]) < 0):
-            report = fekete_real_zeros(f.d, grid_points=4 * grid_points)
+            report = fekete_real_zeros(d, grid_points=4 * grid_points)
             if report.count >= 1:
-                return f.d, report
+                return d, report
     return None, None
 
 

@@ -33,6 +33,7 @@ from .fekete import fekete_real_zeros, mellin_identity_check
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
 from .stats import (
+    central_moments,
     discrepancy,
     large_sieve_check,
     moment_lhs,
@@ -133,9 +134,31 @@ def provenance_line(config: RunConfig, jsonl: bool = False) -> str:
     return json.dumps({"provenance": text}, sort_keys=True) if jsonl else f"# {text}"
 
 
+def _writable(*paths: str) -> list[str]:
+    """The first half of the `_write` path, run before a driver's work: the
+    paths (--out, then any .dat plot data derived from it) must be distinct
+    and openable for writing. Opening in append mode changes no existing
+    file, and a file the check created is removed again. Returns the paths."""
+    if len(set(paths)) < len(paths):
+        raise DomainError(f"--out {paths[0]!r} is also the path of its .dat plot data; "
+                          "give --out another suffix")
+    for path in paths:
+        existed = os.path.exists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
+    return list(paths)
+
+
 def _write(path: str, config: RunConfig, lines, jsonl: bool = False) -> str:
     """Write the provenance line, then one line per item of `lines` (text,
-    or dicts written as sorted-key JSON when `jsonl`); returns `path`."""
+    or dicts written as sorted-key JSON when `jsonl`); returns `path`. The
+    lines are all computed before the file is opened, so an error while
+    computing them leaves no partial file."""
+    lines = list(lines)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(provenance_line(config, jsonl) + "\n")
@@ -219,9 +242,9 @@ def _mapper(threads: int):
 # ---------------------------------------------------------------------------
 
 def run_family(config: RunConfig) -> list[str]:
+    [out] = _writable(config.out or f"family_{int(config.x_list[0])}.csv")
     fam = enumerate_family(config.x_list[0])
-    out = config.out or f"family_{int(config.x_list[0])}.csv"
-    return [_write(out, config, ["d,m"] + [f"{f.d},{f.m}" for f in fam.members])]
+    return [_write(out, config, ["d,m"] + [f"{8 * m},{m}" for m in fam.m.tolist()])]
 
 
 def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -> dict:
@@ -263,10 +286,11 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     from .zeros import count_real_zeros
 
     x = config.x_list[0]
+    [out] = _writable(config.out or f"zeros_{int(x)}.jsonl")
     fam = enumerate_family(x)
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
-    members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
+    ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
     store = ResultStore(config.cache_dir)
 
     def one(d: int) -> dict:
@@ -279,11 +303,11 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
                f"|grid=default|{CODE_VERSION_TAG}")
         return store.load_or_compute(key, produce, verify=config.verify_cache)
 
-    rows = [one(f.d) for f in members]
+    rows = [one(d) for d in ds]
     rows.sort(key=lambda r: r["d"])
     indeterminate = sum(1 for r in rows for s in r["suspects"]
                         if "indeterminate" in str(s.get("reason", "")))
-    out = _write(config.out or f"zeros_{int(x)}.jsonl", config, rows, jsonl=True)
+    _write(out, config, rows, jsonl=True)
     if config.strict and indeterminate:
         raise IndeterminateError(f"{indeterminate} suspect cells flagged indeterminate")
     return [out]
@@ -291,12 +315,12 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
 
 def run_gamma_min(config: RunConfig, t_max: float = 50.0) -> list[str]:
     x = config.x_list[0]
+    [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
     fam = enumerate_family(x)
-    members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
     store = ResultStore(config.cache_dir)
     rows = []
-    for f in members:
-        def produce(d=f.d):
+    for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed):
+        def produce(d=d):
             eng = LEngine(d, eps_target=config.eps_target, t_cap=t_max + 2.0)
             gm = gamma_min(eng, t_max=t_max)
             return {"d": d, "x": x, "found": gm.found, "gamma": gm.gamma,
@@ -305,10 +329,10 @@ def run_gamma_min(config: RunConfig, t_max: float = 50.0) -> list[str]:
                     "offline_checked_height": gm.offline_checked_height,
                     "offline_count": gm.offline_count}
 
-        key = f"gamma_min|d={f.d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}"
+        key = f"gamma_min|d={d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}"
         rows.append(store.load_or_compute(key, produce, verify=config.verify_cache))
     rows.sort(key=lambda r: r["d"])
-    return [_write(config.out or f"gamma_min_{int(x)}.jsonl", config, rows, jsonl=True)]
+    return [_write(out, config, rows, jsonl=True)]
 
 
 def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: bool,
@@ -330,14 +354,14 @@ def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: boo
 
 def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
-    dat = os.path.splitext(out)[0] + ".dat"
+    out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
     rows = []
     with _mapper(config.threads) as mapper:
         for x in config.x_list:
             fam = enumerate_family(x)
-            members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
+            ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
             rep = discrepancy(fam, config.z, config.mc_samples, config.seed,
-                              members=members, scan_height_cap=config.scan_height_cap,
+                              members=ds, scan_height_cap=config.scan_height_cap,
                               mapper=mapper)
             rows.append(rep)
             if config.strict and any("indeterminate" in r for _, r in rep.excluded):
@@ -352,8 +376,8 @@ def run_discrepancy(config: RunConfig) -> list[str]:
 def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
                 y_lo: float = 10.0, z_hi: float = 40.0) -> list[str]:
     x = config.x_list[0]
+    [out] = _writable(config.out or f"moments_{kind}_{int(x)}.csv")
     fam = enumerate_family(x)
-    out = config.out or f"moments_{kind}_{int(x)}.csv"
 
     def lines():
         if kind == "lemma22":
@@ -370,16 +394,13 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
                 rhs = rep.rhs_diagonal + rep.rhs_squares + rep.rhs_small
                 yield f"{k},{rep.lhs!r},{rhs!r},{rep.ratio!r},{rep.in_lemma_range}"
         elif kind == "central":
-            from .stats import central_moments
-
             nu = nu_from_policy(config.nu_policy, x)
             s0 = 0.5 + nu / math.log(x)
-            members = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
+            ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
             yield "k,moment,ratio_first,ratio_second,k_in_range,n_restricted"
-            for k in k_list:
-                rep = central_moments(fam, nu, k, s0, members=members,
-                                      scan_height_cap=config.scan_height_cap)
-                yield (f"{k},{rep.moment!r},{rep.ratio_first!r},{rep.ratio_second!r},"
+            for rep in central_moments(fam, nu, k_list, s0, members=ds,
+                                       scan_height_cap=config.scan_height_cap):
+                yield (f"{rep.k},{rep.moment!r},{rep.ratio_first!r},{rep.ratio_second!r},"
                        f"{rep.k_in_range},{rep.n_restricted}")
         else:
             raise DomainError(f"unknown moments kind {kind!r}")
@@ -389,7 +410,7 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
 
 def run_rd_stats(config: RunConfig) -> list[str]:
     out = config.out or "rd_stats.jsonl"
-    dat = os.path.splitext(out)[0] + ".dat"
+    out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
     with _mapper(config.threads) as mapper:
         st = rd_statistics(config.x_list, config.nu_policy, config.sample_size,
                            config.seed, eps_target=config.eps_target, mapper=mapper)
@@ -409,6 +430,7 @@ def run_rd_stats(config: RunConfig) -> list[str]:
 
 def run_report(config: RunConfig, in_path: str) -> list[str]:
     """Aggregate a zeros JSONL file into `x  mean_Rd  loglog_x` plot data."""
+    [out] = _writable(config.out or "report.dat")
     per_x: dict[float, list[int]] = {}
     n = 1
     try:
@@ -422,7 +444,7 @@ def run_report(config: RunConfig, in_path: str) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{in_path!r} line {n} is not a zeros row "
                           f"({type(exc).__name__}: {exc})") from None
-    return [_write(config.out or "report.dat", config,
+    return [_write(out, config,
                    [f"{x!r}  {sum(c) / len(c)!r}  {math.log(math.log(x))!r}"
                     for x, c in sorted(per_x.items())])]
 

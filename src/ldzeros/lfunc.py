@@ -343,19 +343,3 @@ def euler_maclaurin_oracle(d: int, s: complex) -> complex:
     chi = chi_values(d, a).astype(np.float64)
     z = hurwitz_zeta_shifted(s, a.astype(np.float64) / d)
     return complex(np.exp(-s * math.log(d)) * np.sum(chi * z))
-
-
-def dirichlet_series_oracle(d: int, s: complex, n_max: int = 10**6) -> complex:
-    """Direct series sum_{n<=n_max} chi_d(n) n^{-s}; only sensible for Re s > 1."""
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    chi = chi_values(d, np.arange(1, n_max + 1, dtype=np.int64)).astype(np.float64)
-    return complex(np.sum(chi * np.exp(-complex(s) * np.log(n))))
-
-
-def log_deriv_series_oracle(d: int, s: complex, n_max: int = 10**6) -> complex:
-    """Direct series for -L'/L(s) = sum Lambda(n) chi_d(n) n^{-s}, Re s > 1."""
-    from .primes import prime_power_table
-
-    pp, lam = prime_power_table(n_max)
-    chi = chi_values(d, pp).astype(np.float64)
-    return complex(np.sum(lam * chi * np.exp(-complex(s) * np.log(pp.astype(np.float64)))))

@@ -17,7 +17,7 @@ The model series
 
 converges almost surely for Re z > 1/2 but not absolutely for z <= 1, so a
 truncation at P leaves two effects: a mean-zero fluctuation (its standard
-deviation is bounded here and reported) and an absolutely convergent part
+deviation is bounded by tail_std_bound) and an absolutely convergent part
 bounded by sum_{p>P} log p / (p^z (p^z - 1)). Both bounds come from partial
 summation against theta(t) = sum_{p<=t} log p with theta(t) < C_THETA t:
 for nonincreasing f >= 0,
@@ -28,7 +28,6 @@ for nonincreasing f >= 0,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +43,6 @@ _G1 = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SH30, _SH27, _SH31, _SH11 = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
-_INV53 = float(2.0**-53)
 _CHUNK_BYTES = 1 << 19  # per mc_values buffer; its three buffers fit a 2 MB L2 cache
 
 
@@ -63,69 +61,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> _SH30)) * _M1
         z = (z ^ (z >> _SH27)) * _M2
         return z ^ (z >> _SH31)
-
-
-def _uniforms(seed: int, draw: np.ndarray, stream: np.ndarray) -> np.ndarray:
-    """Uniforms in [0,1) for (seed, draw, stream) triples; broadcasts."""
-    with np.errstate(over="ignore"):
-        s0 = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        h = _mix(s0 + np.asarray(draw, dtype=np.uint64) * _G1)
-        h = _mix(h + np.asarray(stream, dtype=np.uint64) * _G1)
-    return (h >> _SH11).astype(np.float64) * _INV53
-
-
-def _values_from_uniforms(u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Map uniforms to {-1, 0, +1} under the per-prime three-point law."""
-    q = p / (2.0 * (p + 1.0))
-    out = np.zeros(u.shape, dtype=np.int8)
-    out[u < 2.0 * q] = -1
-    out[u < q] = 1
-    return out
-
-
-@dataclass(frozen=True)
-class RandomAssignment:
-    """One realization of {X(p)} for primes p <= prime_cutoff."""
-
-    seed: int
-    prime_cutoff: int
-    primes: np.ndarray
-    values: np.ndarray  # int8, aligned with primes; value at 2 is always 0
-
-    def value_at(self, p: int) -> int:
-        i = int(np.searchsorted(self.primes, p))
-        if i >= len(self.primes) or self.primes[i] != p:
-            raise DomainError(f"{p} is not a prime <= {self.prime_cutoff}")
-        return int(self.values[i])
-
-
-def sample_assignment(seed: int, prime_cutoff: int, draw: int = 0) -> RandomAssignment:
-    """Draw an assignment; p = 2 is pinned to 0, odd primes follow the law."""
-    if prime_cutoff < 3:
-        raise DomainError(f"prime cutoff must be >= 3, got {prime_cutoff}")
-    primes = prime_sieve(prime_cutoff)
-    pf = primes.astype(np.float64)
-    u = _uniforms(seed, np.uint64(draw), np.arange(len(primes), dtype=np.uint64))
-    vals = _values_from_uniforms(u, pf)
-    vals[primes == 2] = 0
-    return RandomAssignment(seed=seed, prime_cutoff=prime_cutoff, primes=primes, values=vals)
-
-
-def x_of(n: int, assignment: RandomAssignment) -> int:
-    """X(n) = prod X(p)^a over the factorization of n; X(1) = 1."""
-    if n < 1:
-        raise DomainError(f"X(n) needs n >= 1, got {n}")
-    fac = factorize(n)
-    for p, _ in fac:
-        if p > assignment.prime_cutoff:
-            raise DomainError(f"prime factor {p} exceeds cutoff {assignment.prime_cutoff}")
-    out = 1
-    for p, a in fac:
-        v = assignment.value_at(p)
-        out *= v if a % 2 == 1 else v * v
-        if out == 0:
-            return 0
-    return out
 
 
 def expect_x(n: int) -> Fraction:
@@ -202,39 +137,6 @@ def default_cutoff(z: float, tol: float | None = None) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class RandSeries:
-    """One truncated draw of the model log-derivative series at real z."""
-
-    z: float
-    prime_cutoff: int
-    value: float
-    tail_bound: float  # bound on the absolutely convergent omitted part
-    tail_std: float    # std bound on the omitted mean-zero part
-
-
-def sample_l_rand(z: float, prime_cutoff: int, assignment: RandomAssignment,
-                  tol: float | None = None) -> RandSeries:
-    """One draw of sum_{p <= P} X(p) log p / (p^z - X(p)) with certified bounds."""
-    if not 0.5 < z <= 1.0:
-        raise DomainError(f"z must lie in (1/2, 1], got {z}")
-    if tol is None:
-        tol = DEFAULT_TAIL_TOL_FACTOR * v_norm(z)
-    bias = tail_bias_bound(z, prime_cutoff)
-    if bias > tol:
-        raise TruncationError(
-            f"tail bound {bias:.3e} exceeds tolerance {tol:.3e} at P={prime_cutoff}",
-            suggested=default_cutoff(z, tol),
-        )
-    mask = assignment.primes <= prime_cutoff
-    p = assignment.primes[mask].astype(np.float64)
-    v = assignment.values[mask].astype(np.float64)
-    lp = np.log(p)
-    val = float(np.sum(np.where(v != 0.0, v * lp / (p**z - v), 0.0)))
-    return RandSeries(z=z, prime_cutoff=prime_cutoff, value=val,
-                      tail_bound=bias, tail_std=tail_std_bound(z, prime_cutoff))
-
-
 _MC_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -257,8 +159,9 @@ def mc_values(z: float, prime_cutoff: int, seed: int, n_draws: int,
 
     Draw k uses counter streams (seed, k, prime index); the result is
     bit-identical for any chunk size or worker split, and to the float route
-    `_uniforms` -> three-point law -> row sum. By default a chunk holds as many
-    draws as keep each chunk x primes buffer within _CHUNK_BYTES.
+    uniforms -> three-point law -> row sum written out in the tests. By
+    default a chunk holds as many draws as keep each chunk x primes buffer
+    within _CHUNK_BYTES.
     """
     if not 0.5 < z <= 1.0:
         raise DomainError(f"z must lie in (1/2, 1], got {z}")
@@ -306,51 +209,6 @@ def mc_values(z: float, prime_cutoff: int, seed: int, n_draws: int,
         np.multiply(minus, w_minus, out=minus)
         out[i: i + m] = np.subtract(pm, minus, out=pm).sum(axis=1)
     return out
-
-
-def char_fn_rand(z: float, u, n_samples: int, seed: int,
-                 prime_cutoff: int | None = None, tol: float | None = None):
-    """Monte Carlo characteristic function E[exp(2 pi i u L_rand(z)/V_z)].
-
-    Returns (estimates, standard_errors) with one entry per u; all u values
-    reuse the same sample set so conjugation symmetry holds exactly.
-    """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if prime_cutoff is None:
-        prime_cutoff = default_cutoff(z, tol)
-    vz = v_norm(z)
-    vals = mc_values(z, prime_cutoff, seed, n_samples)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    phases = np.exp(2j * math.pi * np.outer(u_arr, vals / vz))
-    est = phases.mean(axis=1)
-    se = phases.std(axis=1) / math.sqrt(n_samples)
-    if np.ndim(u) == 0:
-        return complex(est[0]), float(se[0])
-    return est, se
-
-
-def samples_to_csv(path: str, z: float, prime_cutoff: int, seed: int,
-                   n_draws: int, tol: float | None = None,
-                   provenance: str | None = None) -> None:
-    """Dump independent truncated draws as CSV rows `seed,z,P,value,tail_bound`.
-
-    Row k is the draw generated by master seed `seed + k`, so every row is
-    reproducible in isolation.
-    """
-    bias = tail_bias_bound(z, prime_cutoff)
-    if tol is not None and bias > tol:
-        raise TruncationError(
-            f"tail bound {bias:.3e} exceeds tolerance {tol:.3e} at P={prime_cutoff}",
-            suggested=default_cutoff(z, tol),
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        if provenance is not None:
-            fh.write(f"# {provenance}\n")
-        fh.write("seed,z,P,value,tail_bound\n")
-        for k in range(n_draws):
-            v = mc_values(z, prime_cutoff, seed=seed + k, n_draws=1)[0]
-            fh.write(f"{seed + k},{z!r},{prime_cutoff},{float(v)!r},{bias!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,3 @@ def approx_check(engine: LEngine, y: float, s: float, sigma: SigmaYD) -> ApproxR
     return ApproxReport(d=engine.d, y=y, s=s, sigma=sigma, log_deriv=ld.real,
                         poly=poly.real, envelope=envelope, abs_error=abs_err,
                         ratio=abs_err / envelope if envelope > 0 else math.inf)
-
-
-def poly_tail_bound_abs_convergent(y: float, s: float) -> float:
-    """For Re s >= 2: |Ld(s) - A_d(s)| <= sum_{n > y} Lambda(n)/n^s <= 2.04/y
-    plus the weight deficit on [y, y^3], bounded the same way."""
-    if s < 2.0:
-        raise DomainError("absolute-convergence tail bound needs s >= 2")
-    return 2.0 * 1.02 * y ** (1.0 - s) * s / (s - 1.0)

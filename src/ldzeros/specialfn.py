@@ -258,15 +258,3 @@ def upper_gamma(a, x):
         out[m3] = _upper_gamma_lentz(a[m3], x[m3])
     out = out.reshape(shape)
     return out[()] if scalar else out
-
-
-def kahan_sum(values) -> float:
-    """Compensated sum of an iterable of floats (deterministic order)."""
-    s = 0.0
-    c = 0.0
-    for v in values:
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s

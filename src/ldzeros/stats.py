@@ -51,8 +51,8 @@ def moment_lhs(family: Family, b: dict[int, float], y_max: int, k: int) -> float
     ns = np.array([n for n, _ in items], dtype=np.int64)
     cs = np.array([c for _, c in items], dtype=np.float64)
     total = 0.0
-    for f in family.members:
-        chi = chi_values(f.d, ns).astype(np.float64)
+    for m in family.m.tolist():
+        chi = chi_values(8 * m, ns).astype(np.float64)
         total += float(np.dot(cs, chi)) ** k
     return total / len(family)
 
@@ -91,8 +91,8 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float, k: int,
         raise DomainError("|a(n)| <= 1 violated")
     w = avals * lam / np.sqrt(pp.astype(np.float64))
     lhs = 0.0
-    for f in family.members:
-        chi = chi_values(f.d, pp).astype(np.float64)
+    for m in family.m.tolist():
+        chi = chi_values(8 * m, pp).astype(np.float64)
         lhs += float(abs(np.dot(w, chi))) ** (2 * k)
     lhs /= len(family)
     primes = prime_sieve(int(math.floor(z_hi)))
@@ -132,13 +132,22 @@ def membership_y(x: float, z: float, c: float = MEMBERSHIP_C_DISTRIBUTION) -> fl
     return math.exp(c * vz * math.log(math.log(x) / vz))
 
 
+def membership(d: int, y: float, scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
+               eps_target: float = 1e-12) -> tuple[LEngine, SigmaYD]:
+    """The engine of d and its membership certificate: the Selberg abscissa
+    sigma_{y,d} at height 0, with its rectangle zero-free windows scanned up
+    to scan_height_cap. Callers decide exclusion (sig.attained_by_default)
+    and word their own reasons; IndeterminateError propagates."""
+    eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
+    scanner = make_region_scanner(eng, scan_height_cap=scan_height_cap)
+    return eng, sigma_y_d(d, y, 0.0, scanner)
+
+
 def _membership_worker(args) -> tuple[int, str | None, float | None, SigmaYD | None]:
     """Per-d membership certificate plus the normalized value (pool-safe)."""
     d, z, y, scan_height_cap, eps_target = args
     try:
-        eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
-        scanner = make_region_scanner(eng, scan_height_cap=scan_height_cap)
-        sig = sigma_y_d(d, y, 0.0, scanner)
+        eng, sig = membership(d, y, scan_height_cap, eps_target)
         if not sig.attained_by_default:
             return d, f"sigma above default: {sig.value:.6f}", None, sig
         if z < sig.value - 1e-12:
@@ -155,8 +164,9 @@ def empirical_distribution(family: Family, z: float, members=None,
     """Ld(z)/V_z over family members certified to carry the default Selberg
     abscissa at y = exp(c V_z log(log x / V_z)); exclusions carry reasons.
 
-    mapper may be a multiprocessing map; results are canonicalized by d, so
-    output does not depend on the worker split.
+    members, if given, are the d to use (default: all of D(x)). mapper may be
+    a multiprocessing map; results are canonicalized by d, so output does not
+    depend on the worker split.
     """
     x = family.x
     nu_floor = 0.5 + math.log(math.log(x)) / math.log(x)
@@ -165,8 +175,8 @@ def empirical_distribution(family: Family, z: float, members=None,
     y = membership_y(x, z, membership_c)
     vz = v_norm(z)
     out = EmpiricalDistribution(x=x, z=z, v_z=vz, y=y, values=np.array([]))
-    use = family.members if members is None else members
-    args = [(f.d, z, y, scan_height_cap, eps_target) for f in use]
+    ds = (8 * family.m).tolist() if members is None else members
+    args = [(d, z, y, scan_height_cap, eps_target) for d in ds]
     results = sorted(mapper(_membership_worker, args), key=lambda r: r[0])
     vals = []
     for d, reason, value, sig in results:
@@ -260,53 +270,56 @@ class CentralMomentReport:
     excluded: tuple[tuple[int, str], ...]
 
 
-def central_moments(family: Family, nu: float, k: int, s: complex, members=None,
-                    scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP) -> CentralMomentReport:
-    """(1/|D(x)|) sum over the restricted subfamily of |Ld(s)|^{2k}, with both
-    candidate envelopes (the two exponent variants are both reported rather
-    than adjudicated).
+def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
+                    scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP) -> list[CentralMomentReport]:
+    """(1/|D(x)|) sum over the restricted subfamily of |Ld(s)|^{2k}, one
+    report per k in k_list, with both candidate envelopes (the two exponent
+    variants are both reported rather than adjudicated).
 
     Restriction: default Selberg abscissa at y = x^{4/nu}, and the low-zero
-    disc check with its own capped nu.
+    disc check with its own capped nu. It does not depend on k, so it and
+    |Ld(s)| are computed once per d; members, if given, are the d to use.
     """
-    if k < 1:
+    k_list = tuple(k_list)
+    if any(k < 1 for k in k_list):
         raise DomainError("k must be a positive integer")
     x = family.x
     logx = math.log(x)
     llx = math.log(logx)
-    k_ok = k <= nu / 20.0
     y = x ** (4.0 / nu)
     nu_hyp = min(nu, llx**0.2)
     hyp_x_cap = llx**0.2
-    total = 0.0
-    n_restricted = 0
+    kept: list[float] = []  # |Ld(s)| of the restricted subfamily, in order
     excluded: list[tuple[int, str]] = []
-    use = family.members if members is None else members
-    for f in use:
+    ds = (8 * family.m).tolist() if members is None else members
+    for d in ds:
         try:
-            eng = LEngine(f.d, t_cap=12.0)
-            scanner = make_region_scanner(eng, scan_height_cap=scan_height_cap)
-            sig = sigma_y_d(f.d, max(y, 10.0), 0.0, scanner)
+            eng, sig = membership(d, max(y, 10.0), scan_height_cap)
             if not sig.attained_by_default:
-                excluded.append((f.d, "sigma above default"))
+                excluded.append((d, "sigma above default"))
                 continue
             hyp = hypothesis_ld_check(eng, x, min(nu_hyp, hyp_x_cap))
             if not hyp.passed:
-                excluded.append((f.d, f"low-zero disc contains {hyp.count} zeros"))
+                excluded.append((d, f"low-zero disc contains {hyp.count} zeros"))
                 continue
             ld, _ = eng.log_deriv(complex(s))
-            total += abs(ld) ** (2 * k)
-            n_restricted += 1
+            kept.append(abs(ld))
         except IndeterminateError as exc:
-            excluded.append((f.d, f"indeterminate: {exc}"))
-    moment = total / len(family)
-    env1 = nu ** (4 * k) * (k * logx**2) ** k
-    env2 = nu ** (8 * k) * (k * logx**2) ** k
-    return CentralMomentReport(x=x, nu=nu, k=k, s=complex(s), moment=moment,
-                               n_restricted=n_restricted, n_family=len(family),
-                               envelope_first=env1, envelope_second=env2,
-                               ratio_first=moment / env1, ratio_second=moment / env2,
-                               k_in_range=k_ok, excluded=tuple(excluded))
+            excluded.append((d, f"indeterminate: {exc}"))
+    reports = []
+    for k in k_list:
+        total = 0.0
+        for a in kept:
+            total += a ** (2 * k)
+        moment = total / len(family)
+        env1 = nu ** (4 * k) * (k * logx**2) ** k
+        env2 = nu ** (8 * k) * (k * logx**2) ** k
+        reports.append(CentralMomentReport(
+            x=x, nu=nu, k=k, s=complex(s), moment=moment, n_restricted=len(kept),
+            n_family=len(family), envelope_first=env1, envelope_second=env2,
+            ratio_first=moment / env1, ratio_second=moment / env2,
+            k_in_range=k <= nu / 20.0, excluded=tuple(excluded)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +360,17 @@ class RdStatistics:
     samples: list[RdSample] = field(default_factory=list)
 
 
-def sample_members(family: Family, sample_size: int, seed: int):
+def sample_members(family: Family, sample_size: int, seed: int) -> list[int]:
+    """d of sample_size members drawn without replacement by seed (all of D(x)
+    when sample_size == len(family)), ascending, as Python ints."""
     if sample_size > len(family):
         raise DomainError(f"sample_size {sample_size} exceeds family size {len(family)}")
+    ds = 8 * family.m
     if sample_size == len(family):
-        return list(family.members)
+        return ds.tolist()
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(family.members), size=sample_size, replace=False))
-    return [family.members[i] for i in idx]
+    idx = np.sort(rng.choice(len(family), size=sample_size, replace=False))
+    return ds[idx].tolist()
 
 
 def _rd_worker(args):
@@ -389,8 +405,8 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
         fam = enumerate_family(x)
         nu = nu_from_policy(nu_policy, x)
         sigma1 = 0.5 + nu / math.log(x)
-        members = sample_members(fam, min(sample_size, len(fam)), seed)
-        args = [(f.d, x, sigma1, nu, eps_target, near_half) for f in members]
+        ds = sample_members(fam, min(sample_size, len(fam)), seed)
+        args = [(d, x, sigma1, nu, eps_target, near_half) for d in ds]
         results = sorted(mapper(_rd_worker, args), key=lambda r: r[0])
         counts = []
         suspects = 0
@@ -407,7 +423,7 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
         for c in counts:
             hist[c] = hist.get(c, 0) + 1
         out.samples.append(RdSample(
-            x=float(x), nu=nu, sigma1=sigma1, d_values=[f.d for f in members],
+            x=float(x), nu=nu, sigma1=sigma1, d_values=ds,
             counts=counts, suspects=suspects, mean=float(arr.mean()),
             std_err=float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0,
             max_count=int(arr.max()) if len(arr) else 0, histogram=hist,

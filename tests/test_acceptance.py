@@ -71,13 +71,13 @@ def test_criterion_01_functional_equation(fam1e4):
     with criterion(1, "functional-equation residual <= 1e-10 (50 d x 20 s)"):
         rng = np.random.default_rng(SEED)
         members = sample_members(fam1e4, 50, SEED)
-        for f in members:
-            eng = LEngine(f.d, t_cap=12.0)
+        for d in members:
+            eng = LEngine(d, t_cap=12.0)
             s = rng.uniform(0.25, 1.25, 20) + 1j * rng.uniform(-10.0, 10.0, 20)
             lam_s, _ = eng.lambda_batch(s)
             lam_r, _ = eng.lambda_batch(1.0 - s)
             resid = np.abs(lam_s - lam_r) / (1.0 + np.abs(lam_s))
-            assert np.max(resid) <= 1e-10, (f.d, float(np.max(resid)))
+            assert np.max(resid) <= 1e-10, (d, float(np.max(resid)))
 
 
 def test_criterion_02_oracle_equivalence():
@@ -96,14 +96,14 @@ def test_criterion_03_derivative_consistency(fam1e4):
         rng = np.random.default_rng(SEED + 1)
         checked = 0
         while checked < 100:
-            f = fam1e4.members[int(rng.integers(0, len(fam1e4)))]
+            d = 8 * int(fam1e4.m[int(rng.integers(0, len(fam1e4)))])
             sigma = float(rng.uniform(0.55, 1.2))
-            eng = LEngine(f.d, t_cap=12.0)
+            eng = LEngine(d, t_cap=12.0)
             lp, _ = eng.l_prime(sigma)
             if abs(lp) <= 1e-3:
                 continue
             lc = eng.l_prime_central(sigma, h=1e-6)
-            assert abs(lp - lc) / abs(lp) <= 1e-6, (f.d, sigma)
+            assert abs(lp - lc) / abs(lp) <= 1e-6, (d, sigma)
             checked += 1
 
 
@@ -163,18 +163,18 @@ def test_criterion_08_zero_count_certification(fam1e4):
         z1, r1 = float(cov.centers[0]), float(cov.radii[0])
         members = sample_members(fam1e4, 200, SEED)
         jittered = 0
-        for f in members:
-            eng = LEngine(f.d, t_cap=12.0)
+        for d in members:
+            eng = LEngine(d, t_cap=12.0)
             cc, r_used = _lprime_count_with_jitter(eng, complex(z1), r1)
             if r_used != r1:
                 jittered += 1
             rec = count_real_zeros(eng, z1 - r_used, min(z1 + r_used, 1.0))
-            assert rec.verify(), f.d
+            assert rec.verify(), d
             jb = jensen_upper_bound(eng, cov, 1)
-            assert jb.zeros_of_l_in_outer_disc == 0, f.d
-            assert jb.bound >= cc.count - 1e-9, (f.d, jb.bound, cc.count)
-            assert cc.count >= rec.count, (f.d, cc.count, rec.count)
-            assert abs(cc.integral - cc.count) <= 0.1, f.d
+            assert jb.zeros_of_l_in_outer_disc == 0, d
+            assert jb.bound >= cc.count - 1e-9, (d, jb.bound, cc.count)
+            assert cc.count >= rec.count, (d, cc.count, rec.count)
+            assert abs(cc.integral - cc.count) <= 0.1, d
             assert cc.nodes >= 512
         assert jittered <= 10  # contour proximity should be rare
         print(f"  (criterion 8: {jittered} of 200 needed a radius jitter)")
@@ -232,10 +232,10 @@ def test_criterion_12_hypothesis_checks(fam1e3):
         members = sample_members(fam1e3, 200, SEED)
         nu = math.log(math.log(1e3)) ** 0.2
         passes = fails = indeterminate = 0
-        for f in members:
-            eng = LEngine(f.d, t_cap=52.0)
+        for d in members:
+            eng = LEngine(d, t_cap=52.0)
             gm = gamma_min(eng, t_max=50.0)
-            assert gm.found, f.d
+            assert gm.found, d
             try:
                 res = hypothesis_ld_check(eng, 1e3, nu)
             except IndeterminateError:
@@ -245,7 +245,7 @@ def test_criterion_12_hypothesis_checks(fam1e3):
                 passes += 1
             else:
                 fails += 1
-                assert res.witness_zero is not None or res.count > 0, f.d
+                assert res.witness_zero is not None or res.count > 0, d
         assert passes >= 0.95 * len(members), (passes, fails, indeterminate)
         print(f"  (criterion 12: {passes} pass / {fails} fail / "
               f"{indeterminate} indeterminate)")

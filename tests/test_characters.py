@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from ldzeros.characters import (
     char_table,
     chi_values,
     enumerate_family,
-    expected_char_average,
     kronecker,
 )
 
@@ -159,12 +157,14 @@ def test_short_request_on_evicted_d_builds_no_table():
 
 def test_family_x2_single_member():
     fam = enumerate_family(2.0)
-    assert [f.d for f in fam.members] == [8]
+    assert fam.m.tolist() == [1]
+    assert fam.members == ((8, 1),)
 
 
 def test_family_x20_members():
     # odd squarefree m in [10, 20]: 11, 13, 15, 17, 19
     fam = enumerate_family(20.0)
+    assert fam.m.tolist() == [11, 13, 15, 17, 19]
     assert [f.d for f in fam.members] == [88, 104, 120, 136, 152]
     assert len(fam) == 5
 
@@ -176,16 +176,27 @@ def test_family_requires_x_at_least_2():
 
 def test_family_members_ascending_and_squarefree_oracle():
     fam = enumerate_family(500.0)
-    ds = [f.d for f in fam.members]
-    assert ds == sorted(ds)
-    assert len(set(ds)) == len(ds)
-    for f in fam.members:
-        assert f.m % 2 == 1
-        assert squarefree_oracle(f.m)
-        assert 250 <= f.m <= 500
+    ms = fam.m.tolist()
+    assert ms == sorted(ms)
+    assert len(set(ms)) == len(ms)
+    for m in ms:
+        assert m % 2 == 1
+        assert squarefree_oracle(m)
+        assert 250 <= m <= 500
     # no qualifying m was skipped
     want = [m for m in range(250, 501) if m % 2 == 1 and squarefree_oracle(m)]
-    assert [f.m for f in fam.members] == want
+    assert ms == want
+
+
+def test_family_is_one_read_only_int64_array():
+    fam = enumerate_family(1e3)
+    assert fam.m.dtype == np.int64 and fam.m.ndim == 1
+    with pytest.raises(ValueError):
+        fam.m[0] = 3
+    # members: (d, m) records with Python-int fields, built from the array
+    recs = fam.members
+    assert [(r.d, r.m) for r in recs] == [(8 * m, m) for m in fam.m.tolist()]
+    assert all(type(r.d) is int and type(r.m) is int for r in recs)
 
 
 def test_discriminant_invariants_enforced():
@@ -207,7 +218,7 @@ def test_char_average_n1_exact():
 def test_char_average_small_family_brute_force():
     fam = enumerate_family(60.0)
     for n in (3, 9, 25, 15):
-        brute = sum(kronecker(f.d, n) for f in fam.members) / len(fam)
+        brute = sum(kronecker_oracle(8 * m, n) for m in fam.m.tolist()) / len(fam)
         assert char_average(fam, n) == pytest.approx(brute, abs=0)
 
 
@@ -215,13 +226,6 @@ def test_char_average_orthogonality_at_x_1e4():
     fam = enumerate_family(1.0e4)
     assert abs(char_average(fam, 9) - 0.75) <= 0.02
     assert abs(char_average(fam, 3)) <= 0.05
-
-
-def test_expected_char_average():
-    assert expected_char_average(9) == Fraction(3, 4)
-    assert expected_char_average(225) == Fraction(3, 4) * Fraction(5, 6)
-    assert expected_char_average(3) == 0
-    assert expected_char_average(4) == 0  # even square: chi_d(4) = 0 on this family
 
 
 def test_char_average_domain_errors():

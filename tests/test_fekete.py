@@ -12,7 +12,6 @@ from ldzeros.fekete import (
     end_interval,
     end_moment,
     fekete_eval,
-    fekete_eval_reversed,
     fekete_grid,
     fekete_real_zeros,
     find_zero_bearing,
@@ -23,6 +22,21 @@ from ldzeros.fekete import (
 
 # F_8(t) = t - t^3 - t^5 + t^7 = t (1 - t^2)(1 - t^4): no roots in open (0,1).
 # F_5(t) = t - t^2 - t^3 + t^4 = t (1 - t)^2 (1 + t): likewise.
+
+
+def fekete_eval_reversed(d: int, t: float) -> float:
+    """F_d(t) accumulated from the top power down with Kahan compensation
+    (order-robustness reference for fekete_eval's exactly rounded sum)."""
+    chi = char_table(d)
+    s = 0.0
+    c = 0.0
+    for n in range(d - 1, 0, -1):
+        v = float(chi[n % d]) * t**n
+        y = v - c
+        tt = s + y
+        c = (tt - s) - y
+        s = tt
+    return s
 
 def test_f8_factored_form_oracle():
     for t in (0.1, 0.5, 0.9, 0.99):

@@ -428,6 +428,10 @@ def test_cli_report_row_without_count_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"usage error: {str(z)!r} line 2 is not a zeros row")
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the driver computed before checking its output")
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "--x", "20"],
     ["zeros", "--x", "100", "--sample", "1"],
@@ -436,7 +440,50 @@ def test_cli_report_row_without_count_exit_1(tmp_path, capsys):
     ["moments", "--x", "100", "--k-list", "1"],
     ["rd-stats", "--x-list", "1e3", "--sample", "1"],
 ], ids=lambda argv: argv[0])
-def test_cli_unwritable_out_exit_1(capsys, argv):
+def test_cli_unwritable_out_exit_1(capsys, monkeypatch, argv):
+    # every driver's work starts with enumerate_family or rd_statistics
+    monkeypatch.setattr("ldzeros.harness.enumerate_family", _unreachable)
+    monkeypatch.setattr("ldzeros.harness.rd_statistics", _unreachable)
     out = "/nonexistent/dir/f.csv"
     assert main(argv + ["--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: cannot write {out!r}")
+
+
+def test_cli_report_checks_out_before_reading(tmp_path, capsys):
+    out = "/nonexistent/dir/r.dat"
+    assert main(["report", "--in", str(tmp_path / "missing.jsonl"), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {out!r}")
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (["rd-stats", "--x-list", "1e3", "--sample", "3"], "rd_statistics"),
+    (["discrepancy", "--x", "1e3", "--sample", "3", "--mc-samples", "10"], "enumerate_family"),
+], ids=["rd-stats", "discrepancy"])
+def test_cli_out_naming_its_own_dat_sidecar_exit_1(tmp_path, capsys, monkeypatch, argv, compute):
+    # r.dat would be both the result file and its .dat plot data
+    monkeypatch.setattr(f"ldzeros.harness.{compute}", _unreachable)
+    out = tmp_path / "r.dat"
+    assert main(argv + ["--out", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.startswith(f"usage error: --out {str(out)!r} is also the path of its .dat")
+    assert cap.out == "" and not out.exists()
+
+
+def test_cli_failing_row_leaves_no_partial_file(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--x", "2000", "--k-list", "1,-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: k must be nonnegative")
+    assert not out.exists()
+
+
+def test_output_check_leaves_files_as_found(tmp_path):
+    from ldzeros.harness import _writable
+
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    fresh = tmp_path / "fresh.csv"
+    assert _writable(str(kept), str(fresh)) == [str(kept), str(fresh)]
+    assert kept.read_text() == "old\n"
+    assert not fresh.exists()
+    with pytest.raises(errors.DomainError, match="cannot write"):
+        _writable(str(tmp_path))  # a directory

@@ -11,15 +11,28 @@ from ldzeros.lfunc import (
     RE_MIN,
     LEngine,
     block_ranges,
-    dirichlet_series_oracle,
     euler_maclaurin_oracle,
     hurwitz_zeta_shifted,
-    log_deriv_series_oracle,
 )
+from ldzeros.primes import prime_power_table
 
 # Class number formula for Q(sqrt(2)): h = 1, fundamental unit 1 + sqrt(2),
 # so L(1, chi_8) = 2 h log(eps) / sqrt(8) = log(1 + sqrt 2)/sqrt 2.
 L1_CHI8 = math.log(1.0 + math.sqrt(2.0)) / math.sqrt(2.0)
+
+
+def dirichlet_series_oracle(d: int, s: complex, n_max: int = 10**6) -> complex:
+    """Direct series sum_{n<=n_max} chi_d(n) n^{-s}; only sensible for Re s > 1."""
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    chi = chi_values(d, np.arange(1, n_max + 1, dtype=np.int64)).astype(np.float64)
+    return complex(np.sum(chi * np.exp(-complex(s) * np.log(n))))
+
+
+def log_deriv_series_oracle(d: int, s: complex, n_max: int = 10**6) -> complex:
+    """Direct series for -L'/L(s) = sum Lambda(n) chi_d(n) n^{-s}, Re s > 1."""
+    pp, lam = prime_power_table(n_max)
+    chi = chi_values(d, pp).astype(np.float64)
+    return complex(np.sum(lam * chi * np.exp(-complex(s) * np.log(pp.astype(np.float64)))))
 
 
 @pytest.fixture(scope="module")

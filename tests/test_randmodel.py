@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +8,102 @@ import pytest
 from ldzeros.errors import DomainError, TruncationError
 from ldzeros.primes import prime_sieve
 from ldzeros.randmodel import (
-    RandomAssignment,
-    char_fn_rand,
+    DEFAULT_TAIL_TOL_FACTOR,
+    _G1,
+    _SH11,
+    _mix,
     default_cutoff,
     expect_x,
     mc_values,
     moment_rand,
-    sample_assignment,
-    sample_l_rand,
     tail_bias_bound,
     tail_std_bound,
     v_norm,
-    x_of,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference route for mc_values: float uniforms from the counter mixer, the
+# three-point law by comparison, one assignment per draw, one series sum
+# ---------------------------------------------------------------------------
+
+def _uniforms(seed: int, draw: np.ndarray, stream: np.ndarray) -> np.ndarray:
+    """Uniforms in [0,1) for (seed, draw, stream) triples; broadcasts."""
+    with np.errstate(over="ignore"):
+        s0 = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        h = _mix(s0 + np.asarray(draw, dtype=np.uint64) * _G1)
+        h = _mix(h + np.asarray(stream, dtype=np.uint64) * _G1)
+    return (h >> _SH11).astype(np.float64) * 2.0**-53
+
+
+def _values_from_uniforms(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Map uniforms to {-1, 0, +1} under the per-prime three-point law."""
+    q = p / (2.0 * (p + 1.0))
+    out = np.zeros(u.shape, dtype=np.int8)
+    out[u < 2.0 * q] = -1
+    out[u < q] = 1
+    return out
+
+
+@dataclass(frozen=True)
+class RandomAssignment:
+    """One realization of {X(p)} for primes p <= prime_cutoff."""
+
+    seed: int
+    prime_cutoff: int
+    primes: np.ndarray
+    values: np.ndarray  # int8, aligned with primes; value at 2 is always 0
+
+    def value_at(self, p: int) -> int:
+        i = int(np.searchsorted(self.primes, p))
+        if i >= len(self.primes) or self.primes[i] != p:
+            raise DomainError(f"{p} is not a prime <= {self.prime_cutoff}")
+        return int(self.values[i])
+
+
+def sample_assignment(seed: int, prime_cutoff: int, draw: int = 0) -> RandomAssignment:
+    """Draw an assignment; p = 2 is pinned to 0, odd primes follow the law."""
+    if prime_cutoff < 3:
+        raise DomainError(f"prime cutoff must be >= 3, got {prime_cutoff}")
+    primes = prime_sieve(prime_cutoff)
+    pf = primes.astype(np.float64)
+    u = _uniforms(seed, np.uint64(draw), np.arange(len(primes), dtype=np.uint64))
+    vals = _values_from_uniforms(u, pf)
+    vals[primes == 2] = 0
+    return RandomAssignment(seed=seed, prime_cutoff=prime_cutoff, primes=primes, values=vals)
+
+
+@dataclass(frozen=True)
+class RandSeries:
+    """One truncated draw of the model log-derivative series at real z."""
+
+    z: float
+    prime_cutoff: int
+    value: float
+    tail_bound: float  # bound on the absolutely convergent omitted part
+    tail_std: float    # std bound on the omitted mean-zero part
+
+
+def sample_l_rand(z: float, prime_cutoff: int, assignment: RandomAssignment,
+                  tol: float | None = None) -> RandSeries:
+    """One draw of sum_{p <= P} X(p) log p / (p^z - X(p)) with certified bounds."""
+    if not 0.5 < z <= 1.0:
+        raise DomainError(f"z must lie in (1/2, 1], got {z}")
+    if tol is None:
+        tol = DEFAULT_TAIL_TOL_FACTOR * v_norm(z)
+    bias = tail_bias_bound(z, prime_cutoff)
+    if bias > tol:
+        raise TruncationError(
+            f"tail bound {bias:.3e} exceeds tolerance {tol:.3e} at P={prime_cutoff}",
+            suggested=default_cutoff(z, tol),
+        )
+    mask = assignment.primes <= prime_cutoff
+    p = assignment.primes[mask].astype(np.float64)
+    v = assignment.values[mask].astype(np.float64)
+    lp = np.log(p)
+    val = float(np.sum(np.where(v != 0.0, v * lp / (p**z - v), 0.0)))
+    return RandSeries(z=z, prime_cutoff=prime_cutoff, value=val,
+                      tail_bound=bias, tail_std=tail_std_bound(z, prime_cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +125,6 @@ def test_same_seed_reproducible():
 def test_three_point_frequencies_at_p3():
     # P(X(3)=0) = 1/4, P(+1) = P(-1) = 3/8; binomial 3-sigma over 1e6 draws
     n = 10**6
-    from ldzeros.randmodel import _uniforms, _values_from_uniforms
-
     u = _uniforms(7, np.arange(n, dtype=np.uint64), np.uint64(1))
     vals = _values_from_uniforms(u, np.array(3.0))
     f0 = np.mean(vals == 0)
@@ -60,28 +142,8 @@ def test_draw_streams_differ():
 
 
 # ---------------------------------------------------------------------------
-# multiplicative extension and exact expectations
+# exact expectations
 # ---------------------------------------------------------------------------
-
-def test_x_of_basics():
-    a = sample_assignment(5, 50)
-    assert x_of(1, a) == 1
-    assert x_of(12, a) == 0  # contains 2^2
-    v3 = a.value_at(3)
-    assert x_of(9, a) == v3 * v3
-    assert x_of(27, a) == v3 * v3 * v3
-    with pytest.raises(DomainError):
-        x_of(53 * 2, a)  # 53 > cutoff... 53 is prime above 50
-
-
-def test_x_of_multiplicativity_random():
-    a = sample_assignment(11, 200)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = int(rng.integers(1, 60))
-        n = int(rng.integers(1, 60))
-        assert x_of(m * n, a) == x_of(m, a) * x_of(n, a)
-
 
 def test_expect_x_values():
     assert expect_x(3) == 0
@@ -100,8 +162,6 @@ def test_expect_x_coprime_multiplicative():
 
 def test_monte_carlo_mean_of_x9():
     n = 20000
-    from ldzeros.randmodel import _uniforms, _values_from_uniforms
-
     u = _uniforms(3, np.arange(n, dtype=np.uint64), np.uint64(1))
     vals = _values_from_uniforms(u, np.array(3.0)).astype(float)
     mean = np.mean(vals * vals)  # X(9) = X(3)^2
@@ -196,8 +256,6 @@ def test_mc_values_match_assignment_route():
 
 def _float_route(z, P, seed, n_draws):
     # the float uniforms, the three-point law by np.where, one row sum per draw
-    from ldzeros.randmodel import _uniforms
-
     odd = prime_sieve(P)
     odd = odd[odd > 2]
     pf = odd.astype(np.float64)
@@ -254,27 +312,6 @@ def test_mc_values_rejects_z_outside_model_domain():
 
 
 # ---------------------------------------------------------------------------
-# characteristic function
-# ---------------------------------------------------------------------------
-
-def test_char_fn_at_zero_is_one():
-    est, se = char_fn_rand(0.9, 0.0, 500, seed=4, prime_cutoff=500, tol=1.0)
-    assert est == 1.0 + 0.0j
-    assert se == 0.0
-
-
-def test_char_fn_modulus_bounded():
-    est, se = char_fn_rand(0.9, 3.0, 800, seed=5, prime_cutoff=500, tol=1.0)
-    assert abs(est) <= 1.0 + se + 1e-12
-
-
-def test_char_fn_conjugation_same_samples():
-    u = np.array([-2.0, 2.0])
-    est, _ = char_fn_rand(0.8, u, 600, seed=6, prime_cutoff=500, tol=1.0)
-    assert est[0] == np.conj(est[1])
-
-
-# ---------------------------------------------------------------------------
 # exact moments
 # ---------------------------------------------------------------------------
 
@@ -323,18 +360,3 @@ def test_v_norm():
     with pytest.raises(DomainError):
         v_norm(0.5)
 
-
-def test_samples_to_csv(tmp_path):
-    from ldzeros.randmodel import samples_to_csv
-
-    path = tmp_path / "draws.csv"
-    samples_to_csv(str(path), 0.9, 500, seed=11, n_draws=5, tol=1.0,
-                   provenance="test-run")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test-run"
-    assert lines[1] == "seed,z,P,value,tail_bound"
-    assert len(lines) == 7
-    # row k reproduces from its own seed
-    seed, z, P, value, tail = lines[3].split(",")
-    v = mc_values(float(z), int(P), seed=int(seed), n_draws=1)[0]
-    assert float(value) == v

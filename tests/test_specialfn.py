@@ -8,7 +8,6 @@ from ldzeros.specialfn import (
     bernoulli_numbers,
     digamma,
     gamma,
-    kahan_sum,
     upper_gamma,
 )
 
@@ -140,8 +139,3 @@ def test_upper_gamma_scalar_and_broadcast_shapes():
     assert np.ndim(v) == 0
     arr = upper_gamma(np.array([[0.3], [0.5 + 2j]]), np.array([0.5, 3.0, 20.0]))
     assert arr.shape == (2, 3)
-
-
-def test_kahan_sum_compensates():
-    vals = [1.0, 1e-16, 1e-16, 1e-16, 1e-16] * 1000
-    assert kahan_sum(vals) == pytest.approx(1000.0 + 4e-13, rel=1e-12)

@@ -147,12 +147,12 @@ def test_theory_bound_formula():
 # ---------------------------------------------------------------------------
 
 def test_empirical_distribution_z1_definition(fam1000):
-    members = fam1000.members[:6]
+    members = (8 * fam1000.m[:6]).tolist()
     emp = empirical_distribution(fam1000, 1.0, members=members)
     assert len(emp.values) == 6
     direct = []
-    for f in members:
-        eng = LEngine(f.d, t_cap=12.0)
+    for d in members:
+        eng = LEngine(d, t_cap=12.0)
         ld, _ = eng.log_deriv(1.0)
         direct.append(ld.real / 2.0)  # V_1 = 2
     assert np.allclose(np.sort(direct), emp.values, atol=1e-9)
@@ -167,7 +167,7 @@ def test_empirical_distribution_membership_y_constant():
 
 
 def test_empirical_distribution_excluded_fraction_small(fam1000):
-    emp = empirical_distribution(fam1000, 0.9, members=fam1000.members[:50])
+    emp = empirical_distribution(fam1000, 0.9, members=(8 * fam1000.m[:50]).tolist())
     assert len(emp.excluded) <= 1  # expected none at desk scale
 
 
@@ -178,7 +178,7 @@ def test_empirical_distribution_z_range(fam1000):
 
 def test_discrepancy_small_run(fam1000):
     rep = discrepancy(fam1000, 0.9, mc_samples=2000, seed=9,
-                      members=fam1000.members[:40])
+                      members=(8 * fam1000.m[:40]).tolist())
     assert 0.0 <= rep.d_stat <= 1.0
     assert rep.bound == pytest.approx(theory_bound(1000.0, 0.9))
     assert rep.n_family == 40
@@ -202,13 +202,13 @@ def test_discrepancy_two_sample_mean_comparison(fam1000):
 def test_central_moments_nonneg_and_jensen(fam1000):
     nu = math.log(math.log(1000.0))
     s0 = 0.5 + nu / math.log(1000.0)
-    members = fam1000.members[:20]
-    rep = central_moments(fam1000, nu, 1, s0, members=members)
+    members = (8 * fam1000.m[:20]).tolist()
+    [rep] = central_moments(fam1000, nu, (1,), s0, members=members)
     assert rep.moment >= 0.0
     assert not rep.k_in_range  # desk-scale range violation is reported
     vals = []
-    for f in members:
-        eng = LEngine(f.d, t_cap=12.0)
+    for d in members:
+        eng = LEngine(d, t_cap=12.0)
         ld, _ = eng.log_deriv(s0)
         vals.append(ld.real)
     mean_sq = abs(np.mean(vals)) ** 2 * len(members) / len(fam1000)
@@ -217,9 +217,38 @@ def test_central_moments_nonneg_and_jensen(fam1000):
 
 def test_central_moments_reports_both_envelopes(fam1000):
     nu = math.log(math.log(1000.0))
-    rep = central_moments(fam1000, nu, 1, 0.5 + nu / math.log(1000.0),
-                          members=fam1000.members[:10])
+    [rep] = central_moments(fam1000, nu, (1,), 0.5 + nu / math.log(1000.0),
+                            members=(8 * fam1000.m[:10]).tolist())
     assert rep.envelope_second == pytest.approx(rep.envelope_first * nu**4)
+
+
+def test_central_moments_restriction_is_computed_once_per_d(fam1000, monkeypatch):
+    # the restriction does not depend on k: any k_list builds one engine per d,
+    # and each k's row equals the one of a single-k call
+    import ldzeros.stats as stats_mod
+
+    built = []
+    real_engine = stats_mod.LEngine
+    monkeypatch.setattr(stats_mod, "LEngine",
+                        lambda d, *a, **kw: built.append(d) or real_engine(d, *a, **kw))
+    nu = math.log(math.log(1000.0))
+    s0 = 0.5 + nu / math.log(1000.0)
+    members = (8 * fam1000.m[:4]).tolist()
+    central_moments(fam1000, nu, (1,), s0, members=members)
+    assert built == members
+    built.clear()
+    reps = central_moments(fam1000, nu, (1, 2, 3), s0, members=members)
+    assert built == members
+    assert [rep.k for rep in reps] == [1, 2, 3]
+    for k, rep in zip((1, 2, 3), reps):
+        [single] = central_moments(fam1000, nu, (k,), s0, members=members)
+        assert rep == single
+
+
+def test_central_moments_rejects_k_below_1_before_any_work(fam1000, monkeypatch):
+    monkeypatch.setattr("ldzeros.stats.membership", lambda *a, **kw: pytest.fail("reached"))
+    with pytest.raises(DomainError):
+        central_moments(fam1000, 2.0, (1, 0), 0.7, members=[8 * int(fam1000.m[0])])
 
 
 def test_rd_statistics_reproducible():
@@ -251,8 +280,11 @@ def test_rd_statistics_near_half_split_weak_ordering():
 def test_sample_members_deterministic(fam1000):
     a = sample_members(fam1000, 17, seed=5)
     b = sample_members(fam1000, 17, seed=5)
-    assert [f.d for f in a] == [f.d for f in b]
-    ds = [f.d for f in a]
-    assert ds == sorted(ds)
+    assert a == b
+    assert a == sorted(a) and all(type(d) is int for d in a)
+    # the draw is the one numpy's generator makes for these indices
+    idx = np.sort(np.random.default_rng(5).choice(len(fam1000), size=17, replace=False))
+    assert a == [8 * int(m) for m in fam1000.m[idx]]
+    assert sample_members(fam1000, len(fam1000), seed=5) == (8 * fam1000.m).tolist()
     with pytest.raises(DomainError):
         sample_members(fam1000, len(fam1000) + 1, seed=5)
