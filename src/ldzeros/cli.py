@@ -2,15 +2,16 @@
 
 Subcommands: family, eval, zeros, gamma-min, fekete, discrepancy, moments,
 rd-stats, report, verify. One table (`_parser`) gives each subcommand its
-driver call and only the flags that driver reads. A flag that sets a
-RunConfig field has that field as its dest; the configuration is the
-subcommand's defaults, then the --config file (flat key=value), then the
-flags actually given. The cache root may also come from the LDZEROS_CACHE
-environment variable. Exit codes are EXIT_CODES, which maps every class in
-errors.py: 0 ok, 1 usage, 2 strict-mode indeterminate, 3 resource,
-4 numerical, 5 cache. Malformed or unknown arguments are argparse usage
-errors, and those exit 1 too, not argparse's default 2, which here means
-indeterminate.
+driver call and only the flags that driver reads (and `moments` only those
+its --kind reads). A flag that sets a RunConfig field has that field as its
+dest and the field's parser (harness.FIELD_PARSERS) as its type; the
+configuration is the subcommand's defaults, then the --config file (flat
+key=value, same parsers), then the flags actually given. The cache root may
+also come from the LDZEROS_CACHE environment variable. Exit codes are
+EXIT_CODES, which maps every class in errors.py: 0 ok, 1 usage, 2
+strict-mode indeterminate, 3 resource, 4 numerical, 5 cache. Malformed or
+unknown arguments are argparse usage errors, and those exit 1 too, not
+argparse's default 2, which here means indeterminate.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import fields
 
 from . import errors
 from .harness import (
+    FIELD_PARSERS,
     RunConfig,
     load_config_file,
     run_discrepancy,
@@ -34,6 +36,7 @@ from .harness import (
     run_report,
     run_verify,
     run_zeros,
+    word_or_number,
 )
 
 # (exception class, exit code, stderr label); a subclass precedes its base
@@ -69,11 +72,11 @@ def _parse_s(text: str) -> complex:
 _parse_s.__name__ = "re[,im]"
 
 
-def _list_of(kind):
-    def parse(text: str) -> tuple:
-        return tuple(kind(t) for t in text.split(","))
-    parse.__name__ = f"{kind.__name__} list"
-    return parse
+def _int_list(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(","))
+
+
+_int_list.__name__ = "int list"
 
 
 def _one_float(text: str) -> tuple:
@@ -83,32 +86,45 @@ def _one_float(text: str) -> tuple:
 _one_float.__name__ = "float"
 
 
-def _word_or_number(*words: str):
-    def parse(text: str) -> str:
-        if text not in words:
-            float(text)
-        return text
-    parse.__name__ = " or ".join(words + ("number",))
-    return parse
+def _field(name: str, **kwargs) -> dict:
+    return dict(type=FIELD_PARSERS[name], dest=name, **kwargs)
 
 
 # flags that set a RunConfig field (their dest); --config names the file
 _CONFIG_FLAGS = {
     "--x": dict(type=_one_float, required=True, dest="x_list"),
-    "--x-list": dict(type=_list_of(float), required=True, dest="x_list"),
-    "--sample": dict(type=int, dest="sample_size"),
-    "--nu": dict(type=_word_or_number("auto", "hyp"), dest="nu_policy"),
-    "--z": dict(type=float),
-    "--mc-samples": dict(type=int, dest="mc_samples"),
-    "--seed": dict(type=int),
-    "--threads": dict(type=int),
-    "--eps-target": dict(type=float, dest="eps_target"),
-    "--cache-dir": dict(dest="cache_dir"),
+    "--x-list": _field("x_list", required=True),
+    "--sample": _field("sample_size"),
+    "--nu": _field("nu_policy"),
+    "--z": _field("z"),
+    "--mc-samples": _field("mc_samples"),
+    "--seed": _field("seed"),
+    "--threads": _field("threads"),
+    "--eps-target": _field("eps_target"),
+    "--cache-dir": _field("cache_dir"),
     "--verify-cache": dict(action="store_true", dest="verify_cache"),
     "--strict": dict(action="store_true"),
-    "--out": {},
+    "--out": _field("out"),
     "--config": dict(help="flat key=value config file"),
 }
+
+# moments flags that one --kind reads: flag -> (dest, kind); --x, --k-list,
+# --out and --config serve every kind
+_MOMENTS_KIND_FLAGS = {"--nu": ("nu_policy", "central"), "--sample": ("sample_size", "central"),
+                       "--seed": ("seed", "central"), "--y-max": ("y_max", "lemma22"),
+                       "--y-lo": ("y_lo", "largesieve"), "--z-hi": ("z_hi", "largesieve")}
+
+
+def _run_moments(args: argparse.Namespace, config: RunConfig) -> list[str]:
+    """run_moments with the kind's own flags; a given flag that the kind does
+    not read is a usage error. A config-file value is not, since one file
+    serves every subcommand."""
+    stray = [flag for flag, (dest, kind) in _MOMENTS_KIND_FLAGS.items()
+             if dest in args and kind != args.kind]
+    if stray:
+        raise errors.DomainError(f"moments --kind {args.kind} does not read {' '.join(stray)}")
+    return run_moments(config, args.kind, k_list=args.k_list,
+                       **{k: getattr(args, k) for k in ("y_max", "y_lo", "z_hi") if k in args})
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -148,7 +164,7 @@ def _parser() -> argparse.ArgumentParser:
                 "--x --nu --sample --seed --eps-target --cache-dir --verify-cache --strict"
                 " --out --config",
                 lambda a, c: run_zeros(c, sigma_min=a.sigma_min))
-    p.add_argument("--sigma-min", type=_word_or_number("auto"), default="auto", dest="sigma_min")
+    p.add_argument("--sigma-min", type=word_or_number("auto"), default="auto", dest="sigma_min")
 
     p = command("gamma-min", "least zero heights over a family sample",
                 "--x --sample --seed --eps-target --cache-dir --verify-cache --out --config",
@@ -165,19 +181,19 @@ def _parser() -> argparse.ArgumentParser:
     p = command("discrepancy", "family vs model sup-CDF distance",
                 "--z --mc-samples --sample --seed --threads --strict --out --config",
                 lambda a, c: run_discrepancy(c), sample_size=2000)
-    p.add_argument("--x", type=_list_of(float), required=True, dest="x_list",
-                   default=argparse.SUPPRESS, help="comma-separated x sweep")
+    p.add_argument("--x", **_field("x_list", required=True), default=argparse.SUPPRESS,
+                   help="comma-separated x sweep")
 
     p = command("moments", "moment-matching and moment-bound checks",
                 "--x --nu --sample --seed --out --config",
-                lambda a, c: run_moments(c, a.kind, y_max=a.y_max, k_list=a.k_list,
-                                         y_lo=a.y_lo, z_hi=a.z_hi),
-                sample_size=50)
+                _run_moments, sample_size=50)
     p.add_argument("--kind", choices=("lemma22", "largesieve", "central"), default="lemma22")
-    p.add_argument("--y-max", type=int, default=10, dest="y_max")
-    p.add_argument("--k-list", type=_list_of(int), default="1,2,3", dest="k_list")
-    p.add_argument("--y-lo", type=float, default=10.0, dest="y_lo")
-    p.add_argument("--z-hi", type=float, default=40.0, dest="z_hi")
+    p.add_argument("--k-list", type=_int_list, default="1,2,3", dest="k_list")
+    # left out when not given, so _run_moments sees which were given and
+    # run_moments' own defaults (10, 10.0, 40.0) apply
+    p.add_argument("--y-max", type=int, default=argparse.SUPPRESS, dest="y_max")
+    p.add_argument("--y-lo", type=float, default=argparse.SUPPRESS, dest="y_lo")
+    p.add_argument("--z-hi", type=float, default=argparse.SUPPRESS, dest="z_hi")
 
     command("rd-stats", "real-zero count statistics across x",
             "--x-list --nu --sample --seed --threads --eps-target --strict --out --config",

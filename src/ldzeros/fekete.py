@@ -38,6 +38,8 @@ from .specialfn import digamma, gamma
 MELLIN_D_CAP = 2000
 GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
 _GRID_BLOCK_BYTES = 1 << 23  # fekete_grid's power table: 4,096 grid columns
+REFINE_TOL = 1e-12           # bracket width of a real zero of F_d on (0, 1)
+BEARING_GRID = 2048          # find_zero_bearing's first-pass scan grid
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -166,13 +168,11 @@ class FeketeZeroReport:
     count: int
     zeros: list[tuple[float, float]] = field(default_factory=list)  # (location, half_width)
     suspects: list[dict] = field(default_factory=list)
-    grid_points: int = 0
     end_order: int = 0        # k: order of the zero at t = 1
     end_delta: float = 0.0    # delta*: no zero on (1 - delta*, 1); 0 if not certified
 
 
-def fekete_real_zeros(d: int, grid_points: int | None = None,
-                      refine_tol: float = 1e-12) -> FeketeZeroReport:
+def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroReport:
     """Certified sign-change count of F_d on (0, 1) (a lower bound; suspects
     flagged). Grid refinement can only increase the certified count.
 
@@ -185,7 +185,7 @@ def fekete_real_zeros(d: int, grid_points: int | None = None,
         grid_points = min(16 * d, 1 << 17)
     ts = zero_scan_grid(d, grid_points)
     vals = fekete_grid(d, ts)
-    report = FeketeZeroReport(d=d, count=0, grid_points=len(ts))
+    report = FeketeZeroReport(d=d, count=0)
     try:
         report.end_order, m_k = end_moment(d)
         report.end_delta = end_interval(d, report.end_order, m_k)
@@ -204,7 +204,7 @@ def fekete_real_zeros(d: int, grid_points: int | None = None,
         if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
             report.suspects.append({"interval": (lo, hi), "reason": "grid/eval sign mismatch"})
             continue
-        while hi - lo > refine_tol * max(1.0, lo):
+        while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
             fm = float(fekete_grid(d, np.array([mid]))[0])
             if fm == 0.0:
@@ -244,15 +244,15 @@ def fekete_real_zeros(d: int, grid_points: int | None = None,
     return report
 
 
-def find_zero_bearing(family, grid_points: int = 2048, limit: int | None = None):
+def find_zero_bearing(family, limit: int | None = None):
     """First family member whose Fekete polynomial has a certified zero in (0,1)."""
     for m in family.m[:limit].tolist():
         d = 8 * m
-        ts = zero_scan_grid(d, grid_points)
+        ts = zero_scan_grid(d, BEARING_GRID)
         vals = fekete_grid(d, ts)
         sign = np.sign(vals)
         if np.any((sign[:-1] * sign[1:]) < 0):
-            report = fekete_real_zeros(d, grid_points=4 * grid_points)
+            report = fekete_real_zeros(d, grid_points=4 * BEARING_GRID)
             if report.count >= 1:
                 return d, report
     return None, None
@@ -297,14 +297,13 @@ class MellinReport:
     residual_second: float
 
 
-def mellin_identity_check(d: int, s: float, engine: LEngine | None = None) -> MellinReport:
+def mellin_identity_check(d: int, s: float) -> MellinReport:
     """Relative residuals of both identities at real s in (1/2, 1]."""
     if not 0.5 < s <= 1.0:
         raise DomainError(f"identity check expects s in (1/2, 1], got {s}")
     if d > MELLIN_D_CAP:
         raise ResourceError(f"quadrature cost grows with d; {d} > cap {MELLIN_D_CAP}")
-    if engine is None:
-        engine = LEngine(d)
+    engine = LEngine(d)
     lval, _ = engine.l_value(s)
     lprime, _ = engine.l_prime(s)
     gam = complex(gamma(complex(s))).real

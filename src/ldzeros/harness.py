@@ -46,6 +46,43 @@ from .zeros import build_cover, gamma_min
 CACHE_ENV_VAR = "LDZEROS_CACHE"
 
 
+# One parser per RunConfig field: the field's CLI flag takes it as its argparse
+# type and RunConfig.from_mapping applies it to each value, so a config-file
+# value is read like the flag. __name__ names the type in argparse's message.
+def _checked(name: str, parse, ok):
+    def parse_checked(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    parse_checked.__name__ = name
+    return parse_checked
+
+
+def word_or_number(*words: str):
+    def parse(raw):
+        if raw not in words:
+            float(raw)
+        return raw
+    parse.__name__ = " or ".join(words + ("number",))
+    return parse
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_bool = _checked("bool", lambda raw: _BOOLS.get(str(raw).lower()), lambda v: v is not None)
+_positive_int = _checked("positive int", int, lambda v: v >= 1)
+FIELD_PARSERS = {
+    "x_list": _checked("float list", lambda raw: tuple(
+        float(t) for t in (raw.split(",") if isinstance(raw, str) else raw)), bool),
+    "nu_policy": word_or_number("auto", "hyp"),
+    "sample_size": _positive_int, "mc_samples": _positive_int,
+    "seed": _checked("non-negative int", int, lambda v: v >= 0), "threads": int,
+    "eps_target": _checked("float in (0, 1)", float, lambda v: 0.0 < v < 1.0),
+    "z": float, "scan_height_cap": float, "cache_dir": str, "out": str,
+    "strict": _bool, "verify_cache": _bool,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     x_list: tuple[float, ...] = (1000.0,)
@@ -85,26 +122,12 @@ class RunConfig:
             raise DomainError(f"unknown config key {unknown[0]!r}")
         kwargs = {}
         for f in fields(cls):
-            if f.name not in mapping:
-                continue
-            raw = mapping[f.name]
-            try:
-                if f.name == "x_list":
-                    if isinstance(raw, str):
-                        raw = tuple(float(t) for t in raw.split(",") if t)
-                    else:
-                        raw = tuple(float(t) for t in raw)
-                    kwargs[f.name] = raw
-                elif f.type in ("int",):
-                    kwargs[f.name] = int(raw)
-                elif f.type in ("float",):
-                    kwargs[f.name] = float(raw)
-                elif f.type in ("bool",):
-                    kwargs[f.name] = raw in (True, "1", "true", "True", "yes")
-                else:
-                    kwargs[f.name] = str(raw)
-            except ValueError:
-                raise DomainError(f"malformed config value {f.name}={raw!r}") from None
+            if f.name in mapping:
+                raw = mapping[f.name]
+                try:
+                    kwargs[f.name] = FIELD_PARSERS[f.name](raw)
+                except (TypeError, ValueError):
+                    raise DomainError(f"malformed config value {f.name}={raw!r}") from None
         return cls(**kwargs)
 
 
@@ -313,7 +336,7 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     return [out]
 
 
-def run_gamma_min(config: RunConfig, t_max: float = 50.0) -> list[str]:
+def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
     fam = enumerate_family(x)
@@ -336,7 +359,7 @@ def run_gamma_min(config: RunConfig, t_max: float = 50.0) -> list[str]:
 
 
 def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: bool,
-               s: float = 0.75) -> dict:
+               s: float) -> dict:
     res: dict = {"d": d}
     if count_zeros:
         rep = fekete_real_zeros(d)

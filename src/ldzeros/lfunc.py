@@ -51,6 +51,7 @@ L_FLOOR = 1e-12            # conditioning floor for -L'/L
 GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
+EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 
 
 def block_ranges(n: int, size: int) -> list[tuple[int, int]]:
@@ -85,25 +86,18 @@ class LEngine:
     eps_target : absolute accuracy goal for Lambda on the strip
     t_cap : largest |Im s| this engine will be asked for; sets the fast-path
         quadrature density
-    n_trunc : override for the expansion length (must satisfy the tail
-        invariant or construction fails)
+
+    The expansion length n_trunc is the least N with pi N^2 / d >=
+    log(1/eps_target) + 5, which keeps the tail under eps_target.
     """
 
-    def __init__(self, d: int, eps_target: float = 1e-12, t_cap: float = 12.0,
-                 n_trunc: int | None = None):
+    def __init__(self, d: int, eps_target: float = 1e-12, t_cap: float = 12.0):
         # both paths assume chi_d primitive of conductor d: m = d/8 odd squarefree
         FundamentalDiscriminant(int(d), int(d) // 8)
         self.d = int(d)
         self.eps_target = float(eps_target)
         self.t_cap = float(t_cap)
-        need = math.ceil(math.sqrt(d * (math.log(1.0 / eps_target) + 5.0) / math.pi))
-        if n_trunc is None:
-            n_trunc = need
-        if math.pi * n_trunc**2 / d < math.log(1.0 / eps_target) + 5.0 - 1e-9:
-            raise ResourceError(
-                f"n_trunc={n_trunc} leaves the expansion tail above eps_target; need N >= {need}"
-            )
-        self.n_trunc = int(n_trunc)
+        self.n_trunc = math.ceil(math.sqrt(d * (math.log(1.0 / eps_target) + 5.0) / math.pi))
         n = np.arange(1, self.n_trunc + 1, dtype=np.int64)
         self._chi = chi_values(self.d, n).astype(np.float64)
         self._logn = np.log(n.astype(np.float64))
@@ -183,8 +177,10 @@ class LEngine:
         kappa = 0.5 * abs(self._log_d_pi) + math.log(self.n_trunc + 1) + 4.0
         return val.imag / COMPLEX_STEP_H, err * kappa
 
-    def l_prime_central(self, sigma: float, h: float = 1e-6) -> float:
-        """Central-difference cross-check for l_prime (independent route)."""
+    def l_prime_central(self, sigma: float) -> float:
+        """Central-difference cross-check for l_prime (independent route,
+        step h = 1e-6)."""
+        h = 1e-6
         lp, _ = self.l_value(sigma + h)
         lm, _ = self.l_value(sigma - h)
         return (lp.real - lm.real) / (2.0 * h)
@@ -241,7 +237,7 @@ class LEngine:
         # cross-validate against the precise path
         probes = np.array([0.62, 0.93 + 0.6j * min(self.t_cap, 10.0),
                            1.21 - 0.25j * min(self.t_cap, 10.0)], dtype=np.complex128)
-        ref, referr = self.lambda_batch(probes)
+        ref, _ = self.lambda_batch(probes)
         fast = self._lambda_fast_raw(probes)
         scale = np.abs(ref) + 1e-30
         self.fast_rel_err = float(np.max(np.abs(fast - ref) / scale)) * 4.0 + 1e-12
@@ -296,10 +292,10 @@ class LEngine:
 ORACLE_D_CAP = 10**4
 
 
-def hurwitz_zeta_shifted(s: complex, q: np.ndarray, k_shift: int | None = None,
-                         j_terms: int = 14) -> np.ndarray:
+def hurwitz_zeta_shifted(s: complex, q: np.ndarray) -> np.ndarray:
     """zeta(s, q) - 1/((s-1) (q+K)^{s-1})-style variant: Euler-Maclaurin with the
-    constant 1/(s-1) part replaced by ((q+K)^{1-s} - 1)/(s-1).
+    constant 1/(s-1) part replaced by ((q+K)^{1-s} - 1)/(s-1), with
+    K = 24 + ceil(1.2 |Im s|) direct terms and EM_TERMS Bernoulli terms.
 
     The omitted constant is independent of q, so it cancels in any sum
     weighted by a character with vanishing full-period sum; dropping it makes
@@ -307,7 +303,7 @@ def hurwitz_zeta_shifted(s: complex, q: np.ndarray, k_shift: int | None = None,
     """
     s = complex(s)
     q = np.asarray(q, dtype=np.float64)
-    K = k_shift if k_shift is not None else 24 + math.ceil(1.2 * abs(s.imag))
+    K = 24 + math.ceil(1.2 * abs(s.imag))
     acc = np.zeros(q.shape, dtype=np.complex128)
     for k in range(K):
         acc += np.exp(-s * np.log(q + k))
@@ -323,7 +319,7 @@ def hurwitz_zeta_shifted(s: complex, q: np.ndarray, k_shift: int | None = None,
     bern = bernoulli_numbers()
     rising = s
     fact = 1.0
-    for j in range(1, j_terms + 1):
+    for j in range(1, EM_TERMS + 1):
         fact *= (2 * j) * (2 * j - 1)
         coeff = float(bern[2 * j]) / fact
         acc += coeff * rising * np.exp((-s - 2 * j + 1) * logqK)

@@ -36,7 +36,6 @@ from .errors import DomainError, ResourceError, TruncationError
 from .primes import factorize, prime_sieve
 
 C_THETA = 1.02  # theta(t) < 1.01624 t for all t > 0 (Rosser-Schoenfeld), rounded up
-DEFAULT_TAIL_TOL_FACTOR = 1e-6  # default absolute tail tolerance is this times V_z
 CUTOFF_CAP = 2**31
 
 _G1 = np.uint64(0x9E3779B97F4A7C15)
@@ -112,14 +111,12 @@ def tail_std_bound(z: float, P: int) -> float:
     return math.sqrt(C_THETA * (P * f_at_p + integral))
 
 
-def default_cutoff(z: float, tol: float | None = None) -> int:
+def default_cutoff(z: float, tol: float) -> int:
     """Smallest power-of-two-stepped P with tail_bias_bound(z, P) < tol.
 
-    tol defaults to DEFAULT_TAIL_TOL_FACTOR * V_z. Raises TruncationError when
-    the cap is hit (the caller should pass a looser tolerance).
+    Raises TruncationError when the cap is hit (the caller should pass a
+    looser tolerance).
     """
-    if tol is None:
-        tol = DEFAULT_TAIL_TOL_FACTOR * v_norm(z)
     lo, hi = 8, 16
     while tail_bias_bound(z, hi) >= tol:
         lo, hi = hi, hi * 2

@@ -9,9 +9,9 @@ sigma_{y,d} is 1/2 + 4/log y unless a zero of L intrudes into the window
 
 in which case it is pushed up by twice the largest intruding beta - 1/2.
 Zero-freeness of the window is certified by a rectangle scan (clipped in
-height when the window is astronomically tall; the certificate records the
-clip). The ordinate t is threaded explicitly and defaults to 0 for
-real-axis work.
+height at the caller's scan_height_cap when the window is astronomically
+tall; the certificate records the clip). The ordinate t is threaded
+explicitly and defaults to 0 for real-axis work.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .characters import chi_values
 from .errors import DomainError, ResourceError
 from .lfunc import LEngine
 from .primes import prime_power_table
-from .zeros import RegionScan
+from .zeros import locate_zeros_in_box, rect_zero_count
 
 POLY_BUDGET = 10**8  # largest y^3 the polynomial is allowed to sum over
 SIGMA_BETA_TOP = 1.125
@@ -105,6 +105,17 @@ def dirichlet_poly_a(d: int, y: float, s: complex) -> complex:
 
 
 @dataclass(frozen=True)
+class RegionScan:
+    """Zero-free certificate for a box, possibly height-clipped."""
+
+    count: int
+    box: tuple[float, float, float, float]
+    clipped: bool
+    requested_height: float
+    witnesses: tuple[tuple[float, float, float, float], ...]
+
+
+@dataclass(frozen=True)
 class SigmaYD:
     d: int
     y: float
@@ -114,13 +125,15 @@ class SigmaYD:
     scan: RegionScan | None  # None when the window is vacuous (beta-range empty)
 
 
-def sigma_y_d(d: int, y: float, t: float, zero_scanner) -> SigmaYD:
-    """Selberg abscissa with a zero-free-window certificate.
+def sigma_y_d(engine: LEngine, y: float, t: float, scan_height_cap: float) -> SigmaYD:
+    """Selberg abscissa of engine.d with a zero-free-window certificate.
 
-    zero_scanner(re_lo, re_hi, t_center, half_height) -> RegionScan certifies
-    the bounding box of the window; intruding zeros (scan witnesses that
-    actually satisfy the window condition) push the value up.
+    A rectangle count of L certifies the bounding box of the window, clipped
+    to half-height scan_height_cap around t (the certificate says so); its
+    zeros are localized, and intruding ones (witnesses that actually satisfy
+    the window condition) push the value up.
     """
+    d = engine.d
     if y < 10.0:
         raise DomainError(f"sigma_y_d needs y >= 10, got {y}")
     logy = math.log(y)
@@ -130,7 +143,12 @@ def sigma_y_d(d: int, y: float, t: float, zero_scanner) -> SigmaYD:
         # every nontrivial zero has beta < 1; the window is empty
         return SigmaYD(d=d, y=y, t=t, value=default, attained_by_default=True, scan=None)
     half_height = y ** (3.0 * (SIGMA_BETA_TOP - 0.5)) / logy
-    scan = zero_scanner(b_lo, SIGMA_BETA_TOP, t, half_height)
+    hh = min(half_height, scan_height_cap)
+    box = (b_lo, SIGMA_BETA_TOP, t - hh, t + hh)
+    rc = rect_zero_count(engine, *box)
+    scan = RegionScan(count=rc.count, box=box, clipped=half_height > scan_height_cap,
+                      requested_height=half_height,
+                      witnesses=tuple(locate_zeros_in_box(engine, *box)) if rc.count else ())
     if scan.count == 0:
         return SigmaYD(d=d, y=y, t=t, value=default, attained_by_default=True, scan=scan)
     excess = 2.0 / logy

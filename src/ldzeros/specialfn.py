@@ -84,10 +84,10 @@ def digamma(z):
 
 
 @lru_cache(maxsize=1)
-def bernoulli_numbers(n_max: int = 32) -> tuple[Fraction, ...]:
-    """B_0..B_{n_max} (second convention, B_1 = -1/2), exact rationals."""
+def bernoulli_numbers() -> tuple[Fraction, ...]:
+    """B_0..B_32 (second convention, B_1 = -1/2), exact rationals."""
     bs = [Fraction(1)]
-    for n in range(1, n_max + 1):
+    for n in range(1, 33):
         acc = Fraction(0)
         binom = 1
         for k in range(n):
@@ -98,11 +98,11 @@ def bernoulli_numbers(n_max: int = 32) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=1)
-def _zeta_ints(j_max: int = 32) -> np.ndarray:
-    """zeta(2..j_max) to near machine precision (Euler-Maclaurin tail)."""
-    out = np.zeros(j_max + 1)
+def _zeta_ints() -> np.ndarray:
+    """zeta(j) at index j = 2..32, to near machine precision (Euler-Maclaurin tail)."""
+    out = np.zeros(33)
     n = np.arange(1, 31, dtype=np.float64)
-    for j in range(2, j_max + 1):
+    for j in range(2, 33):
         s = float(np.sum(n ** (-j)))
         N = 30.0
         s += N ** (1 - j) / (j - 1) - 0.5 * N ** (-j) + j * N ** (-j - 1) / 12.0 \

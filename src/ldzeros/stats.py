@@ -22,12 +22,12 @@ from .lfunc import LEngine
 from .primes import prime_power_table, prime_sieve
 from .randmodel import default_cutoff, mc_values_cached, v_norm
 from .selberg import SigmaYD, sigma_y_d
-from .zeros import ZeroRecord, count_real_zeros, hypothesis_ld_check, make_region_scanner
+from .zeros import ZeroRecord, count_real_zeros, hypothesis_ld_check
 
-# y = exp(c V_z log(log x / V_z)): c = 20 for distribution experiments, 10 for
-# moment-bound experiments (both appear in the source material; parametrized).
+# y = exp(c V_z log(log x / V_z)) with c = 20, the distribution experiments'
+# constant; central_moments takes y = x^(4/nu) instead
 MEMBERSHIP_C_DISTRIBUTION = 20.0
-MEMBERSHIP_C_MOMENTS = 10.0
+# half-height of the membership rectangle scans (RunConfig.scan_height_cap)
 DEFAULT_SCAN_HEIGHT_CAP = 10.0
 MC_TAIL_TOL_FACTOR = 1e-4
 
@@ -68,21 +68,18 @@ class LargeSieveReport:
     in_lemma_range: bool
 
 
-def large_sieve_check(family: Family, a, y_lo: float, z_hi: float, k: int,
-                      strict_range: bool = False) -> LargeSieveReport:
+def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
+                      k: int) -> LargeSieveReport:
     """Moment of the prime-power sum against its explicit-constant envelope.
 
     a maps n -> coefficient with |a(n)| <= 1 (dict or callable). The stated
     admissible range k <= log x / (10 log z) is unreachable at desk scale, so
-    by default it is reported, not enforced.
+    it is reported (in_lemma_range), not enforced.
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
     coeff = a if callable(a) else (lambda n: a.get(n, 0.0))
     in_range = k <= math.log(family.x) / (10.0 * math.log(z_hi))
-    if strict_range and not in_range:
-        raise DomainError(f"k={k} outside log x/(10 log z) = "
-                          f"{math.log(family.x) / (10 * math.log(z_hi)):.3f}")
     pp, lam = prime_power_table(int(math.floor(z_hi)))
     keep = pp >= y_lo
     pp, lam = pp[keep], lam[keep]
@@ -119,12 +116,10 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float, k: int,
 class EmpiricalDistribution:
     x: float
     z: float
-    v_z: float
     y: float
     values: np.ndarray                      # sorted, one per included d
     included: list[int] = field(default_factory=list)
     excluded: list[tuple[int, str]] = field(default_factory=list)
-    sigma_results: dict[int, SigmaYD] = field(default_factory=dict)
 
 
 def membership_y(x: float, z: float, c: float = MEMBERSHIP_C_DISTRIBUTION) -> float:
@@ -132,37 +127,35 @@ def membership_y(x: float, z: float, c: float = MEMBERSHIP_C_DISTRIBUTION) -> fl
     return math.exp(c * vz * math.log(math.log(x) / vz))
 
 
-def membership(d: int, y: float, scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
-               eps_target: float = 1e-12) -> tuple[LEngine, SigmaYD]:
+def membership(d: int, y: float, scan_height_cap: float) -> tuple[LEngine, SigmaYD]:
     """The engine of d and its membership certificate: the Selberg abscissa
     sigma_{y,d} at height 0, with its rectangle zero-free windows scanned up
     to scan_height_cap. Callers decide exclusion (sig.attained_by_default)
     and word their own reasons; IndeterminateError propagates."""
-    eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
-    scanner = make_region_scanner(eng, scan_height_cap=scan_height_cap)
-    return eng, sigma_y_d(d, y, 0.0, scanner)
+    eng = LEngine(d, t_cap=12.0)
+    return eng, sigma_y_d(eng, y, 0.0, scan_height_cap)
 
 
-def _membership_worker(args) -> tuple[int, str | None, float | None, SigmaYD | None]:
+def _membership_worker(args) -> tuple[int, str | None, float | None]:
     """Per-d membership certificate plus the normalized value (pool-safe)."""
-    d, z, y, scan_height_cap, eps_target = args
+    d, z, y, scan_height_cap = args
     try:
-        eng, sig = membership(d, y, scan_height_cap, eps_target)
+        eng, sig = membership(d, y, scan_height_cap)
         if not sig.attained_by_default:
-            return d, f"sigma above default: {sig.value:.6f}", None, sig
+            return d, f"sigma above default: {sig.value:.6f}", None
         if z < sig.value - 1e-12:
-            return d, f"z below sigma_y_d = {sig.value:.6f}", None, sig
-        return d, None, eng.log_deriv_fast(z) / v_norm(z), sig
+            return d, f"z below sigma_y_d = {sig.value:.6f}", None
+        return d, None, eng.log_deriv_fast(z) / v_norm(z)
     except IndeterminateError as exc:
-        return d, f"indeterminate: {exc}", None, None
+        return d, f"indeterminate: {exc}", None
 
 
 def empirical_distribution(family: Family, z: float, members=None,
                            scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
-                           membership_c: float = MEMBERSHIP_C_DISTRIBUTION,
-                           eps_target: float = 1e-12, mapper=map) -> EmpiricalDistribution:
+                           mapper=map) -> EmpiricalDistribution:
     """Ld(z)/V_z over family members certified to carry the default Selberg
-    abscissa at y = exp(c V_z log(log x / V_z)); exclusions carry reasons.
+    abscissa at y = exp(c V_z log(log x / V_z)), c = MEMBERSHIP_C_DISTRIBUTION;
+    exclusions carry reasons.
 
     members, if given, are the d to use (default: all of D(x)). mapper may be
     a multiprocessing map; results are canonicalized by d, so output does not
@@ -172,16 +165,13 @@ def empirical_distribution(family: Family, z: float, members=None,
     nu_floor = 0.5 + math.log(math.log(x)) / math.log(x)
     if not (nu_floor - 1e-12 <= z <= 1.0):
         raise DomainError(f"z={z} outside [1/2 + loglog x/log x, 1] = [{nu_floor:.4f}, 1]")
-    y = membership_y(x, z, membership_c)
-    vz = v_norm(z)
-    out = EmpiricalDistribution(x=x, z=z, v_z=vz, y=y, values=np.array([]))
+    y = membership_y(x, z)
+    out = EmpiricalDistribution(x=x, z=z, y=y, values=np.array([]))
     ds = (8 * family.m).tolist() if members is None else members
-    args = [(d, z, y, scan_height_cap, eps_target) for d in ds]
+    args = [(d, z, y, scan_height_cap) for d in ds]
     results = sorted(mapper(_membership_worker, args), key=lambda r: r[0])
     vals = []
-    for d, reason, value, sig in results:
-        if sig is not None:
-            out.sigma_results[d] = sig
+    for d, reason, value in results:
         if reason is not None:
             out.excluded.append((d, reason))
         else:
@@ -216,7 +206,6 @@ def theory_bound(x: float, z: float) -> float:
 class DiscrepancyReport:
     x: float
     z: float
-    v_z: float
     n_family: int
     n_mc: int
     prime_cutoff: int
@@ -243,7 +232,7 @@ def discrepancy(family: Family, z: float, mc_samples: int, seed: int,
     draws = mc_values_cached(z, cutoff, seed=seed, n_draws=mc_samples) / v_norm(z)
     d_stat = ks_two_sample(emp.values, draws)
     bound = theory_bound(family.x, z)
-    return DiscrepancyReport(x=family.x, z=z, v_z=v_norm(z), n_family=len(emp.values),
+    return DiscrepancyReport(x=family.x, z=z, n_family=len(emp.values),
                              n_mc=mc_samples, prime_cutoff=cutoff, d_stat=d_stat,
                              bound=bound, ratio=d_stat / bound, excluded=emp.excluded,
                              family_values=emp.values, mc_values=np.sort(draws))

@@ -50,6 +50,12 @@ INTEGER_GATE = 0.1
 SAMPLER_RATIO = 0.72       # target-circle radius over sampling-circle radius
 CENTER_FLOOR = 1e-9        # conditioning floor for the Jensen center value
 JENSEN_NODES = 1024        # sampling-circle nodes behind the Jensen maximum
+JENSEN_RING = 512          # outer-circle points whose largest |L'/L| is M_jd
+COVER_GRID = 10**4         # points of the interval that covers_grid checks
+RECT_MAX_DEPTH = 26        # boundary refinement rounds of rect_zero_count
+LOCATE_RESOLUTION = 1e-3   # box size at which locate_zeros_in_box stops
+REFINE_TOL = 1e-9          # bracket width of a real zero of L'
+GAMMA_REFINE_TOL = 1e-8    # bracket width of gamma_min
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +75,9 @@ class CircleCover:
     def interval(self) -> tuple[float, float]:
         return 0.5 + self.nu / math.log(self.x), 1.0
 
-    def covers_grid(self, n_points: int = 10**4) -> bool:
+    def covers_grid(self) -> bool:
         lo, hi = self.interval()
-        t = np.linspace(lo, hi, n_points)
+        t = np.linspace(lo, hi, COVER_GRID)
         dist = np.abs(t[None, :] - self.centers[:, None])
         return bool(np.all(np.min(dist - self.radii[:, None], axis=0) <= 1e-12))
 
@@ -95,7 +101,10 @@ def build_cover(x: float, nu: float) -> CircleCover:
         raise DomainError(f"cover is empty at x={x}, nu={nu_eff} (J={J})")
     # single correctly-rounded division each, so z_1 = 5/6, r_1 = 1/6,
     # R_1 = 5/24 hold bit-exactly
-    q = 3.0 ** np.arange(1, J + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        q = 3.0 ** np.arange(1, J + 1, dtype=np.float64)
+    if not np.isfinite(q[-1]):
+        raise DomainError(f"nu={nu_eff} needs J={J} circles, and 3^J overflows a double")
     cover = CircleCover(x=float(x), nu=float(nu_eff), clamped=clamped, J=J,
                         centers=(0.5 * q + 1.0) / q, radii=0.5 / q,
                         outer_radii=0.625 / q)
@@ -185,7 +194,7 @@ def _winding_from_samples(vals: np.ndarray) -> float:
 
 
 def contour_zero_count(engine: LEngine, center: complex, radius: float,
-                       f_selector: str = "L") -> ContourCount:
+                       f_selector: str) -> ContourCount:
     """Zeros of f in {L, L'} strictly inside |z - center| <= radius.
 
     Trapezoid rule on f'/f with node doubling from TRAPEZOID_START_NODES until
@@ -216,7 +225,7 @@ def _contour_count(engine: LEngine, center: complex, radius: float,
         f = sampler.eval(ring, order=order)
         fp = sampler.eval(ring, order=order + 1)
         scale = float(np.median(np.abs(f))) + 1e-300
-        margin = 10.0 * (engine.fast_rel_err or 1e-11) * scale
+        margin = 10.0 * engine.fast_rel_err * scale
         min_mod = float(np.min(np.abs(f)))
         if min_mod < margin:
             raise ContourProximityError(
@@ -269,7 +278,7 @@ class RectCount:
 
 
 def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
-                    im_lo: float, im_hi: float, max_depth: int = 26) -> RectCount:
+                    im_lo: float, im_hi: float) -> RectCount:
     """Zeros of L inside an axis-aligned box, by adaptive phase winding of L
     along the boundary. Indeterminate when the boundary grazes a zero."""
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -288,7 +297,7 @@ def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
     vals = engine.l_fast(z)
     total_nodes = len(z)
 
-    for _ in range(max_depth):
+    for _ in range(RECT_MAX_DEPTH):
         ratios = np.roll(vals, -1) / vals
         dphi = np.angle(ratios)
         bad = np.abs(dphi) > 1.2
@@ -306,7 +315,7 @@ def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
         raise ContourProximityError("rectangle boundary refinement did not settle")
 
     scale = float(np.median(np.abs(vals))) + 1e-300
-    margin = 20.0 * (engine.fast_rel_err or 1e-11) * scale
+    margin = 20.0 * engine.fast_rel_err * scale
     min_mod = float(np.min(np.abs(vals)))
     if min_mod < margin:
         raise ContourProximityError(
@@ -320,23 +329,11 @@ def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
                      min_modulus=min_mod, box=(re_lo, re_hi, im_lo, im_hi))
 
 
-@dataclass(frozen=True)
-class RegionScan:
-    """Zero-free certificate for a box, possibly height-clipped."""
-
-    count: int
-    certified: bool
-    box: tuple[float, float, float, float]
-    clipped: bool
-    requested_height: float
-    witnesses: tuple[tuple[float, float, float, float], ...] = ()
-
-
-def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo, im_hi,
-                        resolution: float = 1e-3) -> list[tuple[float, float, float, float]]:
-    """Localize the zeros of a counted box by recursive bisection, down to the
-    given box resolution. Sub-boxes whose boundary grazes a zero are kept as
-    unresolved witnesses rather than dropped."""
+def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo,
+                        im_hi) -> list[tuple[float, float, float, float]]:
+    """Localize the zeros of a counted box by recursive bisection, down to
+    boxes of size LOCATE_RESOLUTION. Sub-boxes whose boundary grazes a zero
+    are kept as unresolved witnesses rather than dropped."""
     boxes = [(re_lo, re_hi, im_lo, im_hi,
               rect_zero_count(engine, re_lo, re_hi, im_lo, im_hi).count)]
     out = []
@@ -344,7 +341,7 @@ def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo, im_hi,
         a, b, c, d, n = boxes.pop()
         if n == 0:
             continue
-        if max(b - a, d - c) <= resolution:
+        if max(b - a, d - c) <= LOCATE_RESOLUTION:
             out.append((a, b, c, d))
             continue
         if b - a >= d - c:
@@ -362,27 +359,6 @@ def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo, im_hi,
             if cnt:
                 boxes.append((*box, cnt))
     return out
-
-
-def make_region_scanner(engine: LEngine, scan_height_cap: float = 10.0):
-    """Scanner closure for zero-free-region certification (selberg.sigma_y_d).
-
-    The requested region may extend to heights far beyond anything scannable;
-    the certificate covers the box clipped to the cap and says so.
-    """
-
-    def scan(re_lo: float, re_hi: float, t_center: float, half_height: float) -> RegionScan:
-        clipped = half_height > scan_height_cap
-        hh = min(half_height, scan_height_cap)
-        box = (re_lo, re_hi, t_center - hh, t_center + hh)
-        rc = rect_zero_count(engine, *box)
-        witnesses: tuple = ()
-        if rc.count:
-            witnesses = tuple(locate_zeros_in_box(engine, *box))
-        return RegionScan(count=rc.count, certified=True, box=box, clipped=clipped,
-                          requested_height=half_height, witnesses=witnesses)
-
-    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +382,6 @@ class ZeroRecord:
     zeros: list[ZeroCertificate] = field(default_factory=list)
     suspects: list[dict] = field(default_factory=list)
     method: str = "grid-bisection"
-    l_floor_hits: list[float] = field(default_factory=list)
 
     def verify(self) -> bool:
         ok = len(self.zeros) == self.count
@@ -427,15 +402,14 @@ def _fast_lprime_grid(engine: LEngine, grid: np.ndarray) -> np.ndarray:
     return vals.imag / COMPLEX_STEP_H
 
 
-def _certify_bracket(engine: LEngine, lo: float, hi: float,
-                     refine_tol: float) -> ZeroCertificate | None:
+def _certify_bracket(engine: LEngine, lo: float, hi: float) -> ZeroCertificate | None:
     """Bisect a sign-change bracket of L' on the fast path, then certify the
     final bracket with precise-path endpoint margins."""
     flo = float(_fast_lprime_grid(engine, np.array([lo]))[0])
     fhi = float(_fast_lprime_grid(engine, np.array([hi]))[0])
     if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
         return None
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         fm = float(_fast_lprime_grid(engine, np.array([mid]))[0])
         if fm == 0.0:
@@ -462,8 +436,7 @@ def _certify_bracket(engine: LEngine, lo: float, hi: float,
 
 
 def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
-                     grid_step: float | None = None,
-                     refine_tol: float = 1e-9) -> ZeroRecord:
+                     grid_step: float | None = None) -> ZeroRecord:
     """Certified count of real zeros of L' on [sigma1, sigma2].
 
     Sign changes on a grid, bisection refinement, suspect escalation to a
@@ -481,14 +454,14 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
     grid = np.linspace(sigma1, sigma2, n + 1)
     vals = _fast_lprime_grid(engine, grid)
     scale = float(np.median(np.abs(vals))) + 1e-300
-    near_zero_tol = max(3.0 * (engine.fast_rel_err or 1e-11) * scale * 50.0, 1e-9 * scale)
+    near_zero_tol = max(3.0 * engine.fast_rel_err * scale * 50.0, 1e-9 * scale)
 
     record = ZeroRecord(d=engine.d, sigma1=sigma1, sigma2=sigma2, count=0)
     for i in range(n):
         a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0 or (fa > 0) != (fb > 0):
-            cert = _certify_bracket(engine, a, b, refine_tol)
+            cert = _certify_bracket(engine, a, b)
             if cert is not None:
                 record.zeros.append(cert)
             else:
@@ -508,7 +481,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
             fdip = float(_fast_lprime_grid(engine, np.array([dip]))[0])
             if (fdip > 0) != (fa > 0):
                 for lo2, hi2 in ((a, dip), (dip, b)):
-                    cert = _certify_bracket(engine, lo2, hi2, refine_tol)
+                    cert = _certify_bracket(engine, lo2, hi2)
                     if cert is not None:
                         record.zeros.append(cert)
                 continue
@@ -524,12 +497,6 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
             except (ContourProximityError, AccuracyError) as exc:
                 record.suspects.append({"interval": (a, b), "reason": f"indeterminate: {exc}",
                                         "at": dip})
-    # flag points where L itself is also tiny (possible multiple zero of L)
-    lvals = np.abs(engine.l_fast(grid.astype(np.complex128)))
-    for c in record.zeros:
-        j = int(np.argmin(np.abs(grid - c.location)))
-        if lvals[j] < 1e-9 * (float(np.median(lvals)) + 1e-300):
-            record.l_floor_hits.append(c.location)
     record.zeros.sort(key=lambda c: c.location)
     record.count = len(record.zeros)
     return record
@@ -545,14 +512,9 @@ class JensenReport:
     bound: float
     m_jd: float
     center_value: float
-    v_j: float
-    m_over_v: float
-    center_over_v: float
-    zeros_of_l_in_outer_disc: int
 
 
-def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int,
-                       m_samples: int = 512) -> JensenReport:
+def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int) -> JensenReport:
     """log(M_jd / |Ld(z_j)|) / log(5/4) for the j-th covering circle.
 
     Pre-check: L has no zeros in |z - z_j| <= (7/4) r_j, so -L'/L is analytic
@@ -573,7 +535,7 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int,
     while sampler.nodes != JENSEN_NODES:
         nodes = 2 * sampler.nodes if sampler.nodes < JENSEN_NODES else sampler.nodes // 2
         sampler = _CircleSampler(engine, complex(zj), sampler.radius, nodes, prev=sampler)
-    theta = 2.0 * math.pi * np.arange(m_samples) / m_samples
+    theta = 2.0 * math.pi * np.arange(JENSEN_RING) / JENSEN_RING
     ring = zj + Rj * np.exp(1j * theta)
     lvals = sampler.eval(ring, order=0)
     lprime = sampler.eval(ring, order=1)
@@ -582,11 +544,8 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int,
     center = abs(ld)
     if center < CENTER_FLOOR:
         raise ContourProximityError(f"|Ld(z_j)| = {center:.3e} below conditioning floor")
-    vj = 1.0 / (zj - 0.5)
     bound = (math.log(m_jd) - math.log(center)) / math.log(1.25)
-    return JensenReport(j=j, bound=bound, m_jd=m_jd, center_value=center, v_j=vj,
-                        m_over_v=m_jd / vj, center_over_v=center / vj,
-                        zeros_of_l_in_outer_disc=0)
+    return JensenReport(j=j, bound=bound, m_jd=m_jd, center_value=center)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +565,7 @@ class GammaMinResult:
 
 
 def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
-              refine_tol: float = 1e-8, offline_check: bool = True) -> GammaMinResult:
+              offline_check: bool = True) -> GammaMinResult:
     """Least height of a sign change of the real function t -> Lambda(1/2 + it).
 
     Under the self-dual functional equation Lambda is real on the critical
@@ -631,7 +590,7 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     i = int(sign_flip[0])
     lo, hi = float(t[i]), float(t[i + 1])
     glo = float(g[i])
-    while hi - lo > refine_tol:
+    while hi - lo > GAMMA_REFINE_TOL:
         mid = 0.5 * (lo + hi)
         gm = float(engine.lambda_fast(np.array([0.5 + 1j * mid]))[0].real)
         if (gm > 0) == (glo > 0):

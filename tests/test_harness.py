@@ -287,8 +287,9 @@ def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, la
     ["moments", "--x", "100", "--k-list", "1,a"],
     ["zeros", "--x", "1e3", "--nu", "abc"],
     ["zeros", "--x", "1e3", "--sigma-min", "abc"],
+    ["rd-stats", "--x-list", "1e3", "--sample", "-3"],
 ], ids=["s-abc", "s-im-abc", "s-three-parts", "s-missing", "x-list-abc", "rd-x-list-abc",
-        "k-list-a", "nu-abc", "sigma-min-abc"])
+        "k-list-a", "nu-abc", "sigma-min-abc", "rd-sample-negative"])
 def test_cli_malformed_argument_is_usage_error_exit_1(capsys, argv):
     # argparse's own exit code 2 is this CLI's "indeterminate"
     with pytest.raises(SystemExit) as exc:
@@ -310,6 +311,44 @@ def test_cli_parses_complex_s_and_lists(monkeypatch, capsys):
     assert seen["x"] == (1000.0, 2000.0)
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("strict", "ture"), ("strict", "on"), ("verify_cache", "on"), ("verify_cache", "2"),
+    ("nu_policy", "garbage"), ("sample_size", "0"), ("sample_size", "-3"),
+    ("mc_samples", "0"), ("seed", "-1"), ("seed", "1.5"), ("eps_target", "0"),
+    ("eps_target", "-1e-12"), ("eps_target", "2"), ("x_list", "1e3,,1e4"), ("x_list", "abc"),
+    ("z", "abc"), ("threads", "two"), ("scan_height_cap", "tall"),
+])
+def test_config_value_parsed_like_its_flag(tmp_path, capsys, field, raw):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{field}={raw}\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"usage error: malformed config value {field}={raw!r}\n"
+    with pytest.raises(errors.DomainError):
+        RunConfig.from_mapping({field: raw})
+    # the field's flag, where one takes a value, rejects the same text
+    offers = [(cmd, flag) for cmd, flag, dest, _ in _OFFERED
+              if dest == field and field not in ("strict", "verify_cache")]
+    if offers:
+        cmd, flag = offers[0]
+        argv = [cmd] + _REQUIRED[cmd] + [flag, raw]
+        argv += [x for c, f, d, r in _OFFERED if c == cmd and r and f != flag for x in (f, "3e3")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"error: argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, raw, want", [
+    ("strict", "true", True), ("strict", "True", True), ("strict", "1", True),
+    ("strict", "yes", True), ("verify_cache", "false", False), ("verify_cache", "0", False),
+    ("verify_cache", "no", False), ("verify_cache", "No", False),
+    ("nu_policy", "auto", "auto"), ("nu_policy", "hyp", "hyp"), ("nu_policy", "1.5", "1.5"),
+])
+def test_config_value_spellings(field, raw, want):
+    value = getattr(RunConfig.from_mapping({field: raw}), field)
+    assert value == want and type(value) is type(want)
+
+
 def test_cli_malformed_or_missing_config_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed=abc\n")
@@ -324,8 +363,10 @@ def test_cli_malformed_or_missing_config_exit_1(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 # the arguments each subcommand requires besides its config-backed flags
+# (moments: the kind that reads --nu, --sample and --seed)
 _REQUIRED = {"family": [], "eval": ["--d", "8", "--s", "0.7"], "zeros": [],
-             "gamma-min": [], "fekete": ["--d", "8"], "discrepancy": [], "moments": [],
+             "gamma-min": [], "fekete": ["--d", "8"], "discrepancy": [],
+             "moments": ["--kind", "central"],
              "rd-stats": [], "report": ["--in", "z.jsonl"], "verify": []}
 # field -> (flag value, the value it must put into RunConfig); none is the default
 _FLAG_VALUES = {"x_list": ("2e3", (2000.0,)), "sample_size": ("9", 9),
@@ -487,3 +528,40 @@ def test_output_check_leaves_files_as_found(tmp_path):
     assert not fresh.exists()
     with pytest.raises(errors.DomainError, match="cannot write"):
         _writable(str(tmp_path))  # a directory
+
+
+# ---------------------------------------------------------------------------
+# moments: each --kind takes only the flags it reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, stray, read", [
+    ("lemma22", ["--nu", "hyp", "--sample", "3", "--seed", "9", "--y-lo", "99", "--z-hi", "7"],
+     ["--y-max", "5"]),
+    ("largesieve", ["--seed", "4", "--y-max", "5"], ["--y-lo", "11", "--z-hi", "30"]),
+    ("central", ["--y-max", "5", "--y-lo", "99", "--z-hi", "7"],
+     ["--nu", "hyp", "--sample", "3", "--seed", "9"]),
+])
+def test_moments_rejects_flags_its_kind_ignores(tmp_path, monkeypatch, capsys, kind, stray, read):
+    base = ["moments", "--x", "2000", "--kind", kind, "--k-list", "1"]
+    monkeypatch.setattr("ldzeros.cli.run_moments", _unreachable)
+    for flag, value in zip(stray[::2], stray[1::2]):
+        assert main(base + [flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: moments --kind {kind} does not read {flag}\n")
+    assert main(base + stray) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: moments --kind {kind} does not read {' '.join(stray[::2])}\n")
+    # the flags the kind reads reach the driver
+    seen = {}
+    monkeypatch.setattr("ldzeros.cli.run_moments",
+                        lambda config, kind, **kw: seen.update(config=config, **kw) or [])
+    assert main(base + read) == 0
+    assert seen["k_list"] == (1,)
+    assert {k: v for k, v in seen.items() if k in ("y_max", "y_lo", "z_hi")} == {
+        "lemma22": {"y_max": 5}, "largesieve": {"y_lo": 11.0, "z_hi": 30.0},
+        "central": {}}[kind]
+    # a config-file value is not a given flag: one file serves every subcommand
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nu_policy=hyp\nsample_size=3\nseed=9\n")
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert (seen["config"].nu_policy, seen["config"].sample_size) == ("hyp", 3)

@@ -195,11 +195,6 @@ def test_log_deriv_near_zero_raises():
 # engine contracts
 # ---------------------------------------------------------------------------
 
-def test_n_trunc_invariant_enforced():
-    with pytest.raises(ResourceError):
-        LEngine(104, eps_target=1e-12, n_trunc=5)
-
-
 def test_strip_enforced(eng8):
     with pytest.raises(DomainError):
         eng8.lambda_value(2.5)

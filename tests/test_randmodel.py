@@ -8,7 +8,6 @@ import pytest
 from ldzeros.errors import DomainError, TruncationError
 from ldzeros.primes import prime_sieve
 from ldzeros.randmodel import (
-    DEFAULT_TAIL_TOL_FACTOR,
     _G1,
     _SH11,
     _mix,
@@ -82,6 +81,9 @@ class RandSeries:
     value: float
     tail_bound: float  # bound on the absolutely convergent omitted part
     tail_std: float    # std bound on the omitted mean-zero part
+
+
+DEFAULT_TAIL_TOL_FACTOR = 1e-6  # sample_l_rand's default tail tolerance is this times V_z
 
 
 def sample_l_rand(z: float, prime_cutoff: int, assignment: RandomAssignment,

@@ -12,7 +12,6 @@ from ldzeros.selberg import (
     sigma_y_d,
     weight,
 )
-from ldzeros.zeros import make_region_scanner
 
 
 def poly_tail_bound_abs_convergent(y: float, s: float) -> float:
@@ -115,7 +114,7 @@ def test_poly_budget_enforced():
 
 def test_sigma_small_y_vacuous_window():
     # 2/log y > 1/2 for y = 10: no zero can intrude; no scan required
-    res = sigma_y_d(8, 10.0, 0.0, zero_scanner=None)
+    res = sigma_y_d(LEngine(8), 10.0, 0.0, scan_height_cap=8.0)
     assert res.attained_by_default
     assert res.value == pytest.approx(0.5 + 4.0 / math.log(10.0))
     assert res.scan is None
@@ -123,8 +122,7 @@ def test_sigma_small_y_vacuous_window():
 
 def test_sigma_default_with_scan():
     eng = LEngine(8, t_cap=12.0)
-    scanner = make_region_scanner(eng, scan_height_cap=8.0)
-    res = sigma_y_d(8, 100.0, 0.0, scanner)
+    res = sigma_y_d(eng, 100.0, 0.0, 8.0)
     assert res.attained_by_default
     assert res.value == pytest.approx(0.5 + 4.0 / math.log(100.0))
     assert res.scan is not None and res.scan.count == 0
@@ -133,9 +131,8 @@ def test_sigma_default_with_scan():
 
 def test_sigma_floor_invariant():
     eng = LEngine(104, t_cap=12.0)
-    scanner = make_region_scanner(eng, scan_height_cap=8.0)
     for y in (40.0, 400.0):
-        res = sigma_y_d(104, y, 0.0, scanner)
+        res = sigma_y_d(eng, y, 0.0, 8.0)
         assert res.value >= 0.5 + 4.0 / math.log(y) - 1e-15
 
 
@@ -147,8 +144,7 @@ def test_sigma_membership_fraction_small_family():
     ok = 0
     for d in (8 * fam.m).tolist():
         eng = LEngine(d, t_cap=12.0)
-        scanner = make_region_scanner(eng, scan_height_cap=6.0)
-        if sigma_y_d(d, y, 0.0, scanner).attained_by_default:
+        if sigma_y_d(eng, y, 0.0, 6.0).attained_by_default:
             ok += 1
     assert ok == len(fam)
 
@@ -160,7 +156,7 @@ def test_sigma_membership_fraction_small_family():
 def test_approx_check_deep_convergence():
     eng = LEngine(8)
     y = 100.0
-    sig = sigma_y_d(8, y, 0.0, make_region_scanner(eng, scan_height_cap=6.0))
+    sig = sigma_y_d(eng, y, 0.0, 6.0)
     rep = approx_check(eng, y, 2.0, sig)
     assert rep.abs_error <= poly_tail_bound_abs_convergent(y, 2.0)
     assert math.isfinite(rep.ratio)
@@ -169,7 +165,7 @@ def test_approx_check_deep_convergence():
 def test_approx_check_at_sigma():
     eng = LEngine(8, t_cap=12.0)
     y = 100.0
-    sig = sigma_y_d(8, y, 0.0, make_region_scanner(eng, scan_height_cap=6.0))
+    sig = sigma_y_d(eng, y, 0.0, 6.0)
     rep = approx_check(eng, y, sig.value, sig)
     assert rep.ratio <= 10.0
 
@@ -177,7 +173,7 @@ def test_approx_check_at_sigma():
 def test_approx_check_requires_s_above_sigma():
     eng = LEngine(8, t_cap=12.0)
     y = 100.0
-    sig = sigma_y_d(8, y, 0.0, make_region_scanner(eng, scan_height_cap=6.0))
+    sig = sigma_y_d(eng, y, 0.0, 6.0)
     with pytest.raises(DomainError):
         approx_check(eng, y, 0.6, sig)
 
@@ -194,7 +190,7 @@ def test_approx_error_shrinks_with_y_on_average():
         tot = 0.0
         for d in (8 * fam.m).tolist():
             eng = LEngine(d, t_cap=12.0)
-            sig = sigma_y_d(d, y, 0.0, make_region_scanner(eng, scan_height_cap=6.0))
+            sig = sigma_y_d(eng, y, 0.0, 6.0)
             rep = approx_check(eng, y, s, sig)
             tot += rep.abs_error
         errs[y] = tot / len(fam)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ldzeros.errors import DomainError
+from ldzeros import zeros
+from ldzeros.errors import DomainError, IndeterminateError
 from ldzeros.lfunc import LEngine
 from ldzeros.zeros import (
     JENSEN_NODES,
@@ -166,6 +168,21 @@ def test_contour_chain_on_chord(eng40008):
     jb = jensen_upper_bound(eng40008, cov, 1)
     assert jb.bound >= cc.count
     assert math.isclose(math.log(cov.outer_radii[0] / cov.radii[0]), math.log(1.25))
+
+
+def test_jensen_refuses_a_disc_holding_a_zero_of_l(eng40008, monkeypatch):
+    # Under GRH no zero of L lies in the pre-check disc, (7/8) 3^-j < z_j - 1/2,
+    # so the pre-check is made to report one: the bound must not be given
+    real = zeros._contour_count
+
+    def one_zero(*args, **kwargs):
+        count, sampler = real(*args, **kwargs)
+        return dataclasses.replace(count, count=1), sampler
+
+    monkeypatch.setattr(zeros, "_contour_count", one_zero)
+    cov = build_cover(1e4, math.log(math.log(1e4)))
+    with pytest.raises(IndeterminateError, match="Jensen bound not applicable"):
+        jensen_upper_bound(eng40008, cov, 1)
 
 
 # ---------------------------------------------------------------------------
