@@ -13,7 +13,10 @@ Two evaluation paths, one contract:
   error estimate (truncation tail plus first-order rounding). Both G-term
   families obey |term| <= (d/pi) n^{-2} e^{-pi n^2/d}, which is what the
   tail bound sums. All arithmetic is complex, so a complex step s + ih
-  differentiates the whole pipeline exactly (h = 1e-20).
+  differentiates the whole pipeline exactly (h = 1e-20). Both halves of a
+  row, s/2 and (1-s)/2, go through one upper_gamma call; each lane's value
+  depends only on its own (a, x), so a point's value does not depend on
+  the batch it is evaluated in.
 
 * The *fast* path integrates t^{s/2} against the theta sum
   omega(t) = sum chi_d(n) exp(-pi n^2 t / d) on [1, infinity); omega is
@@ -24,6 +27,11 @@ Two evaluation paths, one contract:
   The theta sum exponentiates only terms above the normal-number floor
   exp(-708) and sets the rest to 0: they cannot change omega by a bit, and
   as subnormals they would send exp and the product down their slow paths.
+  A term falls with n and with t, so the live terms form a band: the
+  (n_theta x nodes) matrix is filled in cache-sized row blocks, each over
+  the columns its first row keeps live, with the same element expressions
+  as a full-shape fill, and omega is the unchanged full-shape product, so
+  its bits do not depend on the banding.
   Points are evaluated in row blocks through two reused, cache-sized
   buffers; each value is the bits of the unblocked (points x nodes) product.
 
@@ -83,7 +91,7 @@ class LEngine:
     Parameters
     ----------
     d : family discriminant (8m), positive
-    eps_target : absolute accuracy goal for Lambda on the strip
+    eps_target : absolute accuracy goal for Lambda on the strip, in (0, 1)
     t_cap : largest |Im s| this engine will be asked for; sets the fast-path
         quadrature density
 
@@ -94,6 +102,9 @@ class LEngine:
     def __init__(self, d: int, eps_target: float = 1e-12, t_cap: float = 12.0):
         # both paths assume chi_d primitive of conductor d: m = d/8 odd squarefree
         FundamentalDiscriminant(int(d), int(d) // 8)
+        if not 0.0 < eps_target < 1.0 or math.isinf(1.0 / eps_target):  # nan fails too
+            raise DomainError(f"eps_target={eps_target} outside (0, 1), or so small that "
+                              "1/eps_target overflows")
         self.d = int(d)
         self.eps_target = float(eps_target)
         self.t_cap = float(t_cap)
@@ -130,14 +141,15 @@ class LEngine:
         self._check_strip(s)
         out = np.empty(s.shape, dtype=np.complex128)
         err = np.empty(s.shape, dtype=np.float64)
-        rows = max(1, int(3.0e6 // max(1, self.n_trunc)))
+        # both halves of a row go through one upper_gamma call of at most 3e6
+        # lanes; each lane's value is independent of the batch it rides in
+        rows = max(1, int(1.5e6 // max(1, self.n_trunc)))
         for i in range(0, s.size, rows):
             sb = s[i: i + rows, None]
-            g1 = upper_gamma(sb / 2.0, self._x[None, :])
-            g2 = upper_gamma((1.0 - sb) / 2.0, self._x[None, :])
-            t1 = np.exp((sb / 2.0) * self._log_d_pi - sb * self._logn[None, :]) * g1
-            t2 = np.exp(((1.0 - sb) / 2.0) * self._log_d_pi
-                        - (1.0 - sb) * self._logn[None, :]) * g2
+            a1, a2 = sb / 2.0, (1.0 - sb) / 2.0
+            g1, g2 = np.split(upper_gamma(np.concatenate([a1, a2]), self._x[None, :]), 2)
+            t1 = np.exp(a1 * self._log_d_pi - sb * self._logn[None, :]) * g1
+            t2 = np.exp(a2 * self._log_d_pi - (1.0 - sb) * self._logn[None, :]) * g2
             mag = np.abs(t1) + np.abs(t2)
             out[i: i + rows] = ((t1 + t2) * self._chi[None, :]).sum(axis=1)
             err[i: i + rows] = self._tail + ROUND_REL * mag.sum(axis=1)
@@ -229,10 +241,23 @@ class LEngine:
         n = np.arange(1, n_theta + 1, dtype=np.float64)
         tail = chi_values(self.d, np.arange(self.n_trunc + 1, n_theta + 1, dtype=np.int64))
         chi = np.concatenate([self._chi[:n_theta], tail.astype(np.float64)])
-        expo = -math.pi * np.outer(n**2, t) / self.d
-        live = expo > EXP_NORMAL_FLOOR
-        np.exp(expo, out=expo, where=live)
-        expo[~live] = 0.0
+        # banded fill: a term falls with n and with t, so a row block's live
+        # columns end where its first row's do, and once a first row has no
+        # live column neither has any row after it
+        n2 = n**2
+        expo = np.zeros((n_theta, t.size))
+        rows = max(1, _FAST_BLOCK_BYTES // (8 * t.size))
+        for r0 in range(0, n_theta, rows):
+            cols = np.flatnonzero(-math.pi * (n2[r0] * t) / self.d > EXP_NORMAL_FLOOR)
+            if cols.size == 0:
+                break
+            blk = expo[r0: r0 + rows, : cols[-1] + 1]
+            np.multiply.outer(n2[r0: r0 + rows], t[: cols[-1] + 1], out=blk)
+            blk *= -math.pi
+            blk /= self.d
+            live = blk > EXP_NORMAL_FLOOR
+            np.exp(blk, out=blk, where=live)
+            blk[~live] = 0.0
         self._theta = (u, w * (chi @ expo))
         # cross-validate against the precise path
         probes = np.array([0.62, 0.93 + 0.6j * min(self.t_cap, 10.0),

@@ -15,6 +15,19 @@ Gamma(a, x) uses three regimes on real x > 0:
   2. 4 <= x < |a| + 2:  lower-gamma power series plus Gamma(a) - gamma(a,x);
      only reached for |a| > 2, where the subtraction is benign.
   3. x >= |a| + 2:  modified Lentz continued fraction.
+
+Each lane stops at its own convergence: the continued fraction once its own
+step |Delta - 1| falls under 1e-15, the lower series once its own term falls
+under 1e-17 of its sum, and the alternating series after a term count set by
+its x, from a geometric majorant of the tail (_alt_x_bounds; all 59 terms
+when Re a < -1, where that majorant does not hold). A lane's
+bits therefore depend only on its own (a, x), never on the batch it rides
+in. Lanes are ordered so that those still iterating are one contiguous
+suffix of the state arrays; a lane that converges inside that suffix keeps
+its value while its neighbours go on. Complex products are taken out of
+place: numpy's in-place complex multiply rounds differently on arrays of
+fewer than four elements, which would tie a lane's bits to the size of the
+suffix it sits in.
 """
 
 from __future__ import annotations
@@ -149,83 +162,127 @@ def _front_quotient(a: np.ndarray, logx: np.ndarray) -> np.ndarray:
         Lfac = L.astype(np.complex128)  # L^{k+1}/(k+1)! running value
         for k in range(0, 29):
             acc += (c[k + 1] - Lfac) * apow
-            apow *= aa
+            apow = apow * aa
             Lfac *= L / (k + 2)
         out[small] = acc
     return out
 
 
+_ALT_TERMS = 59     # the alternating series' term cap (lanes with Re a < -1 use all of them)
+_SERIES_TOL = 1e-17  # series stop once their tail is this small against a lane's scale
+
+
+@lru_cache(maxsize=1)
+def _alt_x_bounds() -> np.ndarray:
+    """x_K for K = 1.._ALT_TERMS: for 0 < x <= x_K and Re a >= -1, the
+    alternating series summed to K terms has a tail of at most
+    _SERIES_TOL |t_1|, t_1 = -x/(a+1) its first term.
+
+    For k > K, |a+k| >= |a+1| (Re a >= -1), so |t_k| <= |t_1| x^(k-1)/k!, and
+    the ratio of consecutive bounds is x/(k+1) <= x/(K+2). The tail is then
+    at most |t_1| g_K(x), g_K(x) = x^K / ((K+1)! (1 - x/(K+2))), which rises
+    with x on (0, K+2). x_K solves g_K(x) = _SERIES_TOL by fixed-point
+    iteration on x = ((K+1)! _SERIES_TOL (1 - x/(K+2)))^(1/K), a contraction
+    there, and is shaded down by 1e-9 so that rounding cannot leave it above
+    the root.
+    """
+    k = np.arange(1, _ALT_TERMS + 1)
+    c = math.log(_SERIES_TOL) + np.array([math.lgamma(j + 2) for j in k])
+    x = np.exp(c / k)
+    for _ in range(30):
+        x = np.exp((c + np.log1p(-x / (k + 2))) / k)
+    return x * (1.0 - 1e-9)
+
+
 def _upper_gamma_series_alt(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # each lane sums its own term count; lanes by rising count, so the lanes
+    # still summing term k are the suffix [lo:]
+    terms = np.minimum(np.searchsorted(_alt_x_bounds(), x) + 1, _ALT_TERMS)
+    terms[a.real < -1.0] = _ALT_TERMS
+    order = np.argsort(terms, kind="stable")
+    a, x, terms = a[order], x[order], terms[order]
     logx = np.log(x).astype(np.complex128)
     front = _front_quotient(a, logx)
     term = np.ones_like(a)
     s = np.zeros_like(a)
-    for k in range(1, 60):
-        term *= (-x) / k
-        s += term / (a + k)
-    return front - np.exp(a * logx) * s
+    for k in range(1, int(terms[-1]) + 1):
+        lo = np.searchsorted(terms, k)
+        tv = term[lo:]
+        tv *= (-x[lo:]) / k
+        s[lo:] += tv / (a[lo:] + k)
+    out = np.empty_like(a)
+    out[order] = front - np.exp(a * logx) * s
+    return out
 
 
 def _upper_gamma_series_lower(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # lanes by rising x, which converge first: the lanes still summing are the
+    # suffix [lo:], and a lane that converges inside it keeps its sum
+    order = np.argsort(x, kind="stable")
+    a, x = a[order], x[order]
     term = 1.0 / a
     s = term.copy()
+    done = np.zeros(a.shape, dtype=bool)
+    lo = 0
     for k in range(1, 400):
-        term *= x / (a + k)
-        s += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(s)):
+        tv, sv, dv = term[lo:], s[lo:], done[lo:]
+        tv[...] = tv * (x[lo:] / (a[lo:] + k))
+        np.add(sv, tv, out=sv, where=~dv)
+        dv |= np.abs(tv) <= _SERIES_TOL * np.abs(sv)
+        if dv.all():
             break
+        lo += int(np.argmin(dv))
     else:
         raise AccuracyError("lower-gamma series did not converge")
-    return gamma(a) - np.exp(a * np.log(x).astype(np.complex128) - x) * s
+    out = np.empty_like(a)
+    out[order] = gamma(a) - np.exp(a * np.log(x).astype(np.complex128) - x) * s
+    return out
 
 
 def _upper_gamma_lentz(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     # The fraction's leading coefficients -i(i - a) vanish when a sits on a
     # positive integer, which freezes the Lentz iteration before tiny complex
     # perturbations of a (complex-step differentiation) have converged. Shift
-    # such lanes down and climb back with Gamma(a+1,x) = a Gamma(a,x) + x^a e^-x.
+    # such lanes down (to within 1e-6 of 0, far from i >= 1) and climb back
+    # with Gamma(a+1,x) = a Gamma(a,x) + x^a e^-x.
     near_int = np.round(a.real)
-    deg = (near_int >= 1.0) & (np.abs(a - near_int) < 1e-6)
-    if deg.any():
-        out = np.empty_like(a)
-        out[~deg] = _upper_gamma_lentz_core(a[~deg], x[~deg])
-        ad = a[deg] - near_int[deg]  # now within 1e-6 of 0, far from i >= 1
-        xd = x[deg]
-        val = _upper_gamma_lentz_core(ad, xd)
-        shifts = int(np.max(near_int[deg]))
-        done = np.zeros(ad.shape, dtype=bool)
-        for _ in range(shifts):
-            todo = ~done
-            val[todo] = ad[todo] * val[todo] + np.exp(
-                ad[todo] * np.log(xd[todo]).astype(np.complex128) - xd[todo])
-            ad[todo] = ad[todo] + 1.0
-            done = np.abs(a[deg] - ad) < 0.5
-        out[deg] = val
-        return out
-    return _upper_gamma_lentz_core(a, x)
-
-
-def _upper_gamma_lentz_core(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    shift = np.where((near_int >= 1.0) & (np.abs(a - near_int) < 1e-6), near_int, 0.0)
+    # lanes by falling x, which converge first: the lanes still iterating are
+    # the suffix [lo:], and a lane that converges inside it keeps its f
+    order = np.argsort(-x, kind="stable")
+    a, x, shift = a[order] - shift[order], x[order], shift[order]
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(a, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
     f = d.copy()
+    done = np.zeros(a.shape, dtype=bool)
+    lo = 0
     for i in range(1, 600):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = b + an * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
+        bv, cv, dv, fv, done_v = b[lo:], c[lo:], d[lo:], f[lo:], done[lo:]
+        an = -i * (i - a[lo:])
+        bv += 2.0
+        t = bv + an * dv
+        dv[...] = 1.0 / np.where(np.abs(t) < tiny, tiny, t)
+        t = bv + an / cv
+        cv[...] = np.where(np.abs(t) < tiny, tiny, t)
+        delta = cv * dv
+        np.copyto(fv, fv * delta, where=~done_v)
+        done_v |= np.abs(delta - 1.0) < 1e-15
+        if done_v.all():
             break
+        lo += int(np.argmin(done_v))
     else:
         raise AccuracyError("incomplete-gamma continued fraction did not converge")
-    return np.exp(a * np.log(x).astype(np.complex128) - x) * f
+    logx = np.log(x).astype(np.complex128)
+    val = np.exp(a * logx - x) * f
+    for k in range(int(shift.max())):
+        up = shift > k
+        val[up] = a[up] * val[up] + np.exp(a[up] * logx[up] - x[up])
+        a[up] = a[up] + 1.0
+    out = np.empty_like(val)
+    out[order] = val
+    return out
 
 
 def upper_gamma(a, x):

@@ -78,11 +78,15 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
+    if not (1.0 < z_hi < math.inf and 0.0 < y_lo <= z_hi):
+        raise DomainError(f"need 0 < y_lo <= z_hi, 1 < z_hi finite; got y_lo={y_lo}, z_hi={z_hi}")
     coeff = a if callable(a) else (lambda n: a.get(n, 0.0))
     in_range = k <= math.log(family.x) / (10.0 * math.log(z_hi))
     pp, lam = prime_power_table(int(math.floor(z_hi)))
     keep = pp >= y_lo
     pp, lam = pp[keep], lam[keep]
+    if pp.size == 0:
+        raise DomainError(f"no prime power in [y_lo, z_hi] = [{y_lo}, {z_hi}]")
     avals = np.array([coeff(int(n)) for n in pp], dtype=np.complex128)
     if np.any(np.abs(avals) > 1.0 + 1e-12):
         raise DomainError("|a(n)| <= 1 violated")
@@ -272,6 +276,8 @@ def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
     k_list = tuple(k_list)
     if any(k < 1 for k in k_list):
         raise DomainError("k must be a positive integer")
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"nu={nu} must be positive and finite")
     x = family.x
     logx = math.log(x)
     llx = math.log(logx)

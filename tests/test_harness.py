@@ -565,3 +565,18 @@ def test_moments_rejects_flags_its_kind_ignores(tmp_path, monkeypatch, capsys, k
     cfg.write_text("nu_policy=hyp\nsample_size=3\nseed=9\n")
     assert main(base + ["--config", str(cfg)]) == 0
     assert (seen["config"].nu_policy, seen["config"].sample_size) == ("hyp", 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "central", "--nu", "0"],
+    ["--kind", "central", "--nu", "-1"],
+    ["--kind", "largesieve", "--z-hi", "1"],
+    ["--kind", "largesieve", "--y-lo", "50", "--z-hi", "30"],
+    ["--kind", "largesieve", "--y-lo", "24", "--z-hi", "24.5"],
+], ids=["nu-0", "nu-negative", "z-hi-1", "range-inverted", "range-empty"])
+def test_moments_rejects_bad_nu_or_range_as_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--x", "2000", "--k-list", "1", "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not out.exists()

@@ -219,6 +219,12 @@ def test_engine_rejects_non_fundamental_discriminant():
     assert LEngine(8).d == 8
 
 
+@pytest.mark.parametrize("eps_target", [0.0, 1e3, float("nan")])
+def test_engine_rejects_eps_target_outside_unit_interval(eps_target):
+    with pytest.raises(DomainError, match="eps_target"):
+        LEngine(104, eps_target=eps_target)
+
+
 def test_strip_checked_at_every_point(eng8):
     inside = np.array([0.6, 0.8 + 3j, 1.1 - 2j])
     for last in (RE_MAX + 0.1, RE_MIN - 0.1, 0.7 + 1j * (eng8.t_cap + 3.0), complex("nan")):
@@ -327,3 +333,36 @@ def test_block_ranges_cover_and_never_go_narrow():
             blocks = block_ranges(n, size)
             assert [a for a, _ in blocks] + [n] == [0] + [b for _, b in blocks]
             assert all(min(n, size // 2) <= b - a <= size + size // 2 for a, b in blocks)
+
+
+def _theta_full_shape(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weighted omega from one full-shape (n_theta x nodes)
+    exponent matrix: the theta build as it was before its banded fill."""
+    c = math.log(1.0 / 1e-15) + 3.0
+    U = math.log(max(d * c / math.pi, 40.0))
+    width = min(0.7, 4.0 * math.pi / max(t_cap, 1.0) / 1.5)
+    panels = max(4, math.ceil(U / width))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, U, panels + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    u = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
+    t = np.exp(u)
+    n_theta = math.ceil(math.sqrt(d * c / math.pi))
+    n = np.arange(1, n_theta + 1, dtype=np.float64)
+    chi = chi_values(d, np.arange(1, n_theta + 1, dtype=np.int64)).astype(np.float64)
+    expo = -math.pi * np.outer(n**2, t) / d
+    live = expo > lfunc.EXP_NORMAL_FLOOR
+    np.exp(expo, out=expo, where=live)
+    expo[~live] = 0.0
+    return u, w * (chi @ expo)
+
+
+@pytest.mark.parametrize("d", [8, 7976, 799960])
+@pytest.mark.parametrize("t_cap", [12.0, 52.0])
+def test_theta_banded_bit_identical_to_full_shape(d, t_cap):
+    eng = LEngine(d, t_cap=t_cap)
+    eng.lambda_fast(np.array([0.7]))
+    for got, want in zip(eng._theta, _theta_full_shape(d, t_cap)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

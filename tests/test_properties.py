@@ -1,6 +1,8 @@
 """Property tests of the family and its boundary check, over random x and m,
-of the circle cover over random x and nu, and of the engine strip over
-random batches (hypothesis; skipped where it is not installed)."""
+of the circle cover over random x and nu, of the engine strip over random
+batches, and of upper_gamma and the precise path, whose lanes and rows are
+the same bits alone as in any batch (hypothesis; skipped where it is not
+installed)."""
 
 import math
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from ldzeros.characters import enumerate_family
 from ldzeros.errors import DomainError
 from ldzeros.lfunc import RE_MAX, RE_MIN, LEngine
+from ldzeros.specialfn import upper_gamma
 from ldzeros.stats import sample_members
 from ldzeros.zeros import build_cover
 from test_characters import squarefree_oracle
@@ -108,3 +111,58 @@ def test_batch_rejected_iff_a_point_leaves_the_strip(method, batch):
     else:
         with np.errstate(all="ignore"):  # l_fast at the gamma pole s = 0 is not a strip error
             evaluate(np.array(batch))
+
+
+def _bits(v) -> list[int]:
+    return np.atleast_1d(np.asarray(v, dtype=np.complex128)).view(np.uint64).tolist()
+
+
+strip_s = st.builds(complex, st.floats(min_value=RE_MIN, max_value=RE_MAX),
+                    st.floats(min_value=-54.0, max_value=54.0))
+gamma_x = st.floats(min_value=0.0, max_value=40.0, exclude_min=True)
+# a = s/2 or (1-s)/2 as lambda_batch makes them, and a within 1e-6 of 1
+# (s near 2, complex steps included), which the Lentz regime shifts down
+gamma_a = st.one_of(
+    strip_s.map(lambda s: s / 2.0),
+    strip_s.map(lambda s: (1.0 - s) / 2.0),
+    st.builds(complex, st.floats(min_value=-1e-6, max_value=1e-6),
+              st.sampled_from([0.0, 1e-20, -1e-20, 3e-7])).map(lambda h: (2.0 + h) / 2.0),
+)
+# one lane of each regime and a shifted one, so that every batch mixes them:
+# alternating series (x < 4), lower series (4 <= x < |a| + 2), Lentz, shift
+REGIME_LANES = [(0.31 + 3.0j, 0.7), (0.1 + 20.0j, 6.0), (0.46 - 0.8j, 25.0),
+                (1.0 + 5e-21j, 9.0)]
+
+
+def test_regime_lanes_cover_every_regime():
+    a = np.array([l[0] for l in REGIME_LANES])
+    x = np.array([l[1] for l in REGIME_LANES])
+    lentz = x >= np.abs(a) + 2.0
+    assert (~lentz & (x < 4.0)).any() and (~lentz & (x >= 4.0)).any()
+    assert (lentz & (np.abs(a - np.round(a.real)) < 1e-6) & (np.round(a.real) >= 1)).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(gamma_a, gamma_x), min_size=1, max_size=12), st.randoms())
+def test_upper_gamma_lane_is_the_same_bits_alone_as_in_a_batch(lanes, rnd):
+    lanes = lanes + REGIME_LANES
+    rnd.shuffle(lanes)
+    a = np.array([l[0] for l in lanes], dtype=np.complex128)
+    x = np.array([l[1] for l in lanes])
+    with np.errstate(all="ignore"):
+        batch = upper_gamma(a, x)
+        alone = [upper_gamma(ai, xi) for ai, xi in zip(a, x)]
+    assert _bits(batch) == _bits(alone)
+
+
+PRECISE_ENGINE = LEngine(7976, t_cap=52.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(strip_s, min_size=1, max_size=5))
+def test_lambda_value_is_its_lambda_batch_row(batch):
+    assume(0j not in batch)  # lambda_value's gamma factor has its pole there
+    lam, err = PRECISE_ENGINE.lambda_batch(np.array(batch))
+    for s, row, row_err in zip(batch, lam, err):
+        v = PRECISE_ENGINE.lambda_value(s)
+        assert _bits(v.lam) == _bits(row) and v.err_est == row_err

@@ -100,6 +100,15 @@ def test_large_sieve_coefficient_bound_enforced(fam2000):
         large_sieve_check(fam2000, lambda n: 2.0, 10.0, 40.0, 1)
 
 
+@pytest.mark.parametrize("y_lo, z_hi", [(10.0, 1.0), (0.5, 0.9), (50.0, 30.0), (24.0, 24.5),
+                                        (0.0, 40.0), (10.0, float("inf")),
+                                        (float("nan"), 40.0)])
+def test_large_sieve_rejects_empty_or_inverted_range(fam2000, y_lo, z_hi):
+    # z_hi = 1 used to divide by log z_hi; [24, 24.5] holds no prime power
+    with pytest.raises(DomainError):
+        large_sieve_check(fam2000, lambda n: 1.0, y_lo, z_hi, 1)
+
+
 # ---------------------------------------------------------------------------
 # two-sample sup distance
 # ---------------------------------------------------------------------------
@@ -249,6 +258,14 @@ def test_central_moments_rejects_k_below_1_before_any_work(fam1000, monkeypatch)
     monkeypatch.setattr("ldzeros.stats.membership", lambda *a, **kw: pytest.fail("reached"))
     with pytest.raises(DomainError):
         central_moments(fam1000, 2.0, (1, 0), 0.7, members=[8 * int(fam1000.m[0])])
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
+def test_central_moments_rejects_nonpositive_nu_before_any_work(fam1000, monkeypatch, nu):
+    # nu = 0 used to divide by zero in y = x^(4/nu); nu < 0 put s left of 1/2
+    monkeypatch.setattr("ldzeros.stats.membership", lambda *a, **kw: pytest.fail("reached"))
+    with pytest.raises(DomainError, match="nu"):
+        central_moments(fam1000, nu, (1,), 0.7, members=[8 * int(fam1000.m[0])])
 
 
 def test_rd_statistics_reproducible():
