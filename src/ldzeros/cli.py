@@ -161,13 +161,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
 
     p = command("zeros", "certified real-zero counts of L'",
-                "--x --nu --sample --seed --eps-target --cache-dir --verify-cache --strict"
-                " --out --config",
+                "--x --nu --sample --seed --threads --eps-target --cache-dir --verify-cache"
+                " --strict --out --config",
                 lambda a, c: run_zeros(c, sigma_min=a.sigma_min))
     p.add_argument("--sigma-min", type=word_or_number("auto"), default="auto", dest="sigma_min")
 
     p = command("gamma-min", "least zero heights over a family sample",
-                "--x --sample --seed --eps-target --cache-dir --verify-cache --out --config",
+                "--x --sample --seed --threads --eps-target --cache-dir --verify-cache --out"
+                " --config",
                 lambda a, c: run_gamma_min(c, t_max=a.t_max))
     p.add_argument("--t-max", type=float, default=50.0, dest="t_max")
 

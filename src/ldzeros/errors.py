@@ -30,6 +30,9 @@ class NearZeroError(RuntimeError):
         super().__init__(message)
         self.magnitude = magnitude
 
+    def __reduce__(self):  # a pool worker's error is pickled to the parent
+        return type(self), (self.args[0], self.magnitude)
+
 
 class IndeterminateError(RuntimeError):
     """A certificate could not be produced; the result is neither true nor false."""
@@ -45,6 +48,9 @@ class TruncationError(RuntimeError):
     def __init__(self, message: str, suggested: int | None = None):
         super().__init__(message)
         self.suggested = suggested
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.suggested)
 
 
 class CacheError(RuntimeError):

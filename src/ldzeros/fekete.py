@@ -75,7 +75,9 @@ def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     column block at a time (columns from _GRID_BLOCK_BYTES), so memory stays
     flat in the grid size, and the values are the unblocked product's bit
     for bit. (For d <= B the product is a BLAS gemv whose last bits on a
-    long grid depend on BLAS's thread split, blocked or not.)
+    long grid depend on BLAS's thread split, blocked or not. Under the
+    package's one-thread BLAS default the grid is reproducible; a caller
+    who sets a BLAS thread count above one gets that split back.)
     """
     ts = np.asarray(ts, dtype=np.float64)
     flat = ts.ravel()

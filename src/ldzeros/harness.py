@@ -21,6 +21,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -41,7 +42,7 @@ from .stats import (
     rd_statistics,
     sample_members,
 )
-from .zeros import build_cover, gamma_min
+from .zeros import build_cover, count_real_zeros, gamma_min
 
 CACHE_ENV_VAR = "LDZEROS_CACHE"
 
@@ -76,7 +77,7 @@ FIELD_PARSERS = {
         float(t) for t in (raw.split(",") if isinstance(raw, str) else raw)), bool),
     "nu_policy": word_or_number("auto", "hyp"),
     "sample_size": _positive_int, "mc_samples": _positive_int,
-    "seed": _checked("non-negative int", int, lambda v: v >= 0), "threads": int,
+    "seed": _checked("non-negative int", int, lambda v: v >= 0), "threads": _positive_int,
     "eps_target": _checked("float in (0, 1)", float, lambda v: 0.0 < v < 1.0),
     "z": float, "scan_height_cap": float, "cache_dir": str, "out": str,
     "strict": _bool, "verify_cache": _bool,
@@ -200,6 +201,8 @@ class ResultStore:
     """Content-addressed JSON artifacts keyed by an explicit string that must
     encode every input affecting the value (parameters plus version tag)."""
 
+    VERIFY_EVERY = 100  # --verify-cache recomputes the hits of 1 key in this many
+
     def __init__(self, root: str | None):
         self.root = root or os.environ.get(CACHE_ENV_VAR) or ""
         self.hits = 0
@@ -213,33 +216,36 @@ class ResultStore:
         h = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.root, h[:2], h + ".json")
 
-    def load_or_compute(self, key: str, producer, verify: bool = False):
+    def lookup(self, key: str):
+        """The stored value of `key` on a hit, else None: no entry, no cache
+        root, or an entry that fails its key or hash check (discarded with a
+        warning). Values are JSON objects, never null."""
         if not self.enabled():
-            return producer()
+            return None
         path = self._path(key)
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    blob = json.load(fh)
-                if blob.get("key") != key:
-                    raise CacheError(f"key mismatch in {path}")
-                stored = blob["value"]
-                sha = hashlib.sha256(_canonical_json(stored).encode()).hexdigest()
-                if sha != blob.get("value_sha"):
-                    raise CacheError(f"hash mismatch in {path}")
-                self.hits += 1
-                if verify and int(hashlib.sha256(key.encode()).hexdigest(), 16) % 100 == 0:
-                    fresh = producer()
-                    self.verified += 1
-                    if _canonical_json(fresh) != _canonical_json(stored):
-                        raise CacheError(f"cache verification failed for {key}")
-                return stored
-            except (CacheError, json.JSONDecodeError, KeyError) as exc:
-                import warnings
+        if not os.path.exists(path):
+            return None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                blob = json.load(fh)
+            if blob.get("key") != key:
+                raise CacheError(f"key mismatch in {path}")
+            stored = blob["value"]
+            sha = hashlib.sha256(_canonical_json(stored).encode()).hexdigest()
+            if sha != blob.get("value_sha"):
+                raise CacheError(f"hash mismatch in {path}")
+        except (CacheError, json.JSONDecodeError, KeyError) as exc:
+            warnings.warn(f"cache entry discarded ({exc}); recomputing")
+            return None
+        self.hits += 1
+        return stored
 
-                warnings.warn(f"cache entry discarded ({exc}); recomputing")
-        value = producer()
+    def store(self, key: str, value) -> None:
+        """Record a freshly computed value of a missed `key`."""
+        if not self.enabled():
+            return
         self.misses += 1
+        path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         blob = {"key": key, "value": value,
                 "value_sha": hashlib.sha256(_canonical_json(value).encode()).hexdigest()}
@@ -247,15 +253,42 @@ class ResultStore:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(blob, fh, sort_keys=True)
         os.replace(tmp, path)
-        return value
+
+    def cached_map(self, worker, jobs, threads: int = 1, verify: bool = False) -> list:
+        """[worker(args) for key, args in jobs], served from the store. Only
+        the misses are computed, together with, under `verify`, the hits of
+        a fixed 1/VERIFY_EVERY of keys (chosen by key hash); they go through
+        `_mapper`, with no more processes than they number. This process
+        stores the fresh values and checks each sampled hit against its
+        fresh value, in job order, so the result, the store and the counts
+        are the same at any thread count."""
+        def sampled(key):
+            return int(hashlib.sha256(key.encode()).hexdigest(), 16) % self.VERIFY_EVERY == 0
+
+        values = [self.lookup(key) for key, _ in jobs]
+        redo = [i for i, (key, _) in enumerate(jobs)
+                if values[i] is None or (verify and sampled(key))]
+        with _mapper(min(threads, len(redo))) as mapper:
+            for i, fresh in zip(redo, mapper(worker, [jobs[i][1] for i in redo])):
+                key = jobs[i][0]
+                if values[i] is None:
+                    self.store(key, fresh)
+                    values[i] = fresh
+                else:
+                    self.verified += 1
+                    if _canonical_json(fresh) != _canonical_json(values[i]):
+                        raise CacheError(f"cache verification failed for {key}")
+        return values
 
 
 @contextmanager
 def _mapper(threads: int):
-    """Yield `map`, or a forked pool's `map` when threads > 1."""
+    """Yield `map`, or a forked pool's `imap` when threads > 1. Both yield
+    the results lazily and in order, and raise a worker's error at its
+    item, so a caller consuming them sees the same sequence either way."""
     if threads > 1:
         with multiprocessing.get_context("fork").Pool(threads) as pool:
-            yield pool.map
+            yield pool.imap
     else:
         yield map
 
@@ -305,29 +338,24 @@ def _zero_record_json(d: int, x: float, rec) -> dict:
     }
 
 
-def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
-    from .zeros import count_real_zeros
+def _zeros_worker(args) -> dict:
+    """One d's zeros row (pool-safe)."""
+    d, x, sigma1, eps_target = args
+    eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
+    return _zero_record_json(d, x, count_real_zeros(eng, sigma1, 1.0))
 
+
+def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"zeros_{int(x)}.jsonl")
     fam = enumerate_family(x)
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
-    ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
-    store = ResultStore(config.cache_dir)
-
-    def one(d: int) -> dict:
-        def produce():
-            eng = LEngine(d, eps_target=config.eps_target, t_cap=12.0)
-            rec = count_real_zeros(eng, sigma1, 1.0)
-            return _zero_record_json(d, x, rec)
-
-        key = (f"zeros|d={d}|sigma1={sigma1!r}|sigma2=1.0|eps={config.eps_target!r}"
-               f"|grid=default|{CODE_VERSION_TAG}")
-        return store.load_or_compute(key, produce, verify=config.verify_cache)
-
-    rows = [one(d) for d in ds]
-    rows.sort(key=lambda r: r["d"])
+    jobs = [(f"zeros|d={d}|sigma1={sigma1!r}|sigma2=1.0|eps={config.eps_target!r}"
+             f"|grid=default|{CODE_VERSION_TAG}", (d, x, sigma1, config.eps_target))
+            for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
+    rows = ResultStore(config.cache_dir).cached_map(_zeros_worker, jobs, config.threads,
+                                                    verify=config.verify_cache)
     indeterminate = sum(1 for r in rows for s in r["suspects"]
                         if "indeterminate" in str(s.get("reason", "")))
     _write(out, config, rows, jsonl=True)
@@ -336,25 +364,26 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     return [out]
 
 
+def _gamma_min_worker(args) -> dict:
+    """One d's gamma-min row (pool-safe)."""
+    d, x, t_max, eps_target = args
+    eng = LEngine(d, eps_target=eps_target, t_cap=t_max + 2.0)
+    gm = gamma_min(eng, t_max=t_max)
+    return {"d": d, "x": x, "found": gm.found, "gamma": gm.gamma,
+            "half_width": gm.half_width, "lambda_mag": gm.lambda_mag_at_zero,
+            "offline_checked_height": gm.offline_checked_height,
+            "offline_count": gm.offline_count}
+
+
 def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
     fam = enumerate_family(x)
-    store = ResultStore(config.cache_dir)
-    rows = []
-    for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed):
-        def produce(d=d):
-            eng = LEngine(d, eps_target=config.eps_target, t_cap=t_max + 2.0)
-            gm = gamma_min(eng, t_max=t_max)
-            return {"d": d, "x": x, "found": gm.found, "gamma": gm.gamma,
-                    "half_width": gm.half_width,
-                    "lambda_mag": gm.lambda_mag_at_zero,
-                    "offline_checked_height": gm.offline_checked_height,
-                    "offline_count": gm.offline_count}
-
-        key = f"gamma_min|d={d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}"
-        rows.append(store.load_or_compute(key, produce, verify=config.verify_cache))
-    rows.sort(key=lambda r: r["d"])
+    jobs = [(f"gamma_min|d={d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}",
+             (d, x, t_max, config.eps_target))
+            for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
+    rows = ResultStore(config.cache_dir).cached_map(_gamma_min_worker, jobs, config.threads,
+                                                    verify=config.verify_cache)
     return [_write(out, config, rows, jsonl=True)]
 
 
@@ -477,7 +506,6 @@ def run_verify(config: RunConfig) -> dict:
     continuity, cover anchors, a certified zero record. A failed check
     raises AccuracyError."""
     from .selberg import weight
-    from .zeros import count_real_zeros
 
     def check(ok: bool, what: str) -> None:
         if not ok:

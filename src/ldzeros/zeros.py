@@ -573,10 +573,13 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     winding certifies no off-line zero below the reported height (up to a
     small margin strip around the line, recorded in the result).
     """
-    if t_max > engine.t_cap + 1e-9:
-        raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
     if step is None:
         step = math.pi / (4.0 * math.log(engine.d))
+    for name, value in (("t_max", t_max), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be a positive finite number, got {value}")
+    if t_max > engine.t_cap + 1e-9:
+        raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
     t = np.arange(step, t_max + step, step)
     vals = engine.lambda_fast(0.5 + 1j * t)
     if np.max(np.abs(vals.imag)) > 1e-6 * np.max(np.abs(vals.real)):

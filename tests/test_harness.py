@@ -1,6 +1,9 @@
 import argparse
 import json
 import os
+import pickle
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -65,56 +68,78 @@ def test_malformed_config_rejected(tmp_path):
 # ResultStore
 # ---------------------------------------------------------------------------
 
+def _through(store, key, value, verify=False):
+    """`value` as the one job of store.cached_map, keyed `key`."""
+    [out] = store.cached_map(lambda v: v, [(key, value)], verify=verify)
+    return out
+
+
 def test_store_cold_and_warm(tmp_path):
     store = ResultStore(str(tmp_path))
     calls = []
 
-    def producer():
+    def worker(v):
         calls.append(1)
-        return {"v": 42}
+        return v
 
-    a = store.load_or_compute("k1", producer)
-    b = store.load_or_compute("k1", producer)
-    assert a == b == {"v": 42}
+    a = store.cached_map(worker, [("k1", {"v": 42})])
+    b = store.cached_map(worker, [("k1", {"v": 43})])
+    assert a == b == [{"v": 42}]
     assert len(calls) == 1
     assert store.hits == 1 and store.misses == 1
+    assert store.lookup("k1") == {"v": 42} and store.lookup("k0") is None
 
 
 def test_store_key_mismatch_recomputes(tmp_path):
     store = ResultStore(str(tmp_path))
-    store.load_or_compute("k2", lambda: {"v": 1})
+    _through(store, "k2", {"v": 1})
     path = store._path("k2")
     blob = json.load(open(path))
     blob["key"] = "tampered"
     json.dump(blob, open(path, "w"))
     with pytest.warns(UserWarning):
-        out = store.load_or_compute("k2", lambda: {"v": 2})
+        out = _through(store, "k2", {"v": 2})
     assert out == {"v": 2}
 
 
 def test_store_hash_mismatch_recomputes(tmp_path):
     store = ResultStore(str(tmp_path))
-    store.load_or_compute("k3", lambda: {"v": 1})
+    _through(store, "k3", {"v": 1})
     path = store._path("k3")
     blob = json.load(open(path))
     blob["value"] = {"v": 999}
     json.dump(blob, open(path, "w"))
     with pytest.warns(UserWarning):
-        out = store.load_or_compute("k3", lambda: {"v": 3})
+        out = _through(store, "k3", {"v": 3})
     assert out == {"v": 3}
 
 
 def test_store_disabled_passthrough():
     store = ResultStore(None)
     assert not store.enabled()
-    assert store.load_or_compute("k", lambda: 5) == 5
+    assert _through(store, "k", 5) == 5
+    assert store.lookup("k") is None and store.misses == 0
 
 
 def test_store_version_tag_in_key_separates(tmp_path):
     store = ResultStore(str(tmp_path))
-    a = store.load_or_compute("exp|v1", lambda: 1)
-    b = store.load_or_compute("exp|v2", lambda: 2)
+    a = _through(store, "exp|v1", 1)
+    b = _through(store, "exp|v2", 2)
     assert (a, b) == (1, 2)
+
+
+def test_store_verifies_sampled_hits_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(ResultStore, "VERIFY_EVERY", 2)
+    store = ResultStore(str(tmp_path))
+    jobs = [(f"k{i}", {"v": i}) for i in range(20)]
+    store.cached_map(lambda v: v, jobs)
+    seen = []
+    out = store.cached_map(lambda v: seen.append(v) or v, jobs, verify=True)
+    assert out == [v for _, v in jobs]
+    assert store.verified == len(seen) and 0 < len(seen) < len(jobs)
+    # a sampled hit whose fresh value differs is a cache error
+    with pytest.raises(errors.CacheError, match="cache verification failed"):
+        store.cached_map(lambda v: {"v": -1}, jobs, verify=True)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +158,38 @@ def test_zeros_driver_rerun_byte_identical(tmp_path):
     rows = [json.loads(t) for t in lines[1:]]
     ds = [r["d"] for r in rows]
     assert ds == sorted(ds)
+
+
+@pytest.mark.parametrize("cmd", ["zeros", "gamma-min"])
+def test_threads_byte_identical_cold_and_warm(tmp_path, monkeypatch, cmd):
+    # the parent stores and verifies in job order, whatever the pool did
+    stores = []
+
+    class Recorded(ResultStore):
+        def __init__(self, root):
+            super().__init__(root)
+            stores.append(self)
+
+    monkeypatch.setattr("ldzeros.harness.ResultStore", Recorded)
+    monkeypatch.setattr(ResultStore, "VERIFY_EVERY", 2)  # verify about half the hits
+    runs = {}
+    for threads in ("1", "2"):
+        cache = tmp_path / f"cache{threads}"
+        for phase in ("cold", "warm"):
+            out = tmp_path / f"{phase}{threads}.jsonl"
+            argv = [cmd, "--x", "1e3", "--sample", "6", "--seed", "5", "--threads", threads,
+                    "--cache-dir", str(cache), "--verify-cache", "--out", str(out)]
+            assert main(argv + (["--t-max", "10"] if cmd == "gamma-min" else [])) == 0
+            runs[threads, phase] = (out.read_bytes(),
+                                    (stores[-1].hits, stores[-1].misses, stores[-1].verified))
+        runs[threads, "cache"] = sorted((str(p.relative_to(cache)), p.read_bytes())
+                                        for p in cache.rglob("*.json"))
+    for what in ("cold", "warm", "cache"):
+        assert runs["1", what] == runs["2", what]
+    assert runs["1", "cold"][0] == runs["1", "warm"][0]
+    assert runs["1", "cold"][1] == (0, 6, 0) and len(runs["1", "cache"]) == 6
+    hits, misses, verified = runs["1", "warm"][1]
+    assert (hits, misses) == (6, 0) and 0 < verified < 6
 
 
 def test_report_aggregates(tmp_path):
@@ -196,16 +253,25 @@ def test_cli_unknown_subcommand_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gamma-min", "--x", "1e3", "--threads", "2"],
-    ["zeros", "--x", "1e3", "--threads", "2"],
+    ["gamma-min", "--x", "1e3", "--nu", "hyp"],
+    ["zeros", "--x", "1e3", "--z", "0.8"],
     ["fekete", "--d", "8", "--seed", "3"],
     ["eval", "--d", "8", "--s", "0.7", "--out", "f"],
-], ids=["gamma-min-threads", "zeros-threads", "fekete-seed", "eval-out"])
+], ids=["gamma-min-nu", "zeros-z", "fekete-seed", "eval-out"])
 def test_cli_flag_not_offered_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["0", "-3", "nan"])
+def test_cli_gamma_min_bad_t_max_exit_1(tmp_path, capsys, t_max):
+    argv = ["gamma-min", "--x", "1e3", "--sample", "2", "--out", str(tmp_path / "g.jsonl")]
+    assert main(argv + ["--t-max", t_max]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: t_max must be a positive finite number")
+    assert "Traceback" not in err
 
 
 def test_cli_eval_json(capsys):
@@ -277,6 +343,15 @@ def test_cli_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, la
     assert capsys.readouterr().err == f"{label}: x\n"
 
 
+@pytest.mark.parametrize("exc", [e for e, _, _ in _DOCUMENTED_EXIT_CODES],
+                         ids=[type(e).__name__ for e, _, _ in _DOCUMENTED_EXIT_CODES])
+def test_each_error_survives_the_pickle_a_pool_sends_it_in(exc):
+    # a --threads pool re-raises a worker's error from its pickle; one that
+    # cannot be unpickled kills the pool's result thread and the run hangs
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc) and vars(back) == vars(exc)
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--d", "8", "--s", "abc"],
     ["eval", "--d", "8", "--s", "0.7,abc"],
@@ -316,7 +391,8 @@ def test_cli_parses_complex_s_and_lists(monkeypatch, capsys):
     ("nu_policy", "garbage"), ("sample_size", "0"), ("sample_size", "-3"),
     ("mc_samples", "0"), ("seed", "-1"), ("seed", "1.5"), ("eps_target", "0"),
     ("eps_target", "-1e-12"), ("eps_target", "2"), ("x_list", "1e3,,1e4"), ("x_list", "abc"),
-    ("z", "abc"), ("threads", "two"), ("scan_height_cap", "tall"),
+    ("z", "abc"), ("threads", "two"), ("threads", "0"), ("threads", "-5"),  # once ran serial
+    ("scan_height_cap", "tall"),
 ])
 def test_config_value_parsed_like_its_flag(tmp_path, capsys, field, raw):
     cfg = tmp_path / "run.cfg"
@@ -390,7 +466,7 @@ def test_table_offers_each_flag_only_where_its_driver_reads_it():
     by_flag = {}
     for cmd, flag, _, _ in _OFFERED:
         by_flag.setdefault(flag, set()).add(cmd)
-    assert by_flag["--threads"] == {"rd-stats", "discrepancy"}
+    assert by_flag["--threads"] == {"rd-stats", "discrepancy", "zeros", "gamma-min"}
     assert by_flag["--cache-dir"] == by_flag["--verify-cache"] == {"zeros", "gamma-min"}
     assert by_flag["--strict"] == {"zeros", "discrepancy", "rd-stats"}
     assert by_flag["--eps-target"] == {"eval", "zeros", "gamma-min", "rd-stats"}
@@ -400,10 +476,10 @@ def test_table_offers_each_flag_only_where_its_driver_reads_it():
                                 "rd-stats", "report"}
     assert {cmd for cmd, p in _subparsers().items()
             if any(a.dest == "config" for a in p._actions)} == set(_REQUIRED) - {"fekete"}
-    # the eight flags every subcommand used to take: 80 slots, now 35
+    # the eight flags every subcommand used to take: 80 slots, now 37
     common = ("--seed", "--threads", "--eps-target", "--cache-dir", "--out", "--strict",
               "--verify-cache")
-    assert sum(len(by_flag[f]) for f in common) + len(_REQUIRED) - 1 == 35
+    assert sum(len(by_flag[f]) for f in common) + len(_REQUIRED) - 1 == 37
 
 
 @pytest.mark.parametrize("cmd, flag, field, required", _OFFERED,
@@ -580,3 +656,27 @@ def test_moments_rejects_bad_nu_or_range_as_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread default
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh_import(**env) -> str:
+    """OPENBLAS_NUM_THREADS after `import ldzeros` in a fresh interpreter whose
+    environment has no BLAS thread variable but those in `env`."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = _SRC
+    code = "import os, ldzeros; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env}, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_sets_one_blas_thread_unless_the_caller_set_one():
+    assert _fresh_import() == "1"
+    assert _fresh_import(OPENBLAS_NUM_THREADS="2") == "2"
+    assert _fresh_import(OMP_NUM_THREADS="2") == "None"

@@ -210,6 +210,15 @@ def test_gamma_min_respects_engine_cap():
         gamma_min(eng, t_max=50.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -3.0, math.nan])
+def test_gamma_min_rejects_a_non_positive_or_non_finite_height_or_step(eng8, bad):
+    # once an empty scan (max of a zero-size array) or numpy's arange error
+    with pytest.raises(DomainError, match="t_max must be a positive finite number"):
+        gamma_min(eng8, t_max=bad)
+    with pytest.raises(DomainError, match="step must be a positive finite number"):
+        gamma_min(eng8, t_max=2.0, step=bad)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis disc
 # ---------------------------------------------------------------------------
