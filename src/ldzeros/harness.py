@@ -8,8 +8,9 @@ Contracts the drivers keep:
 * data sections are canonicalized (rows sorted by d, shortest round-trip
   float formatting), so a rerun with the same seed and any thread count is
   byte-identical;
-* expensive per-d artifacts go through a content-addressed store whose hits
-  can be spot-verified against fresh computation (--verify-cache).
+* expensive per-d artifacts go through a content-addressed store, keyed by
+  the worker, all of its arguments and a digest of the package source, whose
+  hits can be spot-verified against fresh computation (--verify-cache).
 
 Drivers raise the classes in errors.py; the CLI maps them to exit codes.
 """
@@ -21,9 +22,11 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,9 +200,19 @@ def _canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+@lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """sha256 over the names and bytes of the package's *.py files: any change
+    to the code gives every ResultStore key a new value."""
+    files = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes()
+                                   for f in files)).hexdigest()
+
+
 class ResultStore:
-    """Content-addressed JSON artifacts keyed by an explicit string that must
-    encode every input affecting the value (parameters plus version tag)."""
+    """Content-addressed JSON artifacts. The key of `worker(args)` is derived
+    from everything its value depends on: the worker's qualified name,
+    repr(args) and the source digest."""
 
     VERIFY_EVERY = 100  # --verify-cache recomputes the hits of 1 key in this many
 
@@ -208,6 +221,10 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.verified = 0
+
+    @staticmethod
+    def key(worker, args) -> str:
+        return f"{worker.__module__}.{worker.__qualname__}|{args!r}|src={_source_digest()}"
 
     def enabled(self) -> bool:
         return bool(self.root)
@@ -220,10 +237,8 @@ class ResultStore:
         """The stored value of `key` on a hit, else None: no entry, no cache
         root, or an entry that fails its key or hash check (discarded with a
         warning). Values are JSON objects, never null."""
-        if not self.enabled():
-            return None
         path = self._path(key)
-        if not os.path.exists(path):
+        if not self.enabled() or not os.path.exists(path):
             return None
         try:
             with open(path, encoding="utf-8") as fh:
@@ -254,30 +269,31 @@ class ResultStore:
             json.dump(blob, fh, sort_keys=True)
         os.replace(tmp, path)
 
-    def cached_map(self, worker, jobs, threads: int = 1, verify: bool = False) -> list:
-        """[worker(args) for key, args in jobs], served from the store. Only
-        the misses are computed, together with, under `verify`, the hits of
-        a fixed 1/VERIFY_EVERY of keys (chosen by key hash); they go through
-        `_mapper`, with no more processes than they number. This process
-        stores the fresh values and checks each sampled hit against its
-        fresh value, in job order, so the result, the store and the counts
+    def cached_map(self, worker, args_list, threads: int = 1, verify: bool = False) -> list:
+        """[worker(args) for args in args_list], served from the store. Only
+        the misses are computed, with, under `verify`, the hits of a fixed
+        1/VERIFY_EVERY of jobs (chosen by a hash of repr(args), the same for
+        every source); they go through `_mapper`, with no more processes than
+        they number. This process stores fresh values and checks sampled hits
+        against theirs, in job order, so the result, the store and the counts
         are the same at any thread count."""
-        def sampled(key):
-            return int(hashlib.sha256(key.encode()).hexdigest(), 16) % self.VERIFY_EVERY == 0
+        def sampled(args):
+            digest = hashlib.sha256(repr(args).encode()).hexdigest()
+            return int(digest, 16) % self.VERIFY_EVERY == 0
 
-        values = [self.lookup(key) for key, _ in jobs]
-        redo = [i for i, (key, _) in enumerate(jobs)
-                if values[i] is None or (verify and sampled(key))]
+        keys = [self.key(worker, args) for args in args_list]
+        values = [self.lookup(key) for key in keys]
+        redo = [i for i, args in enumerate(args_list)
+                if values[i] is None or (verify and sampled(args))]
         with _mapper(min(threads, len(redo))) as mapper:
-            for i, fresh in zip(redo, mapper(worker, [jobs[i][1] for i in redo])):
-                key = jobs[i][0]
+            for i, fresh in zip(redo, mapper(worker, [args_list[i] for i in redo])):
                 if values[i] is None:
-                    self.store(key, fresh)
+                    self.store(keys[i], fresh)
                     values[i] = fresh
                 else:
                     self.verified += 1
                     if _canonical_json(fresh) != _canonical_json(values[i]):
-                        raise CacheError(f"cache verification failed for {key}")
+                        raise CacheError(f"cache verification failed for {keys[i]}")
         return values
 
 
@@ -351,16 +367,14 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     fam = enumerate_family(x)
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
-    jobs = [(f"zeros|d={d}|sigma1={sigma1!r}|sigma2=1.0|eps={config.eps_target!r}"
-             f"|grid=default|{CODE_VERSION_TAG}", (d, x, sigma1, config.eps_target))
-            for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
-    rows = ResultStore(config.cache_dir).cached_map(_zeros_worker, jobs, config.threads,
+    args_list = [(d, x, sigma1, config.eps_target)
+                 for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
+    rows = ResultStore(config.cache_dir).cached_map(_zeros_worker, args_list, config.threads,
                                                     verify=config.verify_cache)
-    indeterminate = sum(1 for r in rows for s in r["suspects"]
-                        if "indeterminate" in str(s.get("reason", "")))
     _write(out, config, rows, jsonl=True)
-    if config.strict and indeterminate:
-        raise IndeterminateError(f"{indeterminate} suspect cells flagged indeterminate")
+    suspects = sum(len(r["suspects"]) for r in rows)
+    if config.strict and suspects:
+        raise IndeterminateError(f"{suspects} suspect zero cells under --strict")
     return [out]
 
 
@@ -376,14 +390,15 @@ def _gamma_min_worker(args) -> dict:
 
 
 def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
+    if not (math.isfinite(t_max) and t_max > 0.0):  # before the engine's t_cap check
+        raise DomainError(f"t_max must be a positive finite number, got {t_max}")
     x = config.x_list[0]
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
     fam = enumerate_family(x)
-    jobs = [(f"gamma_min|d={d}|t_max={t_max!r}|eps={config.eps_target!r}|{CODE_VERSION_TAG}",
-             (d, x, t_max, config.eps_target))
-            for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
-    rows = ResultStore(config.cache_dir).cached_map(_gamma_min_worker, jobs, config.threads,
-                                                    verify=config.verify_cache)
+    args_list = [(d, x, t_max, config.eps_target)
+                 for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
+    rows = ResultStore(config.cache_dir).cached_map(_gamma_min_worker, args_list,
+                                                    config.threads, verify=config.verify_cache)
     return [_write(out, config, rows, jsonl=True)]
 
 
@@ -416,12 +431,13 @@ def run_discrepancy(config: RunConfig) -> list[str]:
                               members=ds, scan_height_cap=config.scan_height_cap,
                               mapper=mapper)
             rows.append(rep)
-            if config.strict and any("indeterminate" in r for _, r in rep.excluded):
-                raise IndeterminateError("membership scan indeterminate under --strict")
     _write(out, config, ["x,z,n_family,n_mc,D,bound,ratio,n_excluded"] + [
         f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},{r.bound!r},{r.ratio!r},"
         f"{len(r.excluded)}" for r in rows])
     _write(dat, config, [f"{r.x!r}  {r.ratio!r}" for r in rows])
+    indeterminate = sum("indeterminate" in why for r in rows for _, why in r.excluded)
+    if config.strict and indeterminate:
+        raise IndeterminateError(f"{indeterminate} indeterminate membership scans under --strict")
     return [out, dat]
 
 
@@ -475,8 +491,9 @@ def run_rd_stats(config: RunConfig) -> list[str]:
         "d_values": s.d_values, "counts": s.counts,
     } for s in st.samples], jsonl=True)
     _write(dat, config, [f"{s.x!r}  {s.mean!r}  {s.loglog_x!r}" for s in st.samples])
-    if config.strict and any(s.suspects for s in st.samples):
-        raise IndeterminateError("suspect zero cells under --strict")
+    suspects = sum(s.suspects for s in st.samples)
+    if config.strict and suspects:
+        raise IndeterminateError(f"{suspects} suspect zero cells under --strict")
     return [out, dat]
 
 

@@ -105,6 +105,8 @@ class LEngine:
         if not 0.0 < eps_target < 1.0 or math.isinf(1.0 / eps_target):  # nan fails too
             raise DomainError(f"eps_target={eps_target} outside (0, 1), or so small that "
                               "1/eps_target overflows")
+        if not 0.0 < t_cap < math.inf:  # nan fails too
+            raise DomainError(f"t_cap={t_cap} must be a positive finite number")
         self.d = int(d)
         self.eps_target = float(eps_target)
         self.t_cap = float(t_cap)
@@ -166,7 +168,10 @@ class LEngine:
         s = complex(s)
         if s == 0.0:
             raise ConditioningError("gamma factor pole at s = 0")
-        return complex(np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0))
+        gf = complex(np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0))
+        if not np.isfinite(gf):
+            raise ConditioningError(f"gamma factor {gf} is not finite at s={s}")
+        return gf
 
     def l_value(self, s: complex) -> tuple[complex, float]:
         """L(s, chi_d) with propagated absolute error estimate."""

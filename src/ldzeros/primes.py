@@ -1,9 +1,9 @@
 """Sieve-backed arithmetic arrays shared across the package.
 
-Everything here is deterministic and cached per bound: prime sieves, smallest
-prime factor tables, von Mangoldt values on prime powers, and squarefree masks
-over segments (the family enumeration needs squarefreeness on [x/2, x] without
-factoring each element).
+Everything here is deterministic: prime sieves, smallest prime factor tables
+and von Mangoldt values on prime powers, cached per bound as read-only
+arrays, and squarefree masks over segments (the family enumeration needs
+squarefreeness on [x/2, x] without factoring each element).
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import numpy as np
 @lru_cache(maxsize=32)
 def prime_sieve(n: int) -> np.ndarray:
     """Primes up to n inclusive, as an int64 array."""
-    if n < 2:
-        return np.array([], dtype=np.int64)
-    is_p = np.ones(n + 1, dtype=bool)
+    is_p = np.ones(max(n + 1, 2), dtype=bool)
     is_p[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if is_p[p]:
             is_p[p * p:: p] = False
-    return np.nonzero(is_p)[0].astype(np.int64)
+    primes = np.nonzero(is_p)[0].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 @lru_cache(maxsize=8)
@@ -38,6 +38,7 @@ def smallest_prime_factor(n: int) -> np.ndarray:
     unmarked = np.nonzero(spf == 0)[0]
     spf[unmarked] = unmarked  # the remaining entries are prime (or 0, 1)
     spf[:2] = 0
+    spf.flags.writeable = False
     return spf
 
 
@@ -106,7 +107,9 @@ def prime_power_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     pp = np.concatenate(pps)
     lam = np.concatenate(lams)
     order = np.argsort(pp, kind="stable")
-    return pp[order], lam[order]
+    pp, lam = pp[order], lam[order]
+    pp.flags.writeable = lam.flags.writeable = False
+    return pp, lam
 
 
 def von_mangoldt(n: int) -> float:

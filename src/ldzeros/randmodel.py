@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,19 +135,12 @@ def default_cutoff(z: float, tol: float) -> int:
     return hi
 
 
-_MC_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@lru_cache(maxsize=4)
 def mc_values_cached(z: float, prime_cutoff: int, seed: int, n_draws: int) -> np.ndarray:
-    """mc_values with a small process-wide cache (draws are x-independent,
-    so distribution sweeps over several x reuse one sample set)."""
-    key = (float(z), int(prime_cutoff), int(seed), int(n_draws))
-    got = _MC_CACHE.get(key)
-    if got is None:
-        if len(_MC_CACHE) > 4:
-            _MC_CACHE.clear()
-        got = mc_values(z, prime_cutoff, seed, n_draws)
-        _MC_CACHE[key] = got
+    """mc_values, cached process-wide as a read-only array (draws are
+    x-independent, so distribution sweeps over several x reuse one sample set)."""
+    got = mc_values(z, prime_cutoff, seed, n_draws)
+    got.flags.writeable = False
     return got
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,41 +68,31 @@ def lambda_y_d(d: int, y: float, n: int) -> float:
     return lam * kronecker(d, n) * float(weight(y, n))
 
 
-@dataclass(frozen=True)
-class _WeightedPrimePowers:
-    y: float
-    pp: np.ndarray
-    lam_w: np.ndarray   # Lambda(n) w_y(n)
-    log_pp: np.ndarray
-
-
-_PP_CACHE: dict[int, _WeightedPrimePowers] = {}
-
-
-def _weighted_prime_powers(y: float) -> _WeightedPrimePowers:
+@lru_cache(maxsize=4)
+def _weighted_prime_powers(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pp, Lambda(pp) w_y(pp), log pp) over the prime powers pp <= y^3 of
+    positive weight, as read-only arrays."""
     bound = int(math.floor(y**3))
     if bound > POLY_BUDGET:
         raise ResourceError(f"y^3 = {bound} exceeds the summation budget {POLY_BUDGET}")
-    key = (bound)
-    got = _PP_CACHE.get(key)
-    if got is None or got.y != y:
-        pp, lam = prime_power_table(bound)
-        w = weight(y, pp.astype(np.float64))
-        keep = w > 0.0
-        got = _WeightedPrimePowers(y=y, pp=pp[keep], lam_w=lam[keep] * w[keep],
-                                   log_pp=np.log(pp[keep].astype(np.float64)))
-        _PP_CACHE[key] = got
-    return got
+    pp, lam = prime_power_table(bound)
+    w = weight(y, pp.astype(np.float64))
+    keep = w > 0.0
+    pp = pp[keep]
+    out = (pp, lam[keep] * w[keep], np.log(pp.astype(np.float64)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def dirichlet_poly_a(d: int, y: float, s: complex) -> complex:
     """A_d(s) = sum over prime powers n <= y^3 of Lambda(n) chi_d(n) w_y(n) n^{-s}."""
-    tab = _weighted_prime_powers(y)
-    chi = chi_values(d, tab.pp).astype(np.float64)
+    pp, lam_w, log_pp = _weighted_prime_powers(y)
+    chi = chi_values(d, pp).astype(np.float64)
     s = complex(s)
     if s.imag == 0.0:
-        return complex(np.sum(tab.lam_w * chi * np.exp(-s.real * tab.log_pp)))
-    return complex(np.sum(tab.lam_w * chi * np.exp(-s * tab.log_pp)))
+        return complex(np.sum(lam_w * chi * np.exp(-s.real * log_pp)))
+    return complex(np.sum(lam_w * chi * np.exp(-s * log_pp)))
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,7 @@ def _zeta_ints() -> np.ndarray:
         s += N ** (1 - j) / (j - 1) - 0.5 * N ** (-j) + j * N ** (-j - 1) / 12.0 \
             - j * (j + 1) * (j + 2) * N ** (-j - 3) / 720.0
         out[j] = s
+    out.flags.writeable = False
     return out
 
 
@@ -143,6 +144,7 @@ def _gamma1p_taylor() -> np.ndarray:
         for j in range(1, k + 1):
             acc += j * ell[j] * c[k - j]
         c[k] = acc / k
+    c.flags.writeable = False
     return c
 
 
@@ -191,7 +193,9 @@ def _alt_x_bounds() -> np.ndarray:
     x = np.exp(c / k)
     for _ in range(30):
         x = np.exp((c + np.log1p(-x / (k + 2))) / k)
-    return x * (1.0 - 1e-9)
+    x = x * (1.0 - 1e-9)
+    x.flags.writeable = False
+    return x
 
 
 def _upper_gamma_series_alt(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -372,6 +372,13 @@ class ZeroCertificate:
     endpoint_values: tuple[float, float]
     endpoint_margins: tuple[float, float]  # |L'| / err_est at the endpoints
 
+    def holds(self, sigma1: float, sigma2: float) -> bool:
+        """A sign change whose endpoint values clear 3 err, inside [sigma1, sigma2]."""
+        a, b = self.endpoint_values
+        return (a * b < 0 and min(self.endpoint_margins) > 3.0
+                and sigma1 <= self.location - self.half_width
+                and self.location + self.half_width <= sigma2)
+
 
 @dataclass
 class ZeroRecord:
@@ -384,17 +391,9 @@ class ZeroRecord:
     method: str = "grid-bisection"
 
     def verify(self) -> bool:
-        ok = len(self.zeros) == self.count
-        for c in self.zeros:
-            a, b = c.endpoint_values
-            ok &= a * b < 0
-            ok &= min(c.endpoint_margins) > 3.0
-            ok &= self.sigma1 <= c.location - c.half_width
-            ok &= c.location + c.half_width <= self.sigma2
-        locs = sorted(c.location for c in self.zeros)
-        for u, v in zip(locs, locs[1:]):
-            ok &= u < v
-        return ok
+        distinct = len({c.location for c in self.zeros})
+        return (len(self.zeros) == self.count == distinct
+                and all(c.holds(self.sigma1, self.sigma2) for c in self.zeros))
 
 
 def _fast_lprime_grid(engine: LEngine, grid: np.ndarray) -> np.ndarray:
@@ -402,9 +401,11 @@ def _fast_lprime_grid(engine: LEngine, grid: np.ndarray) -> np.ndarray:
     return vals.imag / COMPLEX_STEP_H
 
 
-def _certify_bracket(engine: LEngine, lo: float, hi: float) -> ZeroCertificate | None:
+def _certify_bracket(engine: LEngine, lo: float, hi: float, sigma1: float,
+                     sigma2: float) -> ZeroCertificate | None:
     """Bisect a sign-change bracket of L' on the fast path, then certify the
-    final bracket with precise-path endpoint margins."""
+    final bracket with precise-path endpoint margins, widening it inside
+    [sigma1, sigma2] while they are too thin."""
     flo = float(_fast_lprime_grid(engine, np.array([lo]))[0])
     fhi = float(_fast_lprime_grid(engine, np.array([hi]))[0])
     if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
@@ -419,20 +420,20 @@ def _certify_bracket(engine: LEngine, lo: float, hi: float) -> ZeroCertificate |
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    # widen if needed until precise endpoint margins clear 3 err
+    # the width doubles, so the bracket reaches [sigma1, sigma2] and the loop ends
     width = hi - lo
-    for _ in range(60):
+    while True:
         va, ea = engine.l_prime(lo)
         vb, eb = engine.l_prime(hi)
-        if va * vb < 0 and abs(va) > 3 * ea and abs(vb) > 3 * eb:
-            return ZeroCertificate(
-                location=0.5 * (lo + hi), half_width=0.5 * (hi - lo),
-                endpoint_values=(va, vb),
-                endpoint_margins=(abs(va) / max(ea, 1e-300), abs(vb) / max(eb, 1e-300)),
-            )
-        width *= 2.0
-        lo, hi = 0.5 * (lo + hi) - width / 2, 0.5 * (lo + hi) + width / 2
-    return None
+        cert = ZeroCertificate(
+            location=0.5 * (lo + hi), half_width=0.5 * (hi - lo), endpoint_values=(va, vb),
+            endpoint_margins=(abs(va) / max(ea, 1e-300), abs(vb) / max(eb, 1e-300)))
+        if cert.holds(sigma1, sigma2):
+            return cert
+        if (lo, hi) == (sigma1, sigma2) or va * vb > 0 and min(abs(va), abs(vb)) > 3 * max(ea, eb):
+            return None  # widened over the whole interval, or past a zero pair
+        mid, width = 0.5 * (lo + hi), 2.0 * width
+        lo, hi = max(sigma1, mid - width / 2), min(sigma2, mid + width / 2)
 
 
 def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
@@ -461,7 +462,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
         a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0 or (fa > 0) != (fb > 0):
-            cert = _certify_bracket(engine, a, b)
+            cert = _certify_bracket(engine, a, b, sigma1, sigma2)
             if cert is not None:
                 record.zeros.append(cert)
             else:
@@ -481,7 +482,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
             fdip = float(_fast_lprime_grid(engine, np.array([dip]))[0])
             if (fdip > 0) != (fa > 0):
                 for lo2, hi2 in ((a, dip), (dip, b)):
-                    cert = _certify_bracket(engine, lo2, hi2)
+                    cert = _certify_bracket(engine, lo2, hi2, sigma1, sigma2)
                     if cert is not None:
                         record.zeros.append(cert)
                 continue

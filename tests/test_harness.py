@@ -10,6 +10,8 @@ import pytest
 
 from ldzeros import CODE_VERSION_TAG, errors
 from ldzeros import cli
+from ldzeros import stats as stats_module
+from ldzeros import zeros as zeros_module
 from ldzeros.cli import main
 from ldzeros.harness import (
     ResultStore,
@@ -68,10 +70,23 @@ def test_malformed_config_rejected(tmp_path):
 # ResultStore
 # ---------------------------------------------------------------------------
 
-def _through(store, key, value, verify=False):
-    """`value` as the one job of store.cached_map, keyed `key`."""
-    [out] = store.cached_map(lambda v: v, [(key, value)], verify=verify)
+def _identity(v):
+    return v
+
+
+def _through(store, value, verify=False):
+    """`value` as the one job of store.cached_map, computed by `_identity`."""
+    [out] = store.cached_map(_identity, [value], verify=verify)
     return out
+
+
+def _tamper(store, value, field, new):
+    path = store._path(store.key(_identity, value))
+    with open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    blob[field] = new
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
 
 
 def test_store_cold_and_warm(tmp_path):
@@ -82,64 +97,87 @@ def test_store_cold_and_warm(tmp_path):
         calls.append(1)
         return v
 
-    a = store.cached_map(worker, [("k1", {"v": 42})])
-    b = store.cached_map(worker, [("k1", {"v": 43})])
+    a = store.cached_map(worker, [{"v": 42}])
+    b = store.cached_map(worker, [{"v": 42}])
     assert a == b == [{"v": 42}]
     assert len(calls) == 1
     assert store.hits == 1 and store.misses == 1
-    assert store.lookup("k1") == {"v": 42} and store.lookup("k0") is None
+    assert store.lookup(store.key(worker, {"v": 42})) == {"v": 42}
+    assert store.lookup(store.key(worker, {"v": 43})) is None
 
 
 def test_store_key_mismatch_recomputes(tmp_path):
     store = ResultStore(str(tmp_path))
-    _through(store, "k2", {"v": 1})
-    path = store._path("k2")
-    blob = json.load(open(path))
-    blob["key"] = "tampered"
-    json.dump(blob, open(path, "w"))
+    _through(store, {"v": 2})
+    _tamper(store, {"v": 2}, "key", "tampered")
     with pytest.warns(UserWarning):
-        out = _through(store, "k2", {"v": 2})
-    assert out == {"v": 2}
+        out = _through(store, {"v": 2})
+    assert out == {"v": 2} and (store.hits, store.misses) == (0, 2)
 
 
 def test_store_hash_mismatch_recomputes(tmp_path):
     store = ResultStore(str(tmp_path))
-    _through(store, "k3", {"v": 1})
-    path = store._path("k3")
-    blob = json.load(open(path))
-    blob["value"] = {"v": 999}
-    json.dump(blob, open(path, "w"))
+    _through(store, {"v": 3})
+    _tamper(store, {"v": 3}, "value", {"v": 999})
     with pytest.warns(UserWarning):
-        out = _through(store, "k3", {"v": 3})
-    assert out == {"v": 3}
+        out = _through(store, {"v": 3})
+    assert out == {"v": 3} and (store.hits, store.misses) == (0, 2)
 
 
 def test_store_disabled_passthrough():
     store = ResultStore(None)
     assert not store.enabled()
-    assert _through(store, "k", 5) == 5
-    assert store.lookup("k") is None and store.misses == 0
+    assert _through(store, 5) == 5
+    assert store.lookup(store.key(_identity, 5)) is None and store.misses == 0
 
 
-def test_store_version_tag_in_key_separates(tmp_path):
+def test_store_version_tag_in_key_separates(tmp_path, monkeypatch):
+    # the source digest is every key's version tag: a changed source computes
+    # afresh, and the old entry still serves the old source
     store = ResultStore(str(tmp_path))
-    a = _through(store, "exp|v1", 1)
-    b = _through(store, "exp|v2", 2)
-    assert (a, b) == (1, 2)
+    calls = []
+
+    def worker(v):
+        calls.append(v)
+        return len(calls)
+
+    got = []
+    for tag in ("v1", "v2", "v1"):
+        monkeypatch.setattr("ldzeros.harness._source_digest", lambda: tag)
+        got += store.cached_map(worker, [7])
+    assert got == [1, 2, 1] and len(calls) == 2
+    assert (store.hits, store.misses) == (1, 2)
+
+
+def test_store_key_covers_worker_and_every_argument():
+    def other(v):
+        return v
+
+    jobs = [(8, 1000.0), (8, 1500.0), (8, 1000.0, 1e-12)]
+    keys = {ResultStore.key(w, a) for w in (_identity, other) for a in jobs}
+    assert len(keys) == 6
+    assert all(any(repr(a) in k for a in jobs) for k in keys)
 
 
 def test_store_verifies_sampled_hits_only(tmp_path, monkeypatch):
     monkeypatch.setattr(ResultStore, "VERIFY_EVERY", 2)
     store = ResultStore(str(tmp_path))
-    jobs = [(f"k{i}", {"v": i}) for i in range(20)]
-    store.cached_map(lambda v: v, jobs)
-    seen = []
-    out = store.cached_map(lambda v: seen.append(v) or v, jobs, verify=True)
-    assert out == [v for _, v in jobs]
+    jobs = [{"v": i} for i in range(20)]
+    seen, override = [], []
+
+    def worker(v):
+        seen.append(v)
+        return override[0] if override else v
+
+    store.cached_map(worker, jobs)
+    seen.clear()
+    out = store.cached_map(worker, jobs, verify=True)
+    assert out == jobs
     assert store.verified == len(seen) and 0 < len(seen) < len(jobs)
     # a sampled hit whose fresh value differs is a cache error
+    override.append({"v": -1})
     with pytest.raises(errors.CacheError, match="cache verification failed"):
-        store.cached_map(lambda v: {"v": -1}, jobs, verify=True)
+        store.cached_map(worker, jobs, verify=True)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +188,11 @@ def test_zeros_driver_rerun_byte_identical(tmp_path):
     cfg = RunConfig(x_list=(1000.0,), sample_size=6, seed=3,
                     out=str(tmp_path / "z.jsonl"))
     run_zeros(cfg)
-    first = open(cfg.out, "rb").read()
+    with open(cfg.out, "rb") as fh:
+        first = fh.read()
     run_zeros(cfg)
-    assert open(cfg.out, "rb").read() == first
+    with open(cfg.out, "rb") as fh:
+        assert fh.read() == first
     lines = first.decode().splitlines()
     assert CODE_VERSION_TAG in lines[0]
     rows = [json.loads(t) for t in lines[1:]]
@@ -198,11 +238,98 @@ def test_report_aggregates(tmp_path):
     run_zeros(cfg)
     rcfg = RunConfig(out=str(tmp_path / "rep.dat"))
     run_report(rcfg, str(zpath))
-    lines = open(rcfg.out).read().splitlines()
+    with open(rcfg.out) as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("# " + CODE_VERSION_TAG)
     x, mean, llx = lines[1].split()
     assert float(x) == 1000.0
     assert 0 <= float(mean) <= 25
+
+
+@pytest.mark.parametrize("cmd", [["zeros", "--sigma-min", "0.6"], ["gamma-min", "--t-max", "10"]],
+                         ids=["zeros", "gamma-min"])
+def test_cache_shared_across_x_equals_fresh_runs(tmp_path, cmd):
+    # D(1000) and D(1500) share the d = 8m with 750 <= m <= 1000; a key that
+    # left out x served D(1000)'s rows, labelled x = 1000, to the D(1500) run
+    def run(x, cache):
+        out = tmp_path / f"{x}-{'cached' if cache else 'fresh'}.jsonl"
+        argv = cmd + ["--x", x, "--sample", "40", "--seed", "1", "--out", str(out)]
+        assert main(argv + (["--cache-dir", str(tmp_path / "cache")] if cache else [])) == 0
+        return out.read_bytes()
+
+    cached = [run(x, cache=True) for x in ("1000", "1500")]
+    assert cached == [run(x, cache=False) for x in ("1000", "1500")]
+    d_sets = [{json.loads(t)["d"] for t in f.decode().splitlines()[1:]} for f in cached]
+    assert d_sets[0] & d_sets[1]  # the second run had entries to mislabel
+
+
+def test_every_store_key_changes_with_the_source_digest(tmp_path, monkeypatch):
+    keys = {}
+
+    class Recorded(ResultStore):
+        def lookup(self, key):
+            keys.setdefault(digest, []).append(key)
+            return super().lookup(key)
+
+    monkeypatch.setattr("ldzeros.harness.ResultStore", Recorded)
+    for digest in ("a" * 64, "b" * 64):
+        monkeypatch.setattr("ldzeros.harness._source_digest", lambda: digest)
+        for cmd in (["zeros"], ["gamma-min", "--t-max", "10"]):
+            out = tmp_path / f"{cmd[0]}-{digest[0]}.jsonl"
+            argv = cmd + ["--x", "1e3", "--sample", "4", "--cache-dir", str(tmp_path / "c"),
+                          "--out", str(out)]
+            assert main(argv) == 0
+    a, b = keys["a" * 64], keys["b" * 64]
+    assert len(a) == len(b) == 8 and not set(a) & set(b)
+    assert [k.replace("a" * 64, "b" * 64) for k in a] == b
+    assert len(list((tmp_path / "c").rglob("*.json"))) == 16  # no hit across the change
+
+
+def _one_more_suspect(real):
+    def count(engine, sigma1, sigma2, **kwargs):
+        rec = real(engine, sigma1, sigma2, **kwargs)
+        rec.suspects.append({"interval": (sigma1, sigma2), "reason": "uncertified sign change"})
+        return rec
+    return count
+
+
+@pytest.mark.parametrize("cmd", ["zeros", "rd-stats"])
+def test_strict_writes_then_exits_2_on_any_suspect(tmp_path, monkeypatch, capsys, cmd):
+    # a suspect leaves a count a lower bound, whatever its reason; zeros used
+    # to pass every suspect but an indeterminate one
+    module = "ldzeros.harness" if cmd == "zeros" else "ldzeros.stats"
+    monkeypatch.setattr(f"{module}.count_real_zeros",
+                        _one_more_suspect(zeros_module.count_real_zeros))
+    out = tmp_path / "r.jsonl"
+    argv = [cmd, "--x" if cmd == "zeros" else "--x-list", "1e3", "--sample", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    relaxed = out.read_bytes()
+    assert main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err.endswith("indeterminate: 3 suspect zero cells under --strict\n")
+    assert out.read_bytes() == relaxed.replace(b"strict=False", b"strict=True")
+
+
+def test_strict_discrepancy_writes_then_exits_2(tmp_path, monkeypatch, capsys):
+    real = stats_module.membership
+
+    def membership(d, y, scan_height_cap):
+        if d == first:
+            raise errors.IndeterminateError("scan grazed a zero")
+        return real(d, y, scan_height_cap)
+
+    out = tmp_path / "disc.csv"
+    argv = ["discrepancy", "--x", "1e3", "--sample", "6", "--mc-samples", "200",
+            "--out", str(out)]
+    first = stats_module.sample_members(stats_module.enumerate_family(1e3), 6, seed=1)[0]
+    monkeypatch.setattr("ldzeros.stats.membership", membership)
+    assert main(argv) == 0
+    relaxed = [out.read_bytes(), out.with_suffix(".dat").read_bytes()]
+    assert main(argv + ["--strict"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("indeterminate: 1 indeterminate membership scans under --strict\n")
+    assert [out.read_bytes(), out.with_suffix(".dat").read_bytes()] == [
+        f.replace(b"strict=False", b"strict=True") for f in relaxed]
 
 
 def test_provenance_line_format():
@@ -292,7 +419,8 @@ def test_cli_family_writes_csv(tmp_path, capsys):
     out = tmp_path / "fam.csv"
     rc = main(["family", "--x", "20", "--out", str(out)])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    with open(out) as fh:
+        lines = fh.read().splitlines()
     assert lines[1] == "d,m"
     assert lines[2] == "88,11"
     assert lines[-1] == "152,19"
@@ -302,6 +430,14 @@ def test_cli_resource_error_exit_3(capsys):
     # oracle is capped at d = 1e4
     rc = main(["eval", "--d", "80008", "--s", "0.7", "--oracle"])
     assert rc == 3
+
+
+def test_cli_eval_gamma_factor_overflow_exit_4(capsys):
+    # at Im s = 1e6 the gamma factor is not a finite number; this used to end
+    # in an OverflowError traceback
+    assert main(["eval", "--d", "8", "--s", "0.5,1e6"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical error: gamma factor" in err and "Traceback" not in err
 
 
 def test_cli_eval_gamma_pole_exit_4(capsys):

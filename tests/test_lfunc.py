@@ -5,7 +5,7 @@ import pytest
 
 from ldzeros.characters import chi_values, kronecker
 from ldzeros import lfunc
-from ldzeros.errors import DomainError, NearZeroError, ResourceError
+from ldzeros.errors import ConditioningError, DomainError, NearZeroError, ResourceError
 from ldzeros.lfunc import (
     RE_MAX,
     RE_MIN,
@@ -223,6 +223,22 @@ def test_engine_rejects_non_fundamental_discriminant():
 def test_engine_rejects_eps_target_outside_unit_interval(eps_target):
     with pytest.raises(DomainError, match="eps_target"):
         LEngine(104, eps_target=eps_target)
+
+
+@pytest.mark.parametrize("t_cap", [-1.0, 0.0, math.inf, math.nan])
+def test_engine_rejects_t_cap_not_positive_and_finite(t_cap):
+    # a t_cap of -1 or 0 used to build an engine that evaluated off its
+    # strip, and inf one that divided by zero on the first evaluation
+    with pytest.raises(DomainError, match="t_cap"):
+        LEngine(8, t_cap=t_cap)
+
+
+def test_gamma_factor_not_finite_is_a_conditioning_error():
+    # at s = 1/2 + 1e6 i, Gamma(s/2) is not representable: a ConditioningError,
+    # not an OverflowError from abs()
+    eng = LEngine(8, t_cap=1e6 + 2.0)
+    with pytest.raises(ConditioningError, match="not finite"):
+        eng.gamma_factor(complex(0.5, 1e6))
 
 
 def test_strip_checked_at_every_point(eng8):

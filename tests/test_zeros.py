@@ -104,6 +104,42 @@ def test_count_real_zeros_certificates_verify(eng40008):
         assert min(c.endpoint_margins) > 3.0
 
 
+def _thin_margins(engine, rel_err, near=None):
+    """`engine` with l_prime's error estimate replaced by |L'| * rel_err,
+    within 0.02 of `near` only when it is given."""
+    real = engine.l_prime
+
+    def l_prime(sigma):
+        v, e = real(sigma)
+        return v, (abs(v) * rel_err if near is None or abs(sigma - near) < 0.02 else e)
+
+    engine.l_prime = l_prime
+    return engine
+
+
+def test_bracket_widening_stays_inside_the_interval(eng40008):
+    # margins under 3 within 0.02 of the zero: the bracket once widened to
+    # [0.520, 0.595], past sigma1 = 0.55, and the count took a certificate
+    # that its own record failed
+    [zero] = count_real_zeros(eng40008, 0.55, 1.0).zeros
+    rec = count_real_zeros(_thin_margins(LEngine(40008, t_cap=12.0), 1 / 2.9,
+                                         near=zero.location), 0.55, 1.0)
+    assert rec.verify()
+    assert rec.count == 0
+    [suspect] = rec.suspects
+    assert suspect["reason"] == "uncertified sign change"
+    assert suspect["interval"][0] <= zero.location <= suspect["interval"][1]
+
+
+def test_bracket_widening_ends_at_the_interval(eng40008):
+    # margins of 1 everywhere: the bracket once doubled out of the engine
+    # strip and raised DomainError at Re s = -0.64
+    rec = count_real_zeros(_thin_margins(LEngine(40008, t_cap=12.0), 1.0), 0.55, 1.0)
+    assert rec.verify()
+    assert rec.count == 0
+    assert [s["reason"] for s in rec.suspects] == ["uncertified sign change"]
+
+
 def test_count_real_zeros_fine_grid_oracle(eng40008):
     rec = count_real_zeros(eng40008, 0.55, 1.0)
     fine = count_real_zeros(eng40008, 0.55, 1.0, grid_step=0.45 / 960)
