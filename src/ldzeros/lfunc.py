@@ -77,11 +77,10 @@ def block_ranges(n: int, size: int) -> list[tuple[int, int]]:
 
 @dataclass
 class LValue:
-    """One evaluation: s, Lambda(s), L(s), and the absolute error estimate on Lambda."""
+    """One evaluation: s, Lambda(s), and the absolute error estimate on Lambda."""
 
     s: complex
     lam: complex
-    l: complex
     err_est: float
 
 
@@ -160,8 +159,7 @@ class LEngine:
     def lambda_value(self, s: complex) -> LValue:
         s = complex(s)
         lam, err = self.lambda_batch(np.array([s]))
-        gf = self.gamma_factor(s)
-        return LValue(s=s, lam=complex(lam[0]), l=complex(lam[0] / gf), err_est=float(err[0]))
+        return LValue(s=s, lam=complex(lam[0]), err_est=float(err[0]))
 
     def gamma_factor(self, s: complex) -> complex:
         """(d/pi)^{s/2} Gamma(s/2)."""
@@ -175,11 +173,12 @@ class LEngine:
 
     def l_value(self, s: complex) -> tuple[complex, float]:
         """L(s, chi_d) with propagated absolute error estimate."""
-        v = self.lambda_value(s)
+        s = complex(s)
+        lam, err = self.lambda_batch(np.array([s]))
         gf = self.gamma_factor(s)
         if abs(gf) < GAMMA_FACTOR_FLOOR:
             raise ConditioningError(f"gamma factor {abs(gf):.3e} too small at s={s}")
-        return v.l, v.err_est / abs(gf)
+        return complex(lam[0] / gf), float(err[0]) / abs(gf)
 
     def l_prime(self, sigma: float) -> tuple[float, float]:
         """L'(sigma) for real sigma by complex-step differentiation.
