@@ -180,7 +180,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=0.75)
 
     p = command("discrepancy", "family vs model sup-CDF distance",
-                "--z --mc-samples --sample --seed --threads --strict --out --config",
+                "--z --mc-samples --sample --seed --threads --cache-dir --verify-cache --strict"
+                " --out --config",
                 lambda a, c: run_discrepancy(c), sample_size=2000)
     p.add_argument("--x", **_field("x_list", required=True), default=argparse.SUPPRESS,
                    help="comma-separated x sweep")
@@ -197,7 +198,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--z-hi", type=float, default=argparse.SUPPRESS, dest="z_hi")
 
     command("rd-stats", "real-zero count statistics across x",
-            "--x-list --nu --sample --seed --threads --eps-target --strict --out --config",
+            "--x-list --nu --sample --seed --threads --eps-target --cache-dir --verify-cache"
+            " --strict --out --config",
             lambda a, c: run_rd_stats(c))
 
     p = command("report", "aggregate zeros JSONL into plot data", "--out --config",

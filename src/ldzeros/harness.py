@@ -20,13 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .stats import (
     nu_from_policy,
     rd_statistics,
     sample_members,
+    zeros_worker,
 )
 from .zeros import build_cover, count_real_zeros, gamma_min
 
@@ -236,7 +236,7 @@ class ResultStore:
     def lookup(self, key: str):
         """The stored value of `key` on a hit, else None: no entry, no cache
         root, or an entry that fails its key or hash check (discarded with a
-        warning). Values are JSON objects, never null."""
+        warning). Values are JSON objects or arrays, never null."""
         path = self._path(key)
         if not self.enabled() or not os.path.exists(path):
             return None
@@ -301,12 +301,23 @@ class ResultStore:
 def _mapper(threads: int):
     """Yield `map`, or a forked pool's `imap` when threads > 1. Both yield
     the results lazily and in order, and raise a worker's error at its
-    item, so a caller consuming them sees the same sequence either way."""
+    item, so a caller consuming them sees the same sequence either way.
+    multiprocessing is imported here, by the runs that use it: importing it
+    costs every process about 0.8 MB of resident memory."""
     if threads > 1:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(threads) as pool:
             yield pool.imap
     else:
         yield map
+
+
+def _cached_map(config: RunConfig):
+    """mapper(worker, args_list) for every sampled driver: the cached_map of
+    the config's store, at its --threads and --verify-cache."""
+    return partial(ResultStore(config.cache_dir).cached_map, threads=config.threads,
+                   verify=config.verify_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -320,45 +331,34 @@ def run_family(config: RunConfig) -> list[str]:
 
 
 def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -> dict:
+    """L(s) (and L'(s) on the real line, or L'/L off it) with error estimates.
+    A value whose own estimate is not below its magnitude is an AccuracyError,
+    never printed."""
     eng = LEngine(d, eps_target=config.eps_target,
                   t_cap=max(12.0, abs(s.imag) + 2.0))
     val, err = eng.l_value(s)
     res = {"d": d, "s": [s.real, s.imag], "l": [val.real, val.imag], "err_est": err}
+    checked = [("L", val, err)]
     if deriv:
         if s.imag == 0.0:
             lp, lperr = eng.l_prime(s.real)
             res["l_prime"] = lp
             res["l_prime_err"] = lperr
+            checked.append(("L'", lp, lperr))
         else:
             ld, lderr = eng.log_deriv(s)
             res["log_deriv"] = [ld.real, ld.imag]
             res["log_deriv_err"] = lderr
+            checked.append(("L'/L", ld, lderr))
+    for name, value, est in checked:
+        if not est < abs(value):
+            raise AccuracyError(f"{name} at s = {s} (d = {d}): error estimate {est:.3g} "
+                                f"is not below the magnitude {abs(value):.3g}")
     if oracle:
         ref = euler_maclaurin_oracle(d, s)
         res["oracle"] = [ref.real, ref.imag]
         res["oracle_delta"] = abs(val - ref)
     return res
-
-
-def _zero_record_json(d: int, x: float, rec) -> dict:
-    return {
-        "d": d,
-        "x": x,
-        "sigma1": rec.sigma1,
-        "sigma2": rec.sigma2,
-        "count": rec.count,
-        "zeros": [{"loc": c.location, "halfwidth": c.half_width} for c in rec.zeros],
-        "suspects": [{k: (list(v) if isinstance(v, tuple) else v) for k, v in s.items()}
-                     for s in rec.suspects],
-        "method": rec.method,
-    }
-
-
-def _zeros_worker(args) -> dict:
-    """One d's zeros row (pool-safe)."""
-    d, x, sigma1, eps_target = args
-    eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
-    return _zero_record_json(d, x, count_real_zeros(eng, sigma1, 1.0))
 
 
 def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
@@ -368,9 +368,8 @@ def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
     args_list = [(d, x, sigma1, config.eps_target)
-                 for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
-    rows = ResultStore(config.cache_dir).cached_map(_zeros_worker, args_list, config.threads,
-                                                    verify=config.verify_cache)
+                 for d in sample_members(fam, config.sample_size, config.seed)]
+    rows = _cached_map(config)(zeros_worker, args_list)
     _write(out, config, rows, jsonl=True)
     suspects = sum(len(r["suspects"]) for r in rows)
     if config.strict and suspects:
@@ -396,9 +395,8 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
     fam = enumerate_family(x)
     args_list = [(d, x, t_max, config.eps_target)
-                 for d in sample_members(fam, min(config.sample_size, len(fam)), config.seed)]
-    rows = ResultStore(config.cache_dir).cached_map(_gamma_min_worker, args_list,
-                                                    config.threads, verify=config.verify_cache)
+                 for d in sample_members(fam, config.sample_size, config.seed)]
+    rows = _cached_map(config)(_gamma_min_worker, args_list)
     return [_write(out, config, rows, jsonl=True)]
 
 
@@ -422,15 +420,12 @@ def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: boo
 def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
-    rows = []
-    with _mapper(config.threads) as mapper:
-        for x in config.x_list:
-            fam = enumerate_family(x)
-            ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
-            rep = discrepancy(fam, config.z, config.mc_samples, config.seed,
-                              members=ds, scan_height_cap=config.scan_height_cap,
-                              mapper=mapper)
-            rows.append(rep)
+    rows, mapper = [], _cached_map(config)
+    for x in config.x_list:
+        fam = enumerate_family(x)
+        rows.append(discrepancy(fam, config.z, config.mc_samples, config.seed,
+                                members=sample_members(fam, config.sample_size, config.seed),
+                                scan_height_cap=config.scan_height_cap, mapper=mapper))
     _write(out, config, ["x,z,n_family,n_mc,D,bound,ratio,n_excluded"] + [
         f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},{r.bound!r},{r.ratio!r},"
         f"{len(r.excluded)}" for r in rows])
@@ -464,7 +459,7 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
         elif kind == "central":
             nu = nu_from_policy(config.nu_policy, x)
             s0 = 0.5 + nu / math.log(x)
-            ds = sample_members(fam, min(config.sample_size, len(fam)), config.seed)
+            ds = sample_members(fam, config.sample_size, config.seed)
             yield "k,moment,ratio_first,ratio_second,k_in_range,n_restricted"
             for rep in central_moments(fam, nu, k_list, s0, members=ds,
                                        scan_height_cap=config.scan_height_cap):
@@ -479,9 +474,8 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
 def run_rd_stats(config: RunConfig) -> list[str]:
     out = config.out or "rd_stats.jsonl"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
-    with _mapper(config.threads) as mapper:
-        st = rd_statistics(config.x_list, config.nu_policy, config.sample_size,
-                           config.seed, eps_target=config.eps_target, mapper=mapper)
+    samples = rd_statistics(config.x_list, config.nu_policy, config.sample_size, config.seed,
+                            eps_target=config.eps_target, mapper=_cached_map(config))
     _write(out, config, [{
         "x": s.x, "nu": s.nu, "sigma1": s.sigma1, "n": len(s.counts),
         "mean": s.mean, "std_err": s.std_err, "max": s.max_count,
@@ -489,12 +483,18 @@ def run_rd_stats(config: RunConfig) -> list[str]:
         "histogram": {str(k): v for k, v in sorted(s.histogram.items())},
         "loglog_x": s.loglog_x, "logloglog_x": s.logloglog_x,
         "d_values": s.d_values, "counts": s.counts,
-    } for s in st.samples], jsonl=True)
-    _write(dat, config, [f"{s.x!r}  {s.mean!r}  {s.loglog_x!r}" for s in st.samples])
-    suspects = sum(s.suspects for s in st.samples)
+    } for s in samples], jsonl=True)
+    _write(dat, config, [_plot_line(s.x, s.counts) for s in samples])
+    suspects = sum(s.suspects for s in samples)
     if config.strict and suspects:
         raise IndeterminateError(f"{suspects} suspect zero cells under --strict")
     return [out, dat]
+
+
+def _plot_line(x: float, counts: list[int]) -> str:
+    """The `x  mean  loglog_x` plot-data line of the zero counts at x, which
+    rd-stats and report both write."""
+    return f"{x!r}  {sum(counts) / len(counts)!r}  {math.log(math.log(x))!r}"
 
 
 def run_report(config: RunConfig, in_path: str) -> list[str]:
@@ -513,9 +513,7 @@ def run_report(config: RunConfig, in_path: str) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{in_path!r} line {n} is not a zeros row "
                           f"({type(exc).__name__}: {exc})") from None
-    return [_write(out, config,
-                   [f"{x!r}  {sum(c) / len(c)!r}  {math.log(math.log(x))!r}"
-                    for x, c in sorted(per_x.items())])]
+    return [_write(out, config, [_plot_line(x, c) for x, c in sorted(per_x.items())])]
 
 
 def run_verify(config: RunConfig) -> dict:

@@ -22,7 +22,7 @@ from .lfunc import LEngine
 from .primes import prime_power_table, prime_sieve
 from .randmodel import default_cutoff, mc_values_cached, v_norm
 from .selberg import SigmaYD, sigma_y_d
-from .zeros import ZeroRecord, count_real_zeros, hypothesis_ld_check
+from .zeros import count_real_zeros, hypothesis_ld_check
 
 # y = exp(c V_z log(log x / V_z)) with c = 20, the distribution experiments'
 # constant; central_moments takes y = x^(4/nu) instead
@@ -162,8 +162,9 @@ def empirical_distribution(family: Family, z: float, members=None,
     exclusions carry reasons.
 
     members, if given, are the d to use (default: all of D(x)). mapper may be
-    a multiprocessing map; results are canonicalized by d, so output does not
-    depend on the worker split.
+    a result store's cached_map (cached values come back as lists, fresh ones
+    as tuples); results are canonicalized by d, so output does not depend on
+    the worker split.
     """
     x = family.x
     nu_floor = 0.5 + math.log(math.log(x)) / math.log(x)
@@ -344,85 +345,63 @@ class RdSample:
     histogram: dict[int, int]
     loglog_x: float
     logloglog_x: float
-    near_half_counts: dict[int, int] = field(default_factory=dict)
-    records: dict[int, ZeroRecord] = field(default_factory=dict)
-
-
-@dataclass
-class RdStatistics:
-    nu_policy: str | float
-    seed: int
-    samples: list[RdSample] = field(default_factory=list)
 
 
 def sample_members(family: Family, sample_size: int, seed: int) -> list[int]:
-    """d of sample_size members drawn without replacement by seed (all of D(x)
-    when sample_size == len(family)), ascending, as Python ints."""
-    if sample_size > len(family):
-        raise DomainError(f"sample_size {sample_size} exceeds family size {len(family)}")
+    """d of min(sample_size, |D(x)|) members drawn without replacement by seed
+    (all of D(x) when sample_size >= len(family)), ascending, as Python ints."""
     ds = 8 * family.m
-    if sample_size == len(family):
+    if sample_size >= len(family):
         return ds.tolist()
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(family), size=sample_size, replace=False))
     return ds[idx].tolist()
 
 
-def _rd_worker(args):
-    """Per-d certified zero count on [sigma1, 1] (pool-safe)."""
-    d, x, sigma1, nu, eps_target, near_half = args
-    eng = LEngine(d, eps_target=eps_target, t_cap=12.0)
-    rec = count_real_zeros(eng, sigma1, 1.0)
-    near = None
-    if near_half:
-        llx = math.log(math.log(x))
-        try:
-            hyp = hypothesis_ld_check(eng, x, min(nu, llx**0.2))
-            if hyp.passed:
-                nr = count_real_zeros(eng, 0.5 + 1e-3, sigma1,
-                                      grid_step=(sigma1 - 0.5 - 1e-3) / 64)
-                near = nr.count
-        except IndeterminateError:
-            pass
-    return d, rec, near
+def zeros_worker(args) -> dict:
+    """One d's zeros row: its certified real-zero count of L' on [sigma1, 1],
+    the zero brackets and the suspects (pool-safe). `zeros` and `rd-stats`
+    both compute their rows here, so they share result-store entries."""
+    d, x, sigma1, eps_target = args
+    rec = count_real_zeros(LEngine(d, eps_target=eps_target, t_cap=12.0), sigma1, 1.0)
+    return {
+        "d": d,
+        "x": x,
+        "sigma1": rec.sigma1,
+        "sigma2": rec.sigma2,
+        "count": rec.count,
+        "zeros": [{"loc": c.location, "halfwidth": c.half_width} for c in rec.zeros],
+        "suspects": [{k: (list(v) if isinstance(v, tuple) else v) for k, v in s.items()}
+                     for s in rec.suspects],
+        "method": rec.method,
+    }
 
 
 def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
-                  eps_target: float = 1e-12, near_half: bool = False,
-                  mapper=map) -> RdStatistics:
+                  eps_target: float = 1e-12, mapper=map) -> list[RdSample]:
     """Per-x samples of R_d(1/2 + nu/log x, 1), all counts certified or
-    explicitly suspect; optional near-1/2 split for members passing the
-    low-zero disc check."""
-    out = RdStatistics(nu_policy=nu_policy, seed=seed)
+    explicitly suspect, aggregated from `zeros_worker` rows. mapper(worker,
+    args_list) computes one x's rows in job order: `map`, or a result store's
+    cached_map."""
+    samples = []
     for x in x_list:
         if x < 1e3:
             raise DomainError(f"x={x} below the stated floor 1e3")
         fam = enumerate_family(x)
         nu = nu_from_policy(nu_policy, x)
         sigma1 = 0.5 + nu / math.log(x)
-        ds = sample_members(fam, min(sample_size, len(fam)), seed)
-        args = [(d, x, sigma1, nu, eps_target, near_half) for d in ds]
-        results = sorted(mapper(_rd_worker, args), key=lambda r: r[0])
-        counts = []
-        suspects = 0
-        near = {}
-        records = {}
-        for d, rec, nr in results:
-            counts.append(rec.count)
-            suspects += len(rec.suspects)
-            records[d] = rec
-            if nr is not None:
-                near[d] = nr
+        ds = sample_members(fam, sample_size, seed)
+        rows = list(mapper(zeros_worker, [(d, x, sigma1, eps_target) for d in ds]))
+        counts = [row["count"] for row in rows]
         arr = np.array(counts, dtype=np.float64)
         hist: dict[int, int] = {}
         for c in counts:
             hist[c] = hist.get(c, 0) + 1
-        out.samples.append(RdSample(
-            x=float(x), nu=nu, sigma1=sigma1, d_values=ds,
-            counts=counts, suspects=suspects, mean=float(arr.mean()),
+        samples.append(RdSample(
+            x=float(x), nu=nu, sigma1=sigma1, d_values=ds, counts=counts,
+            suspects=sum(len(row["suspects"]) for row in rows), mean=float(arr.mean()),
             std_err=float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0,
             max_count=int(arr.max()) if len(arr) else 0, histogram=hist,
             loglog_x=math.log(math.log(x)),
-            logloglog_x=math.log(math.log(math.log(x))),
-            near_half_counts=near, records=records))
-    return out
+            logloglog_x=math.log(math.log(math.log(x)))))
+    return samples

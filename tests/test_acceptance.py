@@ -214,14 +214,14 @@ def test_criterion_10_discrepancy_shape(fam1e3, fam1e4):
 def test_criterion_11_rd_statistics():
     with criterion(11, "R_d stats: max <= 25; mean nondecreasing within 1 SE; "
                        "suspects <= 1%"):
-        st = rd_statistics([1e3, 1e4, 1e5], "auto", sample_size=200, seed=SEED)
-        for s in st.samples:
+        samples = rd_statistics([1e3, 1e4, 1e5], "auto", sample_size=200, seed=SEED)
+        for s in samples:
             assert s.max_count <= 25, s.x
             assert s.suspects <= 0.01 * len(s.counts), s.x
-        for a, b in zip(st.samples, st.samples[1:]):
+        for a, b in zip(samples, samples[1:]):
             assert b.mean >= a.mean - a.std_err, (a.x, b.x, a.mean, b.mean)
         detail = " ".join(f"x={s.x:.0e}: mean={s.mean:.3f}+-{s.std_err:.3f} max={s.max_count}"
-                          for s in st.samples)
+                          for s in samples)
         print(f"  (criterion 11: {detail})")
 
 

@@ -200,9 +200,8 @@ def test_zeros_driver_rerun_byte_identical(tmp_path):
     assert ds == sorted(ds)
 
 
-@pytest.mark.parametrize("cmd", ["zeros", "gamma-min"])
-def test_threads_byte_identical_cold_and_warm(tmp_path, monkeypatch, cmd):
-    # the parent stores and verifies in job order, whatever the pool did
+def _recorded_stores(monkeypatch) -> list:
+    """The ResultStore of each driver run from here on, in order."""
     stores = []
 
     class Recorded(ResultStore):
@@ -211,25 +210,88 @@ def test_threads_byte_identical_cold_and_warm(tmp_path, monkeypatch, cmd):
             stores.append(self)
 
     monkeypatch.setattr("ldzeros.harness.ResultStore", Recorded)
+    return stores
+
+
+# every sampled driver at x = 1e3, as argv up to its common flags
+_SAMPLED = {"zeros": ["zeros", "--x", "1e3"],
+            "gamma-min": ["gamma-min", "--x", "1e3", "--t-max", "10"],
+            "rd-stats": ["rd-stats", "--x-list", "1e3"],
+            "discrepancy": ["discrepancy", "--x", "1e3", "--mc-samples", "200"]}
+
+
+def _outputs(out) -> list[bytes]:
+    """The bytes of a result file and of its .dat plot data, if written."""
+    dat = out.with_suffix(".dat")
+    return [out.read_bytes()] + ([dat.read_bytes()] if dat.exists() else [])
+
+
+@pytest.mark.parametrize("cmd", list(_SAMPLED))
+def test_threads_byte_identical_cold_and_warm(tmp_path, monkeypatch, cmd):
+    # the parent stores and verifies in job order, whatever the pool did
+    stores = _recorded_stores(monkeypatch)
     monkeypatch.setattr(ResultStore, "VERIFY_EVERY", 2)  # verify about half the hits
+    uncached = tmp_path / "uncached.jsonl"
+    assert main(_SAMPLED[cmd] + ["--sample", "6", "--seed", "5", "--out", str(uncached)]) == 0
     runs = {}
     for threads in ("1", "2"):
         cache = tmp_path / f"cache{threads}"
         for phase in ("cold", "warm"):
             out = tmp_path / f"{phase}{threads}.jsonl"
-            argv = [cmd, "--x", "1e3", "--sample", "6", "--seed", "5", "--threads", threads,
-                    "--cache-dir", str(cache), "--verify-cache", "--out", str(out)]
-            assert main(argv + (["--t-max", "10"] if cmd == "gamma-min" else [])) == 0
-            runs[threads, phase] = (out.read_bytes(),
+            argv = _SAMPLED[cmd] + ["--sample", "6", "--seed", "5", "--threads", threads,
+                                    "--cache-dir", str(cache), "--verify-cache", "--out",
+                                    str(out)]
+            assert main(argv) == 0
+            runs[threads, phase] = (_outputs(out),
                                     (stores[-1].hits, stores[-1].misses, stores[-1].verified))
         runs[threads, "cache"] = sorted((str(p.relative_to(cache)), p.read_bytes())
                                         for p in cache.rglob("*.json"))
     for what in ("cold", "warm", "cache"):
         assert runs["1", what] == runs["2", what]
-    assert runs["1", "cold"][0] == runs["1", "warm"][0]
+    assert runs["1", "cold"][0] == runs["1", "warm"][0] == _outputs(uncached)
     assert runs["1", "cold"][1] == (0, 6, 0) and len(runs["1", "cache"]) == 6
     hits, misses, verified = runs["1", "warm"][1]
     assert (hits, misses) == (6, 0) and 0 < verified < 6
+
+
+def test_rd_stats_is_served_the_rows_a_zeros_run_stored(tmp_path, monkeypatch):
+    # one worker computes both commands' rows, so the keys match
+    stores = _recorded_stores(monkeypatch)
+    common = ["--sample", "12", "--seed", "1", "--cache-dir", str(tmp_path / "cache")]
+    assert main(["zeros", "--x", "1e4", "--out", str(tmp_path / "z.jsonl")] + common) == 0
+    assert (stores[-1].hits, stores[-1].misses) == (0, 12)
+    assert main(["rd-stats", "--x-list", "1e4", "--out", str(tmp_path / "rd.jsonl")]
+                + common) == 0
+    assert (stores[-1].hits, stores[-1].misses) == (12, 0)
+
+
+def test_report_of_a_zeros_file_writes_the_rd_stats_plot_line(tmp_path):
+    common = ["--sample", "12", "--seed", "1"]
+    assert main(["zeros", "--x", "1e4", "--out", str(tmp_path / "z.jsonl")] + common) == 0
+    assert main(["report", "--in", str(tmp_path / "z.jsonl"),
+                 "--out", str(tmp_path / "rep.dat")]) == 0
+    assert main(["rd-stats", "--x-list", "1e4", "--out", str(tmp_path / "rd.jsonl")]
+                + common) == 0
+    [line] = (tmp_path / "rep.dat").read_text().splitlines()[1:]
+    assert line == (tmp_path / "rd.dat").read_text().splitlines()[1]
+    assert line.startswith("10000.0  ")
+
+
+@pytest.mark.parametrize("cmd", ["rd-stats", "discrepancy"])
+@pytest.mark.parametrize("source", ["config", "environment"])
+def test_cache_dir_from_config_or_environment_is_used(tmp_path, monkeypatch, cmd, source):
+    # both commands accepted these settings and never opened the cache
+    cache = tmp_path / "cache"
+    argv = _SAMPLED[cmd] + ["--sample", "3", "--out", str(tmp_path / "r.jsonl")]
+    monkeypatch.delenv("LDZEROS_CACHE", raising=False)
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cache_dir={cache}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("LDZEROS_CACHE", str(cache))
+    assert main(argv) == 0
+    assert len(list(cache.rglob("*.json"))) == 3
 
 
 def test_report_aggregates(tmp_path):
@@ -297,8 +359,7 @@ def _one_more_suspect(real):
 def test_strict_writes_then_exits_2_on_any_suspect(tmp_path, monkeypatch, capsys, cmd):
     # a suspect leaves a count a lower bound, whatever its reason; zeros used
     # to pass every suspect but an indeterminate one
-    module = "ldzeros.harness" if cmd == "zeros" else "ldzeros.stats"
-    monkeypatch.setattr(f"{module}.count_real_zeros",
+    monkeypatch.setattr("ldzeros.stats.count_real_zeros",
                         _one_more_suspect(zeros_module.count_real_zeros))
     out = tmp_path / "r.jsonl"
     argv = [cmd, "--x" if cmd == "zeros" else "--x-list", "1e3", "--sample", "3",
@@ -406,6 +467,28 @@ def test_cli_eval_json(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["oracle_delta"] < 1e-10
+
+
+@pytest.mark.parametrize("s, code", [("0.5,300", 4), ("0.5,50", 4), ("0.5,12", 0)])
+def test_cli_eval_exit_4_when_the_error_estimate_swamps_the_value(capsys, s, code):
+    # at d = 8 the estimate of L(1/2 + 300i) was 5.7e87 against |L| = 5.4e85,
+    # and of L(1/2 + 50i) 1.2e3 against 1.34; both were printed with exit 0
+    assert main(["eval", "--d", "8", "--s", s]) == code
+    cap = capsys.readouterr()
+    if code:
+        assert cap.err.startswith("numerical error: L at s = ")
+        assert "is not below the magnitude" in cap.err and cap.out == ""
+    else:
+        res = json.loads(cap.out)
+        assert res["err_est"] < abs(complex(*res["l"]))
+
+
+def test_cli_eval_log_deriv_swamped_exit_4(capsys):
+    # |L| at 1/2 + 40i clears its estimate; L'/L (estimate 9e3 against 88) does not
+    assert main(["eval", "--d", "8", "--s", "0.5,40"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--d", "8", "--s", "0.5,40", "--deriv"]) == 4
+    assert capsys.readouterr().err.startswith("numerical error: L'/L at s = ")
 
 
 def test_cli_eval_non_fundamental_exit_1(capsys):
@@ -603,7 +686,8 @@ def test_table_offers_each_flag_only_where_its_driver_reads_it():
     for cmd, flag, _, _ in _OFFERED:
         by_flag.setdefault(flag, set()).add(cmd)
     assert by_flag["--threads"] == {"rd-stats", "discrepancy", "zeros", "gamma-min"}
-    assert by_flag["--cache-dir"] == by_flag["--verify-cache"] == {"zeros", "gamma-min"}
+    assert by_flag["--cache-dir"] == by_flag["--verify-cache"] == {
+        "zeros", "gamma-min", "rd-stats", "discrepancy"}
     assert by_flag["--strict"] == {"zeros", "discrepancy", "rd-stats"}
     assert by_flag["--eps-target"] == {"eval", "zeros", "gamma-min", "rd-stats"}
     assert by_flag["--seed"] == {"zeros", "gamma-min", "discrepancy", "moments", "rd-stats",
@@ -612,10 +696,10 @@ def test_table_offers_each_flag_only_where_its_driver_reads_it():
                                 "rd-stats", "report"}
     assert {cmd for cmd, p in _subparsers().items()
             if any(a.dest == "config" for a in p._actions)} == set(_REQUIRED) - {"fekete"}
-    # the eight flags every subcommand used to take: 80 slots, now 37
+    # the eight flags every subcommand used to take: 80 slots, now 41
     common = ("--seed", "--threads", "--eps-target", "--cache-dir", "--out", "--strict",
               "--verify-cache")
-    assert sum(len(by_flag[f]) for f in common) + len(_REQUIRED) - 1 == 37
+    assert sum(len(by_flag[f]) for f in common) + len(_REQUIRED) - 1 == 41
 
 
 @pytest.mark.parametrize("cmd, flag, field, required", _OFFERED,
