@@ -183,6 +183,8 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     (1 - delta*, 1) zero-free, so dips inside it are not suspects and a sign
     flip inside it is one.
     """
+    if d < 2:
+        raise DomainError(f"Fekete polynomials need d >= 2, got {d}")
     if grid_points is None:
         grid_points = min(16 * d, 1 << 17)
     ts = zero_scan_grid(d, grid_points)

@@ -1,9 +1,9 @@
 """Sieve-backed arithmetic arrays shared across the package.
 
-Everything here is deterministic: prime sieves, smallest prime factor tables
-and von Mangoldt values on prime powers, cached per bound as read-only
-arrays, and squarefree masks over segments (the family enumeration needs
-squarefreeness on [x/2, x] without factoring each element).
+Everything here is deterministic: prime sieves and von Mangoldt values on
+prime powers, cached per bound as read-only arrays, trial-division
+factorization, and squarefree masks over segments (the family enumeration
+needs squarefreeness on [x/2, x] without factoring each element).
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ def prime_sieve(n: int) -> np.ndarray:
     primes = np.nonzero(is_p)[0].astype(np.int64)
     primes.flags.writeable = False
     return primes
-
-
-@lru_cache(maxsize=8)
-def smallest_prime_factor(n: int) -> np.ndarray:
-    """spf[k] = smallest prime factor of k for 0 <= k <= n (spf[0] = spf[1] = 0)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            view = spf[p * p:: p]
-            view[view == 0] = p
-    unmarked = np.nonzero(spf == 0)[0]
-    spf[unmarked] = unmarked  # the remaining entries are prime (or 0, 1)
-    spf[:2] = 0
-    spf.flags.writeable = False
-    return spf
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -110,13 +95,3 @@ def prime_power_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     pp, lam = pp[order], lam[order]
     pp.flags.writeable = lam.flags.writeable = False
     return pp, lam
-
-
-def von_mangoldt(n: int) -> float:
-    """Lambda(n): log p if n = p^k, else 0."""
-    if n <= 1:
-        return 0.0
-    fac = factorize(n)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
-    return 0.0

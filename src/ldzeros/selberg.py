@@ -55,19 +55,6 @@ def weight(y: float, n) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def lambda_y_d(d: int, y: float, n: int) -> float:
-    """Lambda(n) chi_d(n) w_y(n); zero off prime powers."""
-    from .characters import kronecker
-    from .primes import von_mangoldt
-
-    if n < 1:
-        raise DomainError("lambda_y_d needs n >= 1")
-    lam = von_mangoldt(n)
-    if lam == 0.0:
-        return 0.0
-    return lam * kronecker(d, n) * float(weight(y, n))
-
-
 @lru_cache(maxsize=4)
 def _weighted_prime_powers(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pp, Lambda(pp) w_y(pp), log pp) over the prime powers pp <= y^3 of

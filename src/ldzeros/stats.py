@@ -51,9 +51,8 @@ def moment_lhs(family: Family, b: dict[int, float], y_max: int, k: int) -> float
     ns = np.array([n for n, _ in items], dtype=np.int64)
     cs = np.array([c for _, c in items], dtype=np.float64)
     total = 0.0
-    for m in family.m.tolist():
-        chi = chi_values(8 * m, ns).astype(np.float64)
-        total += float(np.dot(cs, chi)) ** k
+    for chi in chi_values(8 * family.m[:, None], ns):
+        total += float(np.dot(cs, chi.astype(np.float64))) ** k
     return total / len(family)
 
 
@@ -92,9 +91,8 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
         raise DomainError("|a(n)| <= 1 violated")
     w = avals * lam / np.sqrt(pp.astype(np.float64))
     lhs = 0.0
-    for m in family.m.tolist():
-        chi = chi_values(8 * m, pp).astype(np.float64)
-        lhs += float(abs(np.dot(w, chi))) ** (2 * k)
+    for chi in chi_values(8 * family.m[:, None], pp):
+        lhs += float(abs(np.dot(w, chi.astype(np.float64)))) ** (2 * k)
     lhs /= len(family)
     primes = prime_sieve(int(math.floor(z_hi)))
     pr = primes[(primes >= y_lo) & (primes <= z_hi)].astype(np.float64)

@@ -15,7 +15,6 @@ CALLS = {
     "characters.char_table": (104,),
     "harness._source_digest": (),
     "primes.prime_sieve": (100,),
-    "primes.smallest_prime_factor": (100,),
     "primes.prime_power_table": (100,),
     "randmodel.mc_values_cached": (0.9, 50, 1, 8),
     "selberg._weighted_prime_powers": (10.0,),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldzeros import characters
 from ldzeros.characters import (
     TABLE_CACHE_SIZE,
     DomainError,
@@ -11,7 +12,6 @@ from ldzeros.characters import (
     char_table,
     chi_values,
     enumerate_family,
-    kronecker,
 )
 
 
@@ -46,6 +46,32 @@ def kronecker_oracle(d: int, n: int) -> int:
     return out
 
 
+def kronecker(a: int, n: int) -> int:
+    """(a/n) for n >= 1 by the scalar binary-reciprocity loop (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 1.4.10), one symbol at a
+    time in Python integers: the oracle for the package's lane kernel."""
+    if n < 1:
+        raise ValueError(f"kronecker requires n >= 1, got {n}")
+    result = 1
+    while n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+        n //= 2
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def _factor(n):
     out = []
     f = 2
@@ -77,20 +103,24 @@ def test_chi8_table_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# kronecker
+# the lane kernel, one symbol at a time
 # ---------------------------------------------------------------------------
 
+def chi(d: int, n: int) -> int:
+    return int(chi_values(d, n))
+
+
 def test_kronecker_spec_examples():
-    assert kronecker(8, 1) == 1
-    assert kronecker(8, 3) == -1
-    assert kronecker(88, 11) == 0
-    assert kronecker(8, 7) == 1
+    assert chi(8, 1) == 1
+    assert chi(8, 3) == -1
+    assert chi(88, 11) == 0
+    assert chi(8, 7) == 1
 
 
 def test_kronecker_agrees_with_oracle_on_family_moduli():
     for d in (8, 24, 40, 88, 104, 408, 1032):
         for n in range(1, 200):
-            assert kronecker(d, n) == kronecker_oracle(d, n), (d, n)
+            assert chi(d, n) == kronecker_oracle(d, n), (d, n)
 
 
 def test_kronecker_complete_multiplicativity():
@@ -99,20 +129,20 @@ def test_kronecker_complete_multiplicativity():
         for _ in range(200):
             a = int(rng.integers(1, 500))
             b = int(rng.integers(1, 500))
-            assert kronecker(d, a * b) == kronecker(d, a) * kronecker(d, b)
+            assert chi(d, a * b) == chi(d, a) * chi(d, b)
 
 
 def test_kronecker_periodicity_and_zero_iff_common_factor():
     for d in (8, 120, 408):
         for n in range(1, 3 * d):
-            assert kronecker(d, n + d) == kronecker(d, n)
-            assert (kronecker(d, n) == 0) == (math.gcd(n, d) > 1)
+            assert chi(d, n + d) == chi(d, n)
+            assert (chi(d, n) == 0) == (math.gcd(n, d) > 1)
 
 
 def test_kronecker_full_period_sum_vanishes_and_even():
     for d in (8, 88, 104, 136):
-        assert sum(kronecker(d, n) for n in range(1, d + 1)) == 0
-        assert kronecker(d, d - 1) == 1  # chi(-1) = +1
+        assert sum(chi(d, n) for n in range(1, d + 1)) == 0
+        assert chi(d, d - 1) == 1  # chi(-1) = +1
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +153,48 @@ def test_char_table_matches_pointwise_kronecker():
     for d in (8, 88, 1032):
         t = char_table(d)
         for n in range(0, 2 * d, 7):
-            assert t[n % d] == kronecker(d, n if n else d)  # chi(0 mod d)=chi(d)=0
+            assert t[n % d] == chi(d, n if n else d)  # chi(0 mod d)=chi(d)=0
         assert t[0] == 0
 
 
-def test_chi_values_vectorized():
+@pytest.mark.parametrize("d", [5, 8, 88, 1032, 7976])
+def test_char_table_is_the_legendre_product(d):
+    t = char_table(d)
+    assert t.dtype == np.int8 and t.shape == (d,) and t[0] == 0
+    assert t[1:].tolist() == [kronecker_oracle(d, n) for n in range(1, d)]
+
+
+def test_chi_values_vectorized(monkeypatch):
     n = np.arange(1, 500)
-    got = chi_values(104, n)
     want = np.array([kronecker(104, int(k)) for k in n])
-    assert np.array_equal(got, want)
+    assert np.array_equal(chi_values(104, n), want)
+    monkeypatch.setattr(characters, "_LANE_BLOCK", 64)  # eight lockstep blocks
+    assert np.array_equal(chi_values(104, n), want)
+
+
+@pytest.mark.parametrize("block", [characters._LANE_BLOCK, 5])
+def test_chi_values_broadcasts_members_against_n(monkeypatch, block):
+    monkeypatch.setattr(characters, "_LANE_BLOCK", block)
+    ds = 8 * enumerate_family(60.0).m
+    n = np.array([0, 1, 2, 3, 9, 15, 2**40 + 1])
+    got = chi_values(ds[:, None], n)
+    assert got.shape == (len(ds), len(n)) and got.dtype == np.int8
+    want = [[kronecker(int(d), int(k)) if k else 0 for k in n] for d in ds]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (0, 3), (-8, 3), (8, -1), (np.array([8, 1]), 3),
+                                  (8, np.array([3, -5])), (2**62, 3), (8, 2**62),
+                                  (2**64, 3), (8, 2**70)])
+def test_kernel_rejects_arguments_outside_its_lanes(d, n):
+    with pytest.raises(DomainError):
+        chi_values(d, n)
+
+
+@pytest.mark.parametrize("d", [-8, 0, 1])
+def test_char_table_rejects_d_below_2(d):
+    with pytest.raises(DomainError):
+        char_table(d)
 
 
 def test_short_request_on_evicted_d_builds_no_table():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldzeros import fekete
-from ldzeros.characters import char_table, enumerate_family, kronecker
+from ldzeros.characters import char_table, enumerate_family
 from ldzeros.errors import AccuracyError, DomainError, ResourceError
 from ldzeros.fekete import (
     GRID_DEGREE_BLOCK,
@@ -18,6 +18,7 @@ from ldzeros.fekete import (
     mellin_identity_check,
     zero_scan_grid,
 )
+from test_characters import kronecker
 
 
 # F_8(t) = t - t^3 - t^5 + t^7 = t (1 - t^2)(1 - t^4): no roots in open (0,1).
@@ -142,8 +143,6 @@ def test_mellin_domain_and_budget():
 
 def test_kronecker_consistency_of_coefficients():
     # coefficient stream equals the Kronecker symbol pointwise
-    from ldzeros.characters import char_table
-
     tab = char_table(104)
     for n in range(1, 104):
         assert tab[n] == kronecker(104, n)

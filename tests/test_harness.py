@@ -462,6 +462,17 @@ def test_cli_gamma_min_bad_t_max_exit_1(tmp_path, capsys, t_max):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", ["0", "1", "-8"])
+def test_cli_fekete_bad_d_exit_1_promptly(d):
+    # in a child process with a deadline: d = 0 and 1 used to search forever
+    # for a nonzero end moment of an empty coefficient list
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    proc = subprocess.run([sys.executable, "-m", "ldzeros.cli", "fekete", "--d", d,
+                           "--count-zeros"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+
+
 def test_cli_eval_json(capsys):
     rc = main(["eval", "--d", "8", "--s", "1.0", "--oracle"])
     assert rc == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldzeros.characters import chi_values, kronecker
+from ldzeros.characters import chi_values
 from ldzeros import lfunc
 from ldzeros.errors import ConditioningError, DomainError, NearZeroError, ResourceError
 from ldzeros.lfunc import (
@@ -15,6 +15,7 @@ from ldzeros.lfunc import (
     hurwitz_zeta_shifted,
 )
 from ldzeros.primes import prime_power_table
+from test_characters import kronecker
 
 # Class number formula for Q(sqrt(2)): h = 1, fundamental unit 1 + sqrt(2),
 # so L(1, chi_8) = 2 h log(eps) / sqrt(8) = log(1 + sqrt 2)/sqrt 2.

@@ -1,8 +1,8 @@
 """Property tests of the family and its boundary check, over random x and m,
-of the circle cover over random x and nu, of the engine strip over random
-batches, and of upper_gamma and the precise path, whose lanes and rows are
-the same bits alone as in any batch (hypothesis; skipped where it is not
-installed)."""
+of the character kernel against the scalar Kronecker symbol, of the circle
+cover over random x and nu, of the engine strip over random batches, and of
+upper_gamma and the precise path, whose lanes and rows are the same bits
+alone as in any batch (hypothesis; skipped where it is not installed)."""
 
 import math
 
@@ -13,14 +13,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from ldzeros.characters import enumerate_family
+from ldzeros.characters import chi_values, enumerate_family
 from ldzeros.errors import DomainError
 from ldzeros.lfunc import RE_MAX, RE_MIN, LEngine
 from ldzeros.specialfn import upper_gamma
 from ldzeros.stats import sample_members
 from ldzeros.zeros import build_cover
-from test_characters import squarefree_oracle
+from test_characters import kronecker, squarefree_oracle
 
 xs = st.floats(min_value=2.0, max_value=5000.0, allow_nan=False)
 
@@ -69,6 +70,28 @@ non_family_m = st.one_of(
 def test_engine_rejects_even_or_non_squarefree_m(m):
     with pytest.raises(DomainError):
         LEngine(8 * m)
+
+
+# d = 8m for odd squarefree m up to 1e9, and three moduli outside the family
+kernel_d = st.one_of(
+    st.integers(min_value=0, max_value=5 * 10**8).map(lambda k: 2 * k + 1)
+    .filter(squarefree_oracle).map(lambda m: 8 * m),
+    st.sampled_from([5, 12, 13]),
+)
+# n up to 2^40, and k 2^j so that lanes shed many twos
+kernel_n = arrays(np.int64, array_shapes(min_dims=0, max_dims=3, max_side=6),
+                  elements=st.one_of(st.integers(min_value=0, max_value=2**40),
+                                     st.builds(lambda k, j: k << j, st.integers(0, 2**20),
+                                               st.integers(0, 20))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_d, kernel_n)
+def test_kernel_is_the_scalar_kronecker_symbol(d, n):
+    got = chi_values(d, n)
+    assert got.shape == n.shape and got.dtype == np.int8
+    want = [kronecker(d, k) if k else 0 for k in n.ravel().tolist()]
+    assert got.ravel().tolist() == want
 
 
 @settings(max_examples=60, deadline=None)

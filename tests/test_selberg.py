@@ -5,13 +5,28 @@ import pytest
 
 from ldzeros.errors import DomainError, ResourceError
 from ldzeros.lfunc import LEngine
+from ldzeros.primes import factorize
 from ldzeros.selberg import (
     approx_check,
     dirichlet_poly_a,
-    lambda_y_d,
     sigma_y_d,
     weight,
 )
+from test_characters import kronecker
+
+
+def von_mangoldt(n: int) -> float:
+    """Lambda(n): log p if n = p^k, else 0."""
+    if n <= 1:
+        return 0.0
+    fac = factorize(n)
+    return math.log(fac[0][0]) if len(fac) == 1 else 0.0
+
+
+def lambda_y_d(d: int, y: float, n: int) -> float:
+    """Lambda(n) chi_d(n) w_y(n), one n at a time; zero off prime powers."""
+    lam = von_mangoldt(n)
+    return lam * kronecker(d, n) * float(weight(y, n)) if lam else 0.0
 
 
 def poly_tail_bound_abs_convergent(y: float, s: float) -> float:
@@ -92,9 +107,6 @@ def test_poly_matches_log_deriv_at_2():
 
 def test_poly_brute_force_small():
     # direct sum over n <= y^3 with per-n kronecker and weight
-    from ldzeros.characters import kronecker
-    from ldzeros.primes import von_mangoldt
-
     y, d, s = 12.0, 104, 1.1
     brute = sum(
         von_mangoldt(n) * kronecker(d, n) * weight(y, n) * n**-s
