@@ -34,6 +34,7 @@ from .characters import char_table
 from .errors import AccuracyError, DomainError, ResourceError
 from .lfunc import LEngine, block_ranges
 from .specialfn import digamma, gamma
+from .zeros import certify_sign_change
 
 MELLIN_D_CAP = 2000
 GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
@@ -198,45 +199,18 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     t_end = 1.0 - report.end_delta
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
+    bounds = (float(ts[0]), float(ts[-1]))
     for i in flips:
         lo, hi = float(ts[i]), float(ts[i + 1])
         if lo >= t_end:
             report.suspects.append({"interval": (lo, hi), "reason": "sign flip in the end interval"})
             continue
-        flo = float(fekete_grid(d, np.array([lo]))[0])
-        fhi = float(fekete_grid(d, np.array([hi]))[0])
-        if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-            report.suspects.append({"interval": (lo, hi), "reason": "grid/eval sign mismatch"})
-            continue
-        while hi - lo > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = float(fekete_grid(d, np.array([mid]))[0])
-            if fm == 0.0:
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        # certify on the exactly-rounded path; widen the bracket when the
-        # endpoints sit too deep inside the zero's neighborhood to clear 3 err
-        certified = False
-        mid = 0.5 * (lo + hi)
-        width = max(hi - lo, 1e-15 * max(1.0, mid))
-        for _ in range(40):
-            a, b = mid - width / 2, mid + width / 2
-            if a <= 0.0 or b >= 1.0:
-                break
-            va, ea = fekete_eval(d, a)
-            vb, eb = fekete_eval(d, b)
-            if va * vb < 0 and abs(va) > 3 * ea and abs(vb) > 3 * eb:
-                report.zeros.append((mid, width / 2))
-                certified = True
-                break
-            if va * vb > 0 and min(abs(va), abs(vb)) > 3 * max(ea, eb):
-                break  # widened past the zero pair; give up on this cell
-            width *= 2.0
-        if not certified:
-            report.suspects.append({"interval": (lo, hi), "reason": "endpoint margin too thin"})
+        cert = certify_sign_change(lambda u: float(fekete_grid(d, np.array([u]))[0]),
+                                   lambda u: fekete_eval(d, u), lo, hi, bounds, REFINE_TOL)
+        if cert is None:
+            report.suspects.append({"interval": (lo, hi), "reason": "uncertified sign change"})
+        else:
+            report.zeros.append((cert.location, cert.half_width))
     # grid cells whose values dip under the local error scale without flipping
     errs = 45.0 * np.finfo(float).eps * np.minimum(ts / (1.0 - ts), float(d))
     dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]

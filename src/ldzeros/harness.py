@@ -48,6 +48,7 @@ from .stats import (
 from .zeros import build_cover, count_real_zeros, gamma_min
 
 CACHE_ENV_VAR = "LDZEROS_CACHE"
+EVAL_REL_TOL = 1e-3  # `eval` refuses a value whose error estimate exceeds this share of it
 
 
 # One parser per RunConfig field: the field's CLI flag takes it as its argparse
@@ -332,8 +333,8 @@ def run_family(config: RunConfig) -> list[str]:
 
 def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -> dict:
     """L(s) (and L'(s) on the real line, or L'/L off it) with error estimates.
-    A value whose own estimate is not below its magnitude is an AccuracyError,
-    never printed."""
+    A value whose own estimate exceeds EVAL_REL_TOL of its magnitude is an
+    AccuracyError, never printed."""
     eng = LEngine(d, eps_target=config.eps_target,
                   t_cap=max(12.0, abs(s.imag) + 2.0))
     val, err = eng.l_value(s)
@@ -351,9 +352,9 @@ def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -
             res["log_deriv_err"] = lderr
             checked.append(("L'/L", ld, lderr))
     for name, value, est in checked:
-        if not est < abs(value):
-            raise AccuracyError(f"{name} at s = {s} (d = {d}): error estimate {est:.3g} "
-                                f"is not below the magnitude {abs(value):.3g}")
+        if not est <= EVAL_REL_TOL * abs(value):
+            raise AccuracyError(f"{name} at s = {s} (d = {d}): error estimate {est:.3g} is not "
+                                f"below the magnitude {abs(value):.3g} x {EVAL_REL_TOL:g}")
     if oracle:
         ref = euler_maclaurin_oracle(d, s)
         res["oracle"] = [ref.real, ref.imag]
@@ -383,7 +384,7 @@ def _gamma_min_worker(args) -> dict:
     eng = LEngine(d, eps_target=eps_target, t_cap=t_max + 2.0)
     gm = gamma_min(eng, t_max=t_max)
     return {"d": d, "x": x, "found": gm.found, "gamma": gm.gamma,
-            "half_width": gm.half_width, "lambda_mag": gm.lambda_mag_at_zero,
+            "half_width": gm.half_width, "ends": gm.ends, "end_margins": gm.end_margins,
             "offline_checked_height": gm.offline_checked_height,
             "offline_count": gm.offline_count}
 

@@ -60,6 +60,7 @@ GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
+THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
 
 
 def block_ranges(n: int, size: int) -> list[tuple[int, int]]:
@@ -110,8 +111,12 @@ class LEngine:
         self.eps_target = float(eps_target)
         self.t_cap = float(t_cap)
         self.n_trunc = math.ceil(math.sqrt(d * (math.log(1.0 / eps_target) + 5.0) / math.pi))
-        n = np.arange(1, self.n_trunc + 1, dtype=np.int64)
-        self._chi = chi_values(self.d, n).astype(np.float64)
+        self._n_theta = math.ceil(math.sqrt(self.d * THETA_C / math.pi))
+        # one chi_d request: lambda_batch reads n_trunc values, the theta sum n_theta
+        n_all = np.arange(1, max(self.n_trunc, self._n_theta) + 1, dtype=np.int64)
+        self._chi_all = chi_values(self.d, n_all).astype(np.float64)
+        self._chi = self._chi_all[: self.n_trunc]
+        n = n_all[: self.n_trunc]
         self._logn = np.log(n.astype(np.float64))
         self._x = math.pi * n.astype(np.float64) ** 2 / self.d
         self._log_d_pi = math.log(self.d / math.pi)
@@ -228,9 +233,7 @@ class LEngine:
     # -- fast path ---------------------------------------------------------
 
     def _build_theta(self) -> None:
-        eps_q = 1e-15
-        c = math.log(1.0 / eps_q) + 3.0
-        t_max = max(self.d * c / math.pi, 40.0)
+        t_max = max(self.d * THETA_C / math.pi, 40.0)
         U = math.log(t_max)
         width = min(0.7, 4.0 * math.pi / max(self.t_cap, 1.0) / 1.5)
         panels = max(4, math.ceil(U / width))
@@ -241,10 +244,9 @@ class LEngine:
         u = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         w = (half[:, None] * gl_w[None, :]).ravel()
         t = np.exp(u)
-        n_theta = math.ceil(math.sqrt(self.d * c / math.pi))
+        n_theta = self._n_theta
         n = np.arange(1, n_theta + 1, dtype=np.float64)
-        tail = chi_values(self.d, np.arange(self.n_trunc + 1, n_theta + 1, dtype=np.int64))
-        chi = np.concatenate([self._chi[:n_theta], tail.astype(np.float64)])
+        chi = self._chi_all[:n_theta]
         # banded fill: a term falls with n and with t, so a row block's live
         # columns end where its first row's do, and once a first row has no
         # live column neither has any row after it

@@ -367,17 +367,61 @@ def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo,
 
 @dataclass(frozen=True)
 class ZeroCertificate:
-    location: float
-    half_width: float
+    bracket: tuple[float, float]
     endpoint_values: tuple[float, float]
-    endpoint_margins: tuple[float, float]  # |L'| / err_est at the endpoints
+    endpoint_margins: tuple[float, float]  # |value| / err_est at the bracket ends
 
-    def holds(self, sigma1: float, sigma2: float) -> bool:
-        """A sign change whose endpoint values clear 3 err, inside [sigma1, sigma2]."""
+    @property
+    def location(self) -> float:
+        return 0.5 * (self.bracket[0] + self.bracket[1])
+
+    @property
+    def half_width(self) -> float:
+        return 0.5 * (self.bracket[1] - self.bracket[0])
+
+    def holds(self, lo: float, hi: float) -> bool:
+        """A sign change whose endpoint values clear 3 err, bracketed inside [lo, hi]."""
         a, b = self.endpoint_values
         return (a * b < 0 and min(self.endpoint_margins) > 3.0
-                and sigma1 <= self.location - self.half_width
-                and self.location + self.half_width <= sigma2)
+                and lo <= self.bracket[0] and self.bracket[1] <= hi)
+
+
+def certify_sign_change(fast, precise, lo: float, hi: float, bounds: tuple[float, float],
+                        tol: float) -> ZeroCertificate | None:
+    """The one sign-change certificate, behind count_real_zeros, gamma_min and
+    fekete_real_zeros. Bisect a sign change of `fast(x) -> float` on [lo, hi]
+    down to width `tol` (an exact zero of `fast` re-centres the bracket on it
+    and ends the bisection), then check the ends on `precise(x) -> (value,
+    err_est)`, doubling the bracket about its midpoint, clamped into
+    `bounds`, while their margins are too thin. None if `fast` does not
+    change sign on [lo, hi], once both ends clear 3 err with one sign (a zero
+    pair was passed), or once the bracket covers `bounds`."""
+    flo, fhi = fast(lo), fast(hi)
+    if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = fast(mid)
+        if fm == 0.0:
+            lo, hi = mid - 0.25 * (hi - lo), mid + 0.25 * (hi - lo)
+            break
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    # the width doubles, so the bracket reaches bounds and the loop ends
+    width = hi - lo
+    while True:
+        (va, ea), (vb, eb) = precise(lo), precise(hi)
+        cert = ZeroCertificate(
+            bracket=(lo, hi), endpoint_values=(va, vb),
+            endpoint_margins=(abs(va) / max(ea, 1e-300), abs(vb) / max(eb, 1e-300)))
+        if cert.holds(*bounds):
+            return cert
+        if (lo, hi) == tuple(bounds) or va * vb > 0 and min(abs(va), abs(vb)) > 3 * max(ea, eb):
+            return None
+        mid, width = 0.5 * (lo + hi), 2.0 * width
+        lo, hi = max(bounds[0], mid - width / 2), min(bounds[1], mid + width / 2)
 
 
 @dataclass
@@ -401,41 +445,6 @@ def _fast_lprime_grid(engine: LEngine, grid: np.ndarray) -> np.ndarray:
     return vals.imag / COMPLEX_STEP_H
 
 
-def _certify_bracket(engine: LEngine, lo: float, hi: float, sigma1: float,
-                     sigma2: float) -> ZeroCertificate | None:
-    """Bisect a sign-change bracket of L' on the fast path, then certify the
-    final bracket with precise-path endpoint margins, widening it inside
-    [sigma1, sigma2] while they are too thin."""
-    flo = float(_fast_lprime_grid(engine, np.array([lo]))[0])
-    fhi = float(_fast_lprime_grid(engine, np.array([hi]))[0])
-    if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-        return None
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = float(_fast_lprime_grid(engine, np.array([mid]))[0])
-        if fm == 0.0:
-            lo, hi = mid - 0.25 * (hi - lo), mid + 0.25 * (hi - lo)
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    # the width doubles, so the bracket reaches [sigma1, sigma2] and the loop ends
-    width = hi - lo
-    while True:
-        va, ea = engine.l_prime(lo)
-        vb, eb = engine.l_prime(hi)
-        cert = ZeroCertificate(
-            location=0.5 * (lo + hi), half_width=0.5 * (hi - lo), endpoint_values=(va, vb),
-            endpoint_margins=(abs(va) / max(ea, 1e-300), abs(vb) / max(eb, 1e-300)))
-        if cert.holds(sigma1, sigma2):
-            return cert
-        if (lo, hi) == (sigma1, sigma2) or va * vb > 0 and min(abs(va), abs(vb)) > 3 * max(ea, eb):
-            return None  # widened over the whole interval, or past a zero pair
-        mid, width = 0.5 * (lo + hi), 2.0 * width
-        lo, hi = max(sigma1, mid - width / 2), min(sigma2, mid + width / 2)
-
-
 def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
                      grid_step: float | None = None) -> ZeroRecord:
     """Certified count of real zeros of L' on [sigma1, sigma2].
@@ -457,12 +466,15 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
     scale = float(np.median(np.abs(vals))) + 1e-300
     near_zero_tol = max(3.0 * engine.fast_rel_err * scale * 50.0, 1e-9 * scale)
 
+    def fast(x: float) -> float:
+        return float(_fast_lprime_grid(engine, np.array([x]))[0])
+
     record = ZeroRecord(d=engine.d, sigma1=sigma1, sigma2=sigma2, count=0)
     for i in range(n):
         a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0 or (fa > 0) != (fb > 0):
-            cert = _certify_bracket(engine, a, b, sigma1, sigma2)
+            cert = certify_sign_change(fast, engine.l_prime, a, b, (sigma1, sigma2), REFINE_TOL)
             if cert is not None:
                 record.zeros.append(cert)
             else:
@@ -479,10 +491,11 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
                 else:
                     lo = m1
             dip = 0.5 * (lo + hi)
-            fdip = float(_fast_lprime_grid(engine, np.array([dip]))[0])
+            fdip = fast(dip)
             if (fdip > 0) != (fa > 0):
                 for lo2, hi2 in ((a, dip), (dip, b)):
-                    cert = _certify_bracket(engine, lo2, hi2, sigma1, sigma2)
+                    cert = certify_sign_change(fast, engine.l_prime, lo2, hi2, (sigma1, sigma2),
+                                               REFINE_TOL)
                     if cert is not None:
                         record.zeros.append(cert)
                 continue
@@ -559,7 +572,8 @@ class GammaMinResult:
     found: bool
     gamma: float | None
     half_width: float | None
-    lambda_mag_at_zero: float | None
+    ends: tuple[float, float] | None         # precise Lambda at the bracket ends
+    end_margins: tuple[float, float] | None  # |Lambda| / err_est there
     t_max: float
     offline_checked_height: float | None
     offline_count: int | None
@@ -570,7 +584,8 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     """Least height of a sign change of the real function t -> Lambda(1/2 + it).
 
     Under the self-dual functional equation Lambda is real on the critical
-    line, so its first sign change is the first on-line zero. A rectangle
+    line, so its first sign change is the first on-line zero, certified on the
+    precise path inside its scan cell or IndeterminateError. A rectangle
     winding certifies no off-line zero below the reported height (up to a
     small margin strip around the line, recorded in the result).
     """
@@ -588,21 +603,24 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     g = vals.real
     sign_flip = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
     if len(sign_flip) == 0:
-        return GammaMinResult(d=engine.d, found=False, gamma=None, half_width=None,
-                              lambda_mag_at_zero=None, t_max=t_max,
-                              offline_checked_height=None, offline_count=None)
+        return GammaMinResult(d=engine.d, found=False, gamma=None, half_width=None, ends=None,
+                              end_margins=None, t_max=t_max, offline_checked_height=None,
+                              offline_count=None)
+
+    def fast(h: float) -> float:
+        return float(engine.lambda_fast(np.array([0.5 + 1j * h]))[0].real)
+
+    def precise(h: float) -> tuple[float, float]:
+        v = engine.lambda_value(0.5 + 1j * h)
+        return v.lam.real, v.err_est
+
     i = int(sign_flip[0])
-    lo, hi = float(t[i]), float(t[i + 1])
-    glo = float(g[i])
-    while hi - lo > GAMMA_REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        gm = float(engine.lambda_fast(np.array([0.5 + 1j * mid]))[0].real)
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    gam = 0.5 * (lo + hi)
-    lam_mag = abs(complex(engine.lambda_value(0.5 + 1j * gam).lam))
+    cell = (float(t[i]), float(t[i + 1]))
+    cert = certify_sign_change(fast, precise, *cell, cell, GAMMA_REFINE_TOL)
+    if cert is None:
+        raise IndeterminateError(f"no certified sign change of Lambda(1/2 + it) on "
+                                 f"[{cell[0]:.6f}, {cell[1]:.6f}]")
+    gam = cert.location
     offline_height = None
     offline_count = None
     if offline_check and gam > 0.06:
@@ -616,9 +634,10 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
                 f"rectangle found {rc.count} off-line zeros below t={top}; "
                 "gamma_min certificate invalid"
             )
-    return GammaMinResult(d=engine.d, found=True, gamma=gam, half_width=0.5 * (hi - lo),
-                          lambda_mag_at_zero=lam_mag, t_max=t_max,
-                          offline_checked_height=offline_height, offline_count=offline_count)
+    return GammaMinResult(d=engine.d, found=True, gamma=gam, half_width=cert.half_width,
+                          ends=cert.endpoint_values, end_margins=cert.endpoint_margins,
+                          t_max=t_max, offline_checked_height=offline_height,
+                          offline_count=offline_count)
 
 
 def hypothesis_radii(x: float, nu: float) -> dict[str, float]:

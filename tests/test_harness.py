@@ -480,10 +480,12 @@ def test_cli_eval_json(capsys):
     assert out["oracle_delta"] < 1e-10
 
 
-@pytest.mark.parametrize("s, code", [("0.5,300", 4), ("0.5,50", 4), ("0.5,12", 0)])
+@pytest.mark.parametrize("s, code", [("0.5,300", 4), ("0.5,50", 4), ("0.5,40", 4),
+                                     ("0.5,12", 0)])
 def test_cli_eval_exit_4_when_the_error_estimate_swamps_the_value(capsys, s, code):
     # at d = 8 the estimate of L(1/2 + 300i) was 5.7e87 against |L| = 5.4e85,
-    # and of L(1/2 + 50i) 1.2e3 against 1.34; both were printed with exit 0
+    # and of L(1/2 + 50i) 1.2e3 against 1.34; both were printed with exit 0.
+    # At 1/2 + 40i the estimate 0.54 is under |L| = 0.60 but over EVAL_REL_TOL of it
     assert main(["eval", "--d", "8", "--s", s]) == code
     cap = capsys.readouterr()
     if code:
@@ -495,10 +497,14 @@ def test_cli_eval_exit_4_when_the_error_estimate_swamps_the_value(capsys, s, cod
 
 
 def test_cli_eval_log_deriv_swamped_exit_4(capsys):
-    # |L| at 1/2 + 40i clears its estimate; L'/L (estimate 9e3 against 88) does not
-    assert main(["eval", "--d", "8", "--s", "0.5,40"]) == 0
+    # |L| at 1/2 + 40i clears its estimate (0.60 against 0.54) but not
+    # EVAL_REL_TOL of it; this once exited 0
+    assert main(["eval", "--d", "8", "--s", "0.5,40"]) == 4
     capsys.readouterr()
-    assert main(["eval", "--d", "8", "--s", "0.5,40", "--deriv"]) == 4
+    # at 1/2 + 24i L is good to 6e-6 relative, L'/L only to 1.4e-2
+    assert main(["eval", "--d", "8", "--s", "0.5,24"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--d", "8", "--s", "0.5,24", "--deriv"]) == 4
     assert capsys.readouterr().err.startswith("numerical error: L'/L at s = ")
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from ldzeros import zeros
 from ldzeros.errors import DomainError, IndeterminateError
-from ldzeros.lfunc import LEngine
+from ldzeros.lfunc import LEngine, LValue
 from ldzeros.zeros import (
     JENSEN_NODES,
     SAMPLER_RATIO,
+    ZeroCertificate,
     _CircleSampler,
     build_cover,
+    certify_sign_change,
     contour_zero_count,
     count_real_zeros,
     gamma_min,
@@ -148,6 +150,73 @@ def test_count_real_zeros_fine_grid_oracle(eng40008):
         assert abs(a.location - b.location) < 1e-6
 
 
+# certify_sign_change against synthetic functions with known roots
+
+TOL = 1e-9
+BOUNDS = (0.6, 0.8)
+CELL = (0.6913, 0.7127)  # no bisection midpoint lands on 0.7
+
+
+def _recording(precise):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return precise(x)
+
+    return f, calls
+
+
+def test_certify_widens_past_a_fast_path_offset_to_the_precise_root():
+    # the fast root sits 10 tol right of the true one, and the precise error
+    # (5 tol) leaves the bisected bracket's margins under 3: the bracket must
+    # widen until it holds the precise root with clear margins
+    root = 0.7
+    cert = certify_sign_change(lambda x: x - (root + 10 * TOL), lambda x: (x - root, 5 * TOL),
+                               *CELL, BOUNDS, TOL)
+    assert cert is not None and cert.holds(*BOUNDS)
+    assert cert.bracket[0] < root < cert.bracket[1]
+    assert min(abs(end - root) for end in cert.bracket) > 3 * 5 * TOL  # |value| > 3 err
+
+
+def test_certify_refuses_a_close_zero_pair():
+    # the fast path sees one root where the precise function has two, 2e-6
+    # apart: the widened bracket passes both and its ends share a sign
+    root, gap = 0.7, 1e-6
+    precise, calls = _recording(lambda x: ((x - root) ** 2 - gap**2, 1e-12))
+    assert certify_sign_change(lambda x: x - root, precise, *CELL, BOUNDS, TOL) is None
+    assert max(abs(x - root) for x in calls) < 1e-4  # stopped at the pair, not at the bounds
+
+
+def test_certify_stops_once_the_bracket_covers_its_bounds():
+    # margins that never clear: the bracket doubles up to the bounds, then gives up
+    precise, calls = _recording(lambda x: (x - 0.7, 1.0))
+    assert certify_sign_change(lambda x: x - 0.7, precise, *CELL, BOUNDS, TOL) is None
+    assert calls[-2:] == list(BOUNDS)
+    assert len(calls) < 2 * 40
+
+
+def test_certify_recentres_on_an_exact_fast_zero():
+    # the first midpoint of [0.69, 0.71] is 0.7, where the fast value is 0.0:
+    # the bracket halves about it and bisection ends there
+    cert = certify_sign_change(lambda x: x - 0.7, lambda x: (x - 0.7, 1e-12), 0.69, 0.71,
+                               BOUNDS, TOL)
+    assert cert.bracket == (0.695, 0.705)
+
+
+def test_certify_needs_a_fast_sign_change():
+    assert certify_sign_change(lambda x: x, lambda x: (x, 1e-12), 0.6, 0.7, BOUNDS, TOL) is None
+
+
+def test_zero_certificate_holds_on_a_bracket_ending_at_its_bound():
+    # rebuilt as location - half_width, the lower end rounds to
+    # 0.5999999999999999 < 0.6; the certificate compares its own ends
+    cert = ZeroCertificate(bracket=(0.6, 0.7849999999999999), endpoint_values=(-1.0, 1.0),
+                           endpoint_margins=(10.0, 10.0))
+    assert cert.location - cert.half_width < 0.6
+    assert cert.holds(0.6, 1.0)
+
+
 def test_count_real_zeros_additivity(eng40008):
     whole = count_real_zeros(eng40008, 0.55, 1.0)
     left = count_real_zeros(eng40008, 0.55, 0.75)
@@ -228,11 +297,25 @@ def test_jensen_refuses_a_disc_holding_a_zero_of_l(eng40008, monkeypatch):
 def test_gamma_min_d8_certificate(eng8):
     gm = gamma_min(eng8, t_max=10.0)
     assert gm.found
-    assert gm.lambda_mag_at_zero <= 1e-6
+    # the certificate's own numbers: precise Lambda of opposite signs at the
+    # bracket ends, each clearing 3 x its error estimate
+    assert gm.ends[0] * gm.ends[1] < 0
+    assert min(gm.end_margins) > 3.0
     assert gm.offline_count == 0
     fine = gamma_min(eng8, t_max=10.0, step=math.pi / (40.0 * math.log(8)),
                      offline_check=False)
     assert abs(gm.gamma - fine.gamma) < 1e-6
+
+
+def test_gamma_min_refuses_a_bracket_the_precise_path_does_not_confirm(eng8, monkeypatch):
+    # the precise path reports one sign at both bracket ends: the fast path's
+    # flip is not certified, so gamma_min must not report a height
+    def one_sign(self, s):
+        return LValue(s=complex(s), lam=1.0 + 0.0j, err_est=1e-12)
+
+    monkeypatch.setattr(LEngine, "lambda_value", one_sign)
+    with pytest.raises(IndeterminateError, match="no certified sign change"):
+        gamma_min(eng8, t_max=10.0, offline_check=False)
 
 
 def test_gamma_min_not_found_below_first_zero(eng8):
