@@ -33,6 +33,7 @@ suffix it sits in.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,6 +55,7 @@ _LANCZOS_C = np.array([
 ])
 
 EULER_GAMMA = 0.5772156649015328606
+_SIN_FINITE_IM = math.acosh(sys.float_info.max)  # |Im w| up to which sin(w) is finite
 
 
 def gamma(z):
@@ -71,7 +73,12 @@ def gamma(z):
     g = math.sqrt(2.0 * math.pi) * t ** (zz - 0.5) * np.exp(-t) * acc
     out[~refl] = g[~refl]
     if refl.any():
-        out[refl] = math.pi / (np.sin(math.pi * z[refl]) * g[refl])
+        # sin(pi z) overflows a double once |Im pi z| > acosh(DBL_MAX); those
+        # lanes are NaN, the not-finite marker, and sin is not called on them
+        sin_finite = np.abs(math.pi * z.imag) <= _SIN_FINITE_IM
+        out[refl & ~sin_finite] = np.nan
+        r = refl & sin_finite
+        out[r] = math.pi / (np.sin(math.pi * z[r]) * g[r])
     return out[0] if scalar else out
 
 

@@ -15,12 +15,13 @@ Counting conventions:
 * Contour counts on circles use the trapezoid rule applied to f'/f, with
   f and f' evaluated spectrally: L is sampled on a concentric circle,
   its Taylor coefficients recovered by FFT, and f in {L, L'} plus its
-  derivative read off the series well inside the sampled radius. Node
-  counts double until the integer stabilizes; the raw integral must land
-  within 0.1 of an integer. A phase-winding cross-check must agree. A
-  doubling samples L only at the new odd nodes (the even ones are the
-  previous nodes exactly), and the Jensen bound reuses the sampling circle
-  of its own zero-free pre-check.
+  derivative read back by one inverse FFT on a circle well inside the
+  sampled radius, at the sampling nodes' angles. Node counts double until
+  the integer stabilizes; the raw integral must land within 0.1 of an
+  integer. A phase-winding cross-check must agree. A doubling samples L
+  only at the new odd nodes (the even ones are the previous nodes
+  exactly), and the Jensen bound reads its outer circle off the sampling
+  circle of its own zero-free pre-check.
 
 * Rectangle counts (used for zero-free-region certificates) accumulate the
   argument of L along the boundary with adaptive segment refinement.
@@ -49,8 +50,6 @@ TRAPEZOID_MAX_NODES = 2048
 INTEGER_GATE = 0.1
 SAMPLER_RATIO = 0.72       # target-circle radius over sampling-circle radius
 CENTER_FLOOR = 1e-9        # conditioning floor for the Jensen center value
-JENSEN_NODES = 1024        # sampling-circle nodes behind the Jensen maximum
-JENSEN_RING = 512          # outer-circle points whose largest |L'/L| is M_jd
 COVER_GRID = 10**4         # points of the interval that covers_grid checks
 RECT_MAX_DEPTH = 26        # boundary refinement rounds of rect_zero_count
 LOCATE_RESOLUTION = 1e-3   # box size at which locate_zeros_in_box stops
@@ -85,9 +84,10 @@ class CircleCover:
 def build_cover(x: float, nu: float) -> CircleCover:
     """The 3-adic circle chain z_j = 1/2 + 3^-j, r_j = 3^-j/2, R_j = 5 r_j/4.
 
-    nu above log log x is clamped down (and flagged). Coverage of the target
-    interval is verified arithmetically; the chain of closed discs tiles
-    [1/2 + 3^-J/2, 1] exactly, so coverage reduces to 3^J >= log x/(2 nu).
+    nu above log log x is clamped down (and flagged). The chain of closed
+    discs tiles [1/2 + 3^-J/2, 1] exactly, so J is the least integer with
+    3^J >= log x/(2 nu); coverage of the target interval is verified
+    arithmetically.
     """
     if x <= math.e:
         raise DomainError(f"cover needs log log x > 0, got x={x}")
@@ -96,9 +96,8 @@ def build_cover(x: float, nu: float) -> CircleCover:
     nu_eff = min(nu, llx)
     if nu_eff <= 0:
         raise DomainError(f"nu must be positive, got {nu}")
-    J = math.floor((llx - math.log(nu_eff)) / math.log(3.0))
-    if J < 1:
-        raise DomainError(f"cover is empty at x={x}, nu={nu_eff} (J={J})")
+    # the least J with 3^J >= log x/(2 nu); J >= 1 since log x/(2 nu) >= e/2
+    J = math.ceil((llx - math.log(2.0 * nu_eff)) / math.log(3.0))
     # single correctly-rounded division each, so z_1 = 5/6, r_1 = 1/6,
     # R_1 = 5/24 hold bit-exactly
     with np.errstate(over="ignore"):
@@ -118,7 +117,7 @@ def build_cover(x: float, nu: float) -> CircleCover:
 
 
 # ---------------------------------------------------------------------------
-# circle sampler: L on a circle -> Taylor coefficients -> L, L', L'' inside
+# circle sampler: L on a circle -> Taylor coefficients -> L, L', L'' on inner rings
 # ---------------------------------------------------------------------------
 
 class _CircleSampler:
@@ -128,8 +127,7 @@ class _CircleSampler:
     Given a sampler `prev` of the same circle with half as many nodes, only
     the odd nodes are sampled: the even ones are prev's nodes bit for bit,
     since 2 pi (2j) / (2m) and 2 pi j / m round to the same double, and
-    prev's samples are reused. With twice as many nodes, every other sample
-    of prev is taken. Either way the sampler equals a freshly built one.
+    prev's samples are reused, so the sampler equals a freshly built one.
     """
 
     def __init__(self, engine: LEngine, center: complex, radius: float, nodes: int,
@@ -142,8 +140,6 @@ class _CircleSampler:
             vals = np.empty(nodes, dtype=np.complex128)
             vals[0::2] = prev.samples
             vals[1::2] = engine.l_fast(pts[1::2])
-        elif prev is not None and prev.nodes == 2 * nodes:
-            vals = prev.samples[0::2].copy()
         else:
             vals = engine.l_fast(pts)
         # c_k R^k = FFT(samples)/M; aliasing is negligible for entire L here
@@ -151,25 +147,16 @@ class _CircleSampler:
         self.nodes = nodes
         self.samples = vals
 
-    def _powers(self, w: np.ndarray) -> np.ndarray:
-        return (np.asarray(w, dtype=np.complex128) - self.center) / self.radius
-
-    def eval(self, w, order: int = 0) -> np.ndarray:
-        """f^(order)(w) from the sampled Taylor series; needs |w-c| < radius."""
-        u = np.atleast_1d(self._powers(w))
-        if np.any(np.abs(u) > 0.9):
-            raise DomainError("evaluation point too close to the sampling circle")
+    def ring(self, ratio: float, order: int = 0) -> np.ndarray:
+        """f^(order) at the node angles of the concentric circle of radius
+        ratio * radius (0 < ratio < 1): the Taylor series on that circle is
+        one inverse FFT of its coefficients."""
         k = np.arange(self.nodes, dtype=np.float64)
-        c = self.coeff.copy()
-        scale = 1.0
+        c = self.coeff
         for der in range(order):
             c = c[1:] * k[1: self.nodes - der]
-            scale /= self.radius
-        # Horner in u
-        out = np.zeros(u.shape, dtype=np.complex128)
-        for ck in c[::-1]:
-            out = out * u + ck
-        return out * scale
+        series = c * ratio ** k[: len(c)]
+        return np.fft.ifft(series, n=self.nodes, norm="forward") / self.radius**order
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +207,8 @@ def _contour_count(engine: LEngine, center: complex, radius: float,
     m = TRAPEZOID_START_NODES
     while m <= TRAPEZOID_MAX_NODES:
         sampler = _CircleSampler(engine, center, radius / SAMPLER_RATIO, m, prev=sampler)
-        theta = 2.0 * math.pi * np.arange(m) / m
-        ring = center + radius * np.exp(1j * theta)
-        f = sampler.eval(ring, order=order)
-        fp = sampler.eval(ring, order=order + 1)
+        f = sampler.ring(SAMPLER_RATIO, order)
+        fp = sampler.ring(SAMPLER_RATIO, order + 1)
         scale = float(np.median(np.abs(f))) + 1e-300
         margin = 10.0 * engine.fast_rel_err * scale
         min_mod = float(np.min(np.abs(f)))
@@ -233,7 +218,9 @@ def _contour_count(engine: LEngine, center: complex, radius: float,
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             newton_dist = float(np.min(np.abs(f / fp)))
-        integral = complex(np.sum(fp / f * (ring - center)) / m)
+        # dz = i (z - center) dtheta on the contour
+        offsets = radius * np.exp(2j * math.pi * np.arange(m) / m)
+        integral = complex(np.sum(fp / f * offsets) / m)
         count = int(round(integral.real))
         if abs(integral - count) > INTEGER_GATE or count < 0:
             # a finer contour may resolve it; if not, diagnose proximity below
@@ -470,15 +457,20 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
         return float(_fast_lprime_grid(engine, np.array([x]))[0])
 
     record = ZeroRecord(d=engine.d, sigma1=sigma1, sigma2=sigma2, count=0)
+
+    def certify(lo: float, hi: float) -> None:
+        """A sign change of L' on [lo, hi] is a zero or, refused, a suspect."""
+        cert = certify_sign_change(fast, engine.l_prime, lo, hi, (sigma1, sigma2), REFINE_TOL)
+        if cert is not None:
+            record.zeros.append(cert)
+        else:
+            record.suspects.append({"interval": (lo, hi), "reason": "uncertified sign change"})
+
     for i in range(n):
         a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0 or (fa > 0) != (fb > 0):
-            cert = certify_sign_change(fast, engine.l_prime, a, b, (sigma1, sigma2), REFINE_TOL)
-            if cert is not None:
-                record.zeros.append(cert)
-            else:
-                record.suspects.append({"interval": (a, b), "reason": "uncertified sign change"})
+            certify(a, b)
             continue
         if min(abs(fa), abs(fb)) < near_zero_tol:
             # near-zero cell without a sign change: ternary-search the dip
@@ -493,11 +485,8 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
             dip = 0.5 * (lo + hi)
             fdip = fast(dip)
             if (fdip > 0) != (fa > 0):
-                for lo2, hi2 in ((a, dip), (dip, b)):
-                    cert = certify_sign_change(fast, engine.l_prime, lo2, hi2, (sigma1, sigma2),
-                                               REFINE_TOL)
-                    if cert is not None:
-                        record.zeros.append(cert)
+                certify(a, dip)
+                certify(dip, b)
                 continue
             if abs(fdip) > near_zero_tol:
                 continue  # cleared
@@ -532,9 +521,10 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int) -> JensenRep
     """log(M_jd / |Ld(z_j)|) / log(5/4) for the j-th covering circle.
 
     Pre-check: L has no zeros in |z - z_j| <= (7/4) r_j, so -L'/L is analytic
-    on the closed outer disc. M_jd is a dense-sample maximum on the outer
-    circle, read from the pre-check's own sampling circle refined to 1024
-    nodes; the center value uses the precise path.
+    on the closed outer disc. M_jd is the largest |L'/L| on the outer circle
+    at the node angles of the pre-check's last sampling circle (512 nodes or
+    more), read off that circle's Taylor series; the center value uses the
+    precise path.
     """
     if not 1 <= j <= cover.J:
         raise DomainError(f"circle index {j} outside 1..{cover.J}")
@@ -546,14 +536,8 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int) -> JensenRep
         raise IndeterminateError(
             f"L has {outer.count} zeros within (7/4) r_j of z_{j}; Jensen bound not applicable"
         )
-    while sampler.nodes != JENSEN_NODES:
-        nodes = 2 * sampler.nodes if sampler.nodes < JENSEN_NODES else sampler.nodes // 2
-        sampler = _CircleSampler(engine, complex(zj), sampler.radius, nodes, prev=sampler)
-    theta = 2.0 * math.pi * np.arange(JENSEN_RING) / JENSEN_RING
-    ring = zj + Rj * np.exp(1j * theta)
-    lvals = sampler.eval(ring, order=0)
-    lprime = sampler.eval(ring, order=1)
-    m_jd = float(np.max(np.abs(lprime / lvals)))
+    ratio = Rj / sampler.radius
+    m_jd = float(np.max(np.abs(sampler.ring(ratio, 1) / sampler.ring(ratio, 0))))
     ld, _ = engine.log_deriv(zj)
     center = abs(ld)
     if center < CENTER_FLOOR:

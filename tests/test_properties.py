@@ -108,6 +108,18 @@ def test_cover_raises_or_covers(x, frac):
     assert cover.covers_grid()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=16.0, max_value=1e12), st.floats(min_value=1e-3, max_value=1.0))
+def test_cover_j_is_the_floor_form_where_that_covers(x, frac):
+    # J = floor(log_3(log x/nu)) covers when 3^J >= log x/(2 nu); there the
+    # least such J is the same (ties within rounding of equality are skipped)
+    nu = frac * math.log(math.log(x))
+    need = math.log(x) / (2.0 * nu)
+    floor_j = math.floor(math.log(2.0 * need, 3))
+    assume(3.0**floor_j >= need * (1.0 + 1e-12))
+    assert build_cover(x, nu).J == floor_j
+
+
 T_CAP = 12.0
 STRIP_ENGINE = LEngine(8, t_cap=T_CAP)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_gamma_recurrence_random_complex():
     lhs = gamma(z + 1.0)
     rhs = z * gamma(z)
     assert np.allclose(lhs, rhs, rtol=5e-13, atol=1e-300)
+
+
+def test_gamma_lanes_past_sin_overflow_are_nan_without_warnings():
+    # the reflection branch's sin(pi z) overflows a double past
+    # |Im z| = acosh(DBL_MAX)/pi = 226.15; it used to compute through inf
+    z = np.array([0.25 + 226.0j, 0.25 + 227.0j, -3.5 - 1e6j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gamma(z)
+    assert 0.0 < abs(g[0]) < 1e-150
+    assert np.isnan(g[1:]).all()
 
 
 def test_digamma_anchors_and_recurrence():

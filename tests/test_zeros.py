@@ -8,7 +8,6 @@ from ldzeros import zeros
 from ldzeros.errors import DomainError, IndeterminateError
 from ldzeros.lfunc import LEngine, LValue
 from ldzeros.zeros import (
-    JENSEN_NODES,
     SAMPLER_RATIO,
     ZeroCertificate,
     _CircleSampler,
@@ -46,10 +45,20 @@ def test_cover_first_circle_anchors():
 
 
 def test_cover_j_formula_example():
-    # log log x = 3, nu = 2  =>  J = floor((3 - log 2)/log 3) = 2
+    # log log x = 3, nu = 2  =>  J = ceil((3 - log 4)/log 3) = 2
     x = math.exp(math.exp(3.0))
     cov = build_cover(x, 2.0)
     assert cov.J == 2
+
+
+@pytest.mark.parametrize("x, policy", [(1e3, "hyp"), (1e4, "hyp"), (1e8, "auto")])
+def test_cover_covers_where_the_floor_form_fell_short(x, policy):
+    # J = floor(log_3(log x/nu)) left part of the interval uncovered here
+    llx = math.log(math.log(x))
+    nu = llx if policy == "auto" else llx**0.2
+    cov = build_cover(x, nu)
+    assert cov.J == math.floor(math.log(math.log(x) / nu, 3)) + 1
+    assert cov.covers_grid()
 
 
 def test_cover_grid_coverage_auto():
@@ -76,13 +85,46 @@ def test_cover_discs_tile_exactly():
 # spectral circle sampler
 # ---------------------------------------------------------------------------
 
+def _horner(sampler, w, order=0):
+    """The sampled Taylor series of f^(order) at arbitrary points w inside the
+    sampling circle, by Horner's rule: the oracle for _CircleSampler.ring."""
+    u = (np.asarray(w, dtype=np.complex128) - sampler.center) / sampler.radius
+    k = np.arange(sampler.nodes, dtype=np.float64)
+    c = sampler.coeff
+    for der in range(order):
+        c = c[1:] * k[1: sampler.nodes - der]
+    out = np.zeros(u.shape, dtype=np.complex128)
+    for ck in c[::-1]:
+        out = out * u + ck
+    return out / sampler.radius**order
+
+
+def _ring_points(sampler, ratio):
+    theta = 2.0 * math.pi * np.arange(sampler.nodes) / sampler.nodes
+    return sampler.center + ratio * sampler.radius * np.exp(1j * theta)
+
+
+@pytest.mark.parametrize("ratio", [1.25 * SAMPLER_RATIO / 1.75, SAMPLER_RATIO])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_ring_read_equals_horner(eng40008, ratio, order):
+    # the Jensen ring (0.514) and the contour ring (0.72) of circle 1
+    sampler = _CircleSampler(eng40008, 5.0 / 6.0, 1.75 / 6.0 / SAMPLER_RATIO, 512)
+    got = sampler.ring(ratio, order)
+    want = _horner(sampler, _ring_points(sampler, ratio), order)
+    assert got.shape == (512,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sampler_reproduces_l_and_derivatives(eng8):
     sampler = _CircleSampler(eng8, 0.85 + 0.0j, 0.25, 256)
-    for w in (0.80, 0.9, 0.85 + 0.1j):
-        lv, _ = eng8.l_value(complex(w))
-        assert abs(complex(sampler.eval(w)[0]) - lv) < 1e-9 * (1 + abs(lv))
-    lp, _ = eng8.l_prime(0.9)
-    assert abs(complex(sampler.eval(0.9, order=1)[0]) - lp) < 1e-8 * (1 + abs(lp))
+    ring, ring_prime = sampler.ring(SAMPLER_RATIO), sampler.ring(SAMPLER_RATIO, 1)
+    pts = _ring_points(sampler, SAMPLER_RATIO)
+    for j in (0, 32, 100, 128, 200):
+        lv, _ = eng8.l_value(complex(pts[j]))
+        assert abs(complex(ring[j]) - lv) < 1e-9 * (1 + abs(lv))
+    for j in (0, 128):  # the real nodes, at angles 0 and pi
+        lp, _ = eng8.l_prime(float(pts[j].real))
+        assert abs(complex(ring_prime[j]) - lp) < 1e-8 * (1 + abs(lp))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +182,34 @@ def test_bracket_widening_ends_at_the_interval(eng40008):
     assert rec.verify()
     assert rec.count == 0
     assert [s["reason"] for s in rec.suspects] == ["uncertified sign change"]
+
+
+class _CubicEngine:
+    """L(s) = (s - A)^3/3 - 1e-8 s, so L'(sigma) = (sigma - A)^2 - 1e-8 has two
+    zeros 2e-4 apart inside the grid cell (0.7, 0.70208) of [0.6, 0.8], and a
+    precise error estimate of 1 that no sign change of L' clears."""
+
+    A = 0.70104
+    d = 1
+    fast_rel_err = 1e-5
+
+    def l_fast(self, s):
+        u = np.asarray(s) - self.A
+        return u * u * u / 3.0 - 1e-8 * np.asarray(s)
+
+    def l_prime(self, sigma):
+        return (sigma - self.A) ** 2 - 1e-8, 1.0
+
+
+def test_refused_halves_of_a_dip_are_suspects():
+    # the grid misses both zeros; the dip search crosses zero, and both
+    # halves of the cell are refused a certificate
+    rec = count_real_zeros(_CubicEngine(), 0.6, 0.8)
+    assert rec.count == 0
+    cell = [s for s in rec.suspects if 0.7 <= s["interval"][0] < s["interval"][1] <= 0.70209]
+    assert [s["reason"] for s in cell] == ["uncertified sign change"] * 2
+    assert cell[0]["interval"][0] == 0.7 and cell[1]["interval"][1] == pytest.approx(0.70208333)
+    assert cell[0]["interval"][1] == cell[1]["interval"][0]
 
 
 def test_count_real_zeros_fine_grid_oracle(eng40008):
@@ -397,15 +467,13 @@ def _bits(a):
     return np.asarray(a, dtype=np.complex128).view(np.uint64)
 
 
-def test_refined_and_coarsened_samplers_equal_fresh_ones(eng40008):
+def test_refined_samplers_equal_fresh_ones(eng40008):
     center, radius = 5.0 / 6.0 + 0.0j, 1.75 / 6.0 / SAMPLER_RATIO
     base = _CircleSampler(eng40008, center, radius, 256)
     fine = _CircleSampler(eng40008, center, radius, 512, prev=base)
     fresh = _CircleSampler(eng40008, center, radius, 512)
     assert np.array_equal(_bits(fine.samples), _bits(fresh.samples))
     assert np.array_equal(_bits(fine.coeff), _bits(fresh.coeff))
-    coarse = _CircleSampler(eng40008, center, radius, 256, prev=fresh)
-    assert np.array_equal(_bits(coarse.coeff), _bits(base.coeff))
 
 
 class _CountingEngine:
@@ -435,10 +503,13 @@ def test_jensen_reuses_its_precheck_circle(eng40008):
     eng = _CountingEngine(eng40008)
     jb = jensen_upper_bound(eng, cov, 1)
     pre = contour_zero_count(eng40008, complex(cov.centers[0]), 1.75 * cov.radii[0], "L")
-    assert eng.points == max(pre.nodes, JENSEN_NODES)
-    # the bound equals one read from a freshly sampled 1024-node circle
+    assert eng.points == pre.nodes
+    # the bound equals one read from a freshly sampled circle of as many
+    # nodes, and is no lower than the largest |L'/L| at 512 ring angles
     zj, rj, Rj = float(cov.centers[0]), float(cov.radii[0]), float(cov.outer_radii[0])
-    sampler = _CircleSampler(eng40008, complex(zj), 1.75 * rj / SAMPLER_RATIO, 1024)
+    sampler = _CircleSampler(eng40008, complex(zj), 1.75 * rj / SAMPLER_RATIO, pre.nodes)
+    ratio = Rj / sampler.radius
+    assert jb.m_jd == float(np.max(np.abs(sampler.ring(ratio, 1) / sampler.ring(ratio, 0))))
     ring = zj + Rj * np.exp(1j * 2.0 * math.pi * np.arange(512) / 512)
-    m_jd = float(np.max(np.abs(sampler.eval(ring, order=1) / sampler.eval(ring, order=0))))
-    assert jb.m_jd == m_jd
+    m_512 = float(np.max(np.abs(_horner(sampler, ring, 1) / _horner(sampler, ring, 0))))
+    assert jb.m_jd >= m_512 * (1.0 - 1e-12)
