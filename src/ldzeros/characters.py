@@ -172,18 +172,3 @@ def enumerate_family(x: float) -> Family:
         raise DomainError(f"family D(x) is empty at x={x}")
     ms.flags.writeable = False
     return Family(x=float(x), m=ms)
-
-
-def char_average(family: Family, n: int) -> float:
-    """(1/|D(x)|) sum over d in D(x) of chi_d(n).
-
-    Near prod_{p | n, p odd} p/(p+1) when n is an odd square, near 0 otherwise
-    (and exactly 0 in expectation for even n: chi_d(2) = 0 on this family).
-    """
-    if n < 1:
-        raise DomainError(f"char_average requires n >= 1, got {n}")
-    if len(family) == 0:
-        raise DomainError("char_average over an empty family")
-    if n > family.x:
-        raise DomainError(f"char_average range requires n <= x ({n} > {family.x})")
-    return int(np.sum(chi_values(8 * family.m, n), dtype=np.int64)) / len(family)

@@ -173,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=50.0, dest="t_max")
 
     p = command("fekete", "Fekete zero counts / Mellin identities", "",
-                lambda a, c: run_fekete(c, a.d, a.count_zeros, a.check_identity, s=a.s))
+                lambda a, c: run_fekete(a.d, a.count_zeros, a.check_identity, s=a.s))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count-zeros", action="store_true", dest="count_zeros")
     p.add_argument("--check-identity", action="store_true", dest="check_identity")

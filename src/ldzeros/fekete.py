@@ -7,7 +7,9 @@ on (0, 1), and the two Mellin-type identities tying them to L and L':
 (the first by expanding F_d(u)/(1-u^d) into the full Dirichlet series, the
 second by differentiating in s). Both sides are computed by independent
 machinery: the left by the L-evaluators, the right by double-exponential
-quadrature after the u = e^-v substitution.
+quadrature after the u = e^-v substitution. Each side is evaluated once, at
+the complex step s + ih: the real part is the first identity's side and the
+imaginary part over h, the s-derivative, the second's.
 
 Coefficients are streamed from the cached character table; no coefficient
 arrays are materialized beyond the table itself. The zero scan evaluates its
@@ -32,15 +34,14 @@ import numpy as np
 
 from .characters import char_table
 from .errors import AccuracyError, DomainError, ResourceError
-from .lfunc import LEngine, block_ranges
-from .specialfn import digamma, gamma
+from .lfunc import COMPLEX_STEP_H, LEngine, block_ranges
+from .specialfn import gamma
 from .zeros import certify_sign_change
 
 MELLIN_D_CAP = 2000
 GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
 _GRID_BLOCK_BYTES = 1 << 23  # fekete_grid's power table: 4,096 grid columns
 REFINE_TOL = 1e-12           # bracket width of a real zero of F_d on (0, 1)
-BEARING_GRID = 2048          # find_zero_bearing's first-pass scan grid
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -222,20 +223,6 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     return report
 
 
-def find_zero_bearing(family, limit: int | None = None):
-    """First family member whose Fekete polynomial has a certified zero in (0,1)."""
-    for m in family.m[:limit].tolist():
-        d = 8 * m
-        ts = zero_scan_grid(d, BEARING_GRID)
-        vals = fekete_grid(d, ts)
-        sign = np.sign(vals)
-        if np.any((sign[:-1] * sign[1:]) < 0):
-            report = fekete_real_zeros(d, grid_points=4 * BEARING_GRID)
-            if report.count >= 1:
-                return d, report
-    return None, None
-
-
 # ---------------------------------------------------------------------------
 # Mellin identities (double-exponential quadrature)
 # ---------------------------------------------------------------------------
@@ -249,7 +236,7 @@ def _exp_sinh_nodes(h: float, w_max: float) -> tuple[np.ndarray, np.ndarray]:
     return v[keep], dv[keep]
 
 
-def _mellin_rhs(d: int, s: float, with_log: bool, h: float) -> float:
+def _mellin_rhs(d: int, s: complex, h: float) -> complex:
     v, dv = _exp_sinh_nodes(h, 4.2)
     chi = char_table(d).astype(np.float64)
     u = np.exp(-v)
@@ -257,10 +244,7 @@ def _mellin_rhs(d: int, s: float, with_log: bool, h: float) -> float:
     fd = np.polynomial.polynomial.polyval(u, chi)
     with np.errstate(over="ignore"):
         denom = -np.expm1(-d * v)
-    integrand = v ** (s - 1.0) * fd / denom
-    if with_log:
-        integrand = integrand * np.log(v)
-    return float(np.sum(integrand * dv))
+    return complex(np.sum(v ** (s - 1.0) * fd / denom * dv))
 
 
 @dataclass(frozen=True)
@@ -276,30 +260,26 @@ class MellinReport:
 
 
 def mellin_identity_check(d: int, s: float) -> MellinReport:
-    """Relative residuals of both identities at real s in (1/2, 1]."""
+    """Relative residuals of both identities at real s in (1/2, 1], both
+    read from one complex step of each side."""
     if not 0.5 < s <= 1.0:
         raise DomainError(f"identity check expects s in (1/2, 1], got {s}")
     if d > MELLIN_D_CAP:
         raise ResourceError(f"quadrature cost grows with d; {d} > cap {MELLIN_D_CAP}")
-    engine = LEngine(d)
-    lval, _ = engine.l_value(s)
-    lprime, _ = engine.l_prime(s)
-    gam = complex(gamma(complex(s))).real
-    psi = complex(digamma(complex(s))).real
-    lhs1 = lval.real * gam
-    lhs2 = gam * (lprime + lval.real * psi)
-    rhs1 = dict()
-    rhs2 = dict()
-    for h in (0.08, 0.04):
-        rhs1[h] = _mellin_rhs(d, s, with_log=False, h=h)
-        rhs2[h] = _mellin_rhs(d, s, with_log=True, h=h)
-    if abs(rhs1[0.04] - rhs1[0.08]) > 1e-8 * (1 + abs(rhs1[0.04])):
-        raise AccuracyError(
-            f"first-identity quadrature unstable: {rhs1[0.08]} vs {rhs1[0.04]}")
-    if abs(rhs2[0.04] - rhs2[0.08]) > 1e-7 * (1 + abs(rhs2[0.04])):
-        raise AccuracyError(
-            f"second-identity quadrature unstable: {rhs2[0.08]} vs {rhs2[0.04]}")
-    r1 = abs(lhs1 - rhs1[0.04]) / max(abs(lhs1), 1e-300)
-    r2 = abs(lhs2 - rhs2[0.04]) / max(abs(lhs2), 1e-300)
-    return MellinReport(d=d, s=s, lhs_first=lhs1, rhs_first=rhs1[0.04], residual_first=r1,
-                        lhs_second=lhs2, rhs_second=rhs2[0.04], residual_second=r2)
+    s_h = s + 1j * COMPLEX_STEP_H
+
+    def parts(z: complex) -> tuple[float, float]:
+        return z.real, z.imag / COMPLEX_STEP_H  # value at s, s-derivative
+
+    lval, _ = LEngine(d).l_value(s_h)
+    lhs1, lhs2 = parts(lval * complex(gamma(s_h)))
+    rhs1, rhs2 = parts(_mellin_rhs(d, s_h, h=0.04))
+    coarse1, coarse2 = parts(_mellin_rhs(d, s_h, h=0.08))
+    if abs(rhs1 - coarse1) > 1e-8 * (1 + abs(rhs1)):
+        raise AccuracyError(f"first-identity quadrature unstable: {coarse1} vs {rhs1}")
+    if abs(rhs2 - coarse2) > 1e-7 * (1 + abs(rhs2)):
+        raise AccuracyError(f"second-identity quadrature unstable: {coarse2} vs {rhs2}")
+    r1 = abs(lhs1 - rhs1) / max(abs(lhs1), 1e-300)
+    r2 = abs(lhs2 - rhs2) / max(abs(lhs2), 1e-300)
+    return MellinReport(d=d, s=s, lhs_first=lhs1, rhs_first=rhs1, residual_first=r1,
+                        lhs_second=lhs2, rhs_second=rhs2, residual_second=r2)

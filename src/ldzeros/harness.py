@@ -257,18 +257,24 @@ class ResultStore:
         return stored
 
     def store(self, key: str, value) -> None:
-        """Record a freshly computed value of a missed `key`."""
+        """Record a freshly computed value of a missed `key`. Each writer fills
+        its own randomly named temp file beside the entry and renames it into
+        place, so runs sharing a store never write one file; a store that
+        cannot be written raises DomainError."""
         if not self.enabled():
             return
         self.misses += 1
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         blob = {"key": key, "value": value,
                 "value_sha": hashlib.sha256(_canonical_json(value).encode()).hexdigest()}
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(tmp, "x", encoding="utf-8") as fh:
+                json.dump(blob, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DomainError(f"cannot write cache entry {path!r}: {exc.strerror}") from None
 
     def cached_map(self, worker, args_list, threads: int = 1, verify: bool = False) -> list:
         """[worker(args) for args in args_list], served from the store. Only
@@ -401,8 +407,7 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
     return [_write(out, config, rows, jsonl=True)]
 
 
-def run_fekete(config: RunConfig, d: int, count_zeros: bool, check_identity: bool,
-               s: float) -> dict:
+def run_fekete(d: int, count_zeros: bool, check_identity: bool, s: float) -> dict:
     res: dict = {"d": d}
     if count_zeros:
         rep = fekete_real_zeros(d)
@@ -475,18 +480,11 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
 def run_rd_stats(config: RunConfig) -> list[str]:
     out = config.out or "rd_stats.jsonl"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
-    samples = rd_statistics(config.x_list, config.nu_policy, config.sample_size, config.seed,
-                            eps_target=config.eps_target, mapper=_cached_map(config))
-    _write(out, config, [{
-        "x": s.x, "nu": s.nu, "sigma1": s.sigma1, "n": len(s.counts),
-        "mean": s.mean, "std_err": s.std_err, "max": s.max_count,
-        "suspects": s.suspects,
-        "histogram": {str(k): v for k, v in sorted(s.histogram.items())},
-        "loglog_x": s.loglog_x, "logloglog_x": s.logloglog_x,
-        "d_values": s.d_values, "counts": s.counts,
-    } for s in samples], jsonl=True)
-    _write(dat, config, [_plot_line(s.x, s.counts) for s in samples])
-    suspects = sum(s.suspects for s in samples)
+    rows = rd_statistics(config.x_list, config.nu_policy, config.sample_size, config.seed,
+                         eps_target=config.eps_target, mapper=_cached_map(config))
+    _write(out, config, rows, jsonl=True)
+    _write(dat, config, [_plot_line(r["x"], r["counts"]) for r in rows])
+    suspects = sum(r["suspects"] for r in rows)
     if config.strict and suspects:
         raise IndeterminateError(f"{suspects} suspect zero cells under --strict")
     return [out, dat]

@@ -35,6 +35,9 @@ Two evaluation paths, one contract:
   Points are evaluated in row blocks through two reused, cache-sized
   buffers; each value is the bits of the unblocked (points x nodes) product.
 
+L' on the real axis is one complex step sigma + ih on either path: _step
+serves l_prime and log_deriv, _fast_step l_prime_fast and log_deriv_fast.
+
 An independent oracle (Hurwitz zeta by Euler-Maclaurin) lives alongside for
 cross-checking; it shares no code with either path.
 """
@@ -185,41 +188,29 @@ class LEngine:
             raise ConditioningError(f"gamma factor {abs(gf):.3e} too small at s={s}")
         return complex(lam[0] / gf), float(err[0]) / abs(gf)
 
-    def l_prime(self, sigma: float) -> tuple[float, float]:
-        """L'(sigma) for real sigma by complex-step differentiation.
-
-        The expansion is evaluated in complex arithmetic and L is real on the
-        real axis, so Im L(sigma + ih)/h is a cancellation-free derivative;
-        the h^2 truncation term sits at 1e-40.
-        """
-        sigma = float(sigma)
+    def _step(self, sigma: float) -> tuple[float, float, float]:
+        """L(sigma), L'(sigma) and the error of L' from one complex step: L is
+        real on the real axis, so Im L(sigma + ih)/h is a cancellation-free
+        derivative (its h^2 term sits at 1e-40). kappa, a first-order bound on
+        d(log L)/ds across the strip, scales the error of L."""
         val, err = self.l_value(sigma + 1j * COMPLEX_STEP_H)
-        # first-order scale factor for d(log L)/ds across the strip
         kappa = 0.5 * abs(self._log_d_pi) + math.log(self.n_trunc + 1) + 4.0
-        return val.imag / COMPLEX_STEP_H, err * kappa
+        return val.real, val.imag / COMPLEX_STEP_H, err * kappa
 
-    def l_prime_central(self, sigma: float) -> float:
-        """Central-difference cross-check for l_prime (independent route,
-        step h = 1e-6)."""
-        h = 1e-6
-        lp, _ = self.l_value(sigma + h)
-        lm, _ = self.l_value(sigma - h)
-        return (lp.real - lm.real) / (2.0 * h)
+    def l_prime(self, sigma: float) -> tuple[float, float]:
+        """L'(sigma) for real sigma and its error estimate (complex step)."""
+        return self._step(float(sigma))[1:]
 
     def log_deriv(self, s: complex) -> tuple[complex, float]:
         """-L'/L(s). Raises NearZeroError when |L| is under the floor."""
         s = complex(s)
         if s.imag == 0.0:
-            val, err = self.l_value(s.real + 1j * COMPLEX_STEP_H)
-            l_re, l_im = val.real, val.imag
+            l_re, deriv, err = self._step(s.real)
             if abs(l_re) < L_FLOOR:
                 raise NearZeroError(f"|L({s})| = {abs(l_re):.3e} under conditioning floor",
                                     magnitude=abs(l_re))
-            deriv = l_im / COMPLEX_STEP_H
-            kappa = 0.5 * abs(self._log_d_pi) + math.log(self.n_trunc + 1) + 4.0
             out = -deriv / l_re
-            rel = err * kappa / max(abs(l_re), L_FLOOR) * (1.0 + abs(out))
-            return complex(out), rel
+            return complex(out), err / max(abs(l_re), L_FLOOR) * (1.0 + abs(out))
         # off the real axis: fourth-order central differences of L
         h = 1e-4
         vals = [self.l_value(s + k * h)[0] for k in (-2, -1, 1, 2)]
@@ -310,12 +301,21 @@ class LEngine:
         gf = np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0)
         return lam / gf
 
+    def _fast_step(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L and L' at real points from one complex step of l_fast."""
+        v = self.l_fast(np.asarray(sigma, dtype=np.float64) + 1j * COMPLEX_STEP_H)
+        return v.real, v.imag / COMPLEX_STEP_H
+
+    def l_prime_fast(self, sigma: np.ndarray) -> np.ndarray:
+        """L'(sigma) at real points on the fast path (vectorized)."""
+        return self._fast_step(sigma)[1]
+
     def log_deriv_fast(self, sigma: float) -> float:
-        """-L'/L at a real point on the fast path (complex step)."""
-        v = self.l_fast(np.array([sigma + 1j * COMPLEX_STEP_H]))[0]
-        if abs(v.real) < L_FLOOR:
-            raise NearZeroError(f"|L({sigma})| under floor on fast path", magnitude=abs(v.real))
-        return -v.imag / COMPLEX_STEP_H / v.real
+        """-L'/L at a real point on the fast path."""
+        [l_re], [deriv] = self._fast_step(np.array([sigma]))
+        if abs(l_re) < L_FLOOR:
+            raise NearZeroError(f"|L({sigma})| under floor on fast path", magnitude=abs(l_re))
+        return -deriv / l_re
 
 
 # -- independent oracle ----------------------------------------------------

@@ -5,7 +5,8 @@ with *complex* first argument (for complex-step differentiation and contour
 work), which standard library backends do not provide. Everything is plain
 numpy and vectorizes over broadcastable array arguments.
 
-Gamma and digamma use the g=7, n=9 Lanczos expansion with reflection.
+Gamma uses the g=7, n=9 Lanczos expansion with reflection; its real-axis
+derivative Gamma psi is the complex step Im Gamma(s + ih)/h.
 Gamma(a, x) uses three regimes on real x > 0:
 
   1. x < min(|a| + 2, 4):  alternating series around
@@ -79,27 +80,6 @@ def gamma(z):
         out[refl & ~sin_finite] = np.nan
         r = refl & sin_finite
         out[r] = math.pi / (np.sin(math.pi * z[r]) * g[r])
-    return out[0] if scalar else out
-
-
-def digamma(z):
-    """Complex digamma, from the derivative of the Lanczos form."""
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z)
-    acc = np.full_like(zz, _LANCZOS_C[0])
-    dacc = np.zeros_like(zz)
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (zz - 1.0 + i)
-        dacc -= _LANCZOS_C[i] / (zz - 1.0 + i) ** 2
-    t = zz + (_LANCZOS_G - 0.5)
-    psi = np.log(t) + (zz - 0.5) / t - 1.0 + dacc / acc
-    out[~refl] = psi[~refl]
-    if refl.any():
-        out[refl] = psi[refl] - math.pi / np.tan(math.pi * z[refl])
     return out[0] if scalar else out
 
 

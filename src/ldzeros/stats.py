@@ -12,6 +12,7 @@ fixed-order, so outputs are byte-identical across worker counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,22 +330,6 @@ def nu_from_policy(policy: str | float, x: float) -> float:
     return float(policy)
 
 
-@dataclass
-class RdSample:
-    x: float
-    nu: float
-    sigma1: float
-    d_values: list[int]
-    counts: list[int]
-    suspects: int
-    mean: float
-    std_err: float
-    max_count: int
-    histogram: dict[int, int]
-    loglog_x: float
-    logloglog_x: float
-
-
 def sample_members(family: Family, sample_size: int, seed: int) -> list[int]:
     """d of min(sample_size, |D(x)|) members drawn without replacement by seed
     (all of D(x) when sample_size >= len(family)), ascending, as Python ints."""
@@ -376,11 +361,11 @@ def zeros_worker(args) -> dict:
 
 
 def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
-                  eps_target: float = 1e-12, mapper=map) -> list[RdSample]:
-    """Per-x samples of R_d(1/2 + nu/log x, 1), all counts certified or
-    explicitly suspect, aggregated from `zeros_worker` rows. mapper(worker,
-    args_list) computes one x's rows in job order: `map`, or a result store's
-    cached_map."""
+                  eps_target: float = 1e-12, mapper=map) -> list[dict]:
+    """Per-x rows of R_d(1/2 + nu/log x, 1), all counts certified or
+    explicitly suspect, aggregated from `zeros_worker` rows: the rows of
+    rd.jsonl. mapper(worker, args_list) computes one x's rows in job order:
+    `map`, or a result store's cached_map."""
     samples = []
     for x in x_list:
         if x < 1e3:
@@ -392,14 +377,13 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
         rows = list(mapper(zeros_worker, [(d, x, sigma1, eps_target) for d in ds]))
         counts = [row["count"] for row in rows]
         arr = np.array(counts, dtype=np.float64)
-        hist: dict[int, int] = {}
-        for c in counts:
-            hist[c] = hist.get(c, 0) + 1
-        samples.append(RdSample(
-            x=float(x), nu=nu, sigma1=sigma1, d_values=ds, counts=counts,
-            suspects=sum(len(row["suspects"]) for row in rows), mean=float(arr.mean()),
-            std_err=float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0,
-            max_count=int(arr.max()) if len(arr) else 0, histogram=hist,
-            loglog_x=math.log(math.log(x)),
-            logloglog_x=math.log(math.log(math.log(x)))))
+        samples.append({
+            "x": float(x), "nu": nu, "sigma1": sigma1, "n": len(counts),
+            "mean": float(arr.mean()),
+            "std_err": float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0,
+            "max": int(arr.max()) if len(arr) else 0,
+            "suspects": sum(len(row["suspects"]) for row in rows),
+            "histogram": {str(k): v for k, v in sorted(Counter(counts).items())},
+            "loglog_x": math.log(math.log(x)), "logloglog_x": math.log(math.log(math.log(x))),
+            "d_values": ds, "counts": counts})
     return samples

@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     IndeterminateError,
 )
-from .lfunc import COMPLEX_STEP_H, LEngine
+from .lfunc import LEngine
 
 TRAPEZOID_START_NODES = 256
 TRAPEZOID_MAX_NODES = 2048
@@ -427,11 +427,6 @@ class ZeroRecord:
                 and all(c.holds(self.sigma1, self.sigma2) for c in self.zeros))
 
 
-def _fast_lprime_grid(engine: LEngine, grid: np.ndarray) -> np.ndarray:
-    vals = engine.l_fast(grid + 1j * COMPLEX_STEP_H)
-    return vals.imag / COMPLEX_STEP_H
-
-
 def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
                      grid_step: float | None = None) -> ZeroRecord:
     """Certified count of real zeros of L' on [sigma1, sigma2].
@@ -449,12 +444,12 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
         raise DomainError(f"grid_step {grid_step} coarser than (sigma2-sigma1)/8")
     n = int(math.ceil(span / grid_step))
     grid = np.linspace(sigma1, sigma2, n + 1)
-    vals = _fast_lprime_grid(engine, grid)
+    vals = engine.l_prime_fast(grid)
     scale = float(np.median(np.abs(vals))) + 1e-300
     near_zero_tol = max(3.0 * engine.fast_rel_err * scale * 50.0, 1e-9 * scale)
 
     def fast(x: float) -> float:
-        return float(_fast_lprime_grid(engine, np.array([x]))[0])
+        return float(engine.l_prime_fast(np.array([x]))[0])
 
     record = ZeroRecord(d=engine.d, sigma1=sigma1, sigma2=sigma2, count=0)
 
@@ -477,7 +472,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
             lo, hi = a, b
             for _ in range(40):
                 m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                f1, f2 = _fast_lprime_grid(engine, np.array([m1, m2]))
+                f1, f2 = engine.l_prime_fast(np.array([m1, m2]))
                 if abs(f1) < abs(f2):
                     hi = m2
                 else:

@@ -12,9 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ldzeros.characters import char_average, enumerate_family
+from ldzeros.characters import enumerate_family
 from ldzeros.errors import ContourProximityError, IndeterminateError
-from ldzeros.fekete import fekete_real_zeros, find_zero_bearing, mellin_identity_check
+from ldzeros.fekete import fekete_real_zeros, mellin_identity_check
 from ldzeros.harness import RunConfig, run_discrepancy, run_moments, run_rd_stats
 from ldzeros.lfunc import LEngine, euler_maclaurin_oracle
 from ldzeros.randmodel import moment_rand
@@ -34,6 +34,9 @@ from ldzeros.zeros import (
     hypothesis_ld_check,
     jensen_upper_bound,
 )
+from test_characters import char_average
+from test_fekete import find_zero_bearing
+from test_lfunc import l_prime_central
 
 SEED = 20260808
 L1_CHI8 = math.log(1.0 + math.sqrt(2.0)) / math.sqrt(2.0)
@@ -102,7 +105,7 @@ def test_criterion_03_derivative_consistency(fam1e4):
             lp, _ = eng.l_prime(sigma)
             if abs(lp) <= 1e-3:
                 continue
-            lc = eng.l_prime_central(sigma)
+            lc = l_prime_central(eng, sigma)
             assert abs(lp - lc) / abs(lp) <= 1e-6, (d, sigma)
             checked += 1
 
@@ -216,12 +219,12 @@ def test_criterion_11_rd_statistics():
                        "suspects <= 1%"):
         samples = rd_statistics([1e3, 1e4, 1e5], "auto", sample_size=200, seed=SEED)
         for s in samples:
-            assert s.max_count <= 25, s.x
-            assert s.suspects <= 0.01 * len(s.counts), s.x
+            assert s["max"] <= 25, s["x"]
+            assert s["suspects"] <= 0.01 * len(s["counts"]), s["x"]
         for a, b in zip(samples, samples[1:]):
-            assert b.mean >= a.mean - a.std_err, (a.x, b.x, a.mean, b.mean)
-        detail = " ".join(f"x={s.x:.0e}: mean={s.mean:.3f}+-{s.std_err:.3f} max={s.max_count}"
-                          for s in samples)
+            assert b["mean"] >= a["mean"] - a["std_err"], (a["x"], b["x"], a["mean"], b["mean"])
+        detail = " ".join(f"x={s['x']:.0e}: mean={s['mean']:.3f}+-{s['std_err']:.3f} "
+                          f"max={s['max']}" for s in samples)
         print(f"  (criterion 11: {detail})")
 
 

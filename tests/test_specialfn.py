@@ -8,7 +8,6 @@ from ldzeros import specialfn
 from ldzeros.specialfn import (
     EULER_GAMMA,
     bernoulli_numbers,
-    digamma,
     gamma,
     upper_gamma,
 )
@@ -37,7 +36,7 @@ def e1_oracle(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gamma / digamma
+# gamma
 # ---------------------------------------------------------------------------
 
 def test_gamma_integer_and_half_integer_values():
@@ -75,12 +74,15 @@ def test_gamma_lanes_past_sin_overflow_are_nan_without_warnings():
     assert np.isnan(g[1:]).all()
 
 
-def test_digamma_anchors_and_recurrence():
-    assert complex(digamma(1.0)) == pytest.approx(-EULER_GAMMA, rel=1e-13)
-    assert complex(digamma(0.5)) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), rel=1e-13)
-    rng = np.random.default_rng(4)
-    z = rng.uniform(0.1, 3.0, 40) + 1j * rng.uniform(-20, 20, 40)
-    assert np.allclose(digamma(z + 1.0), digamma(z) + 1.0 / z, rtol=1e-11, atol=1e-13)
+def test_gamma_complex_step_gives_digamma_anchors():
+    # psi(s) = Gamma'(s)/Gamma(s) = Im Gamma(s + ih) / (h Gamma(s)) on the real axis
+    h = 1e-20
+
+    def psi(s):
+        return complex(gamma(s + 1j * h)).imag / (h * complex(gamma(s)).real)
+
+    assert psi(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-13)
+    assert psi(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), rel=1e-13)
 
 
 def test_bernoulli_numbers_exact():

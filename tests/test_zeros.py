@@ -200,6 +200,9 @@ class _CubicEngine:
     def l_prime(self, sigma):
         return (sigma - self.A) ** 2 - 1e-8, 1.0
 
+    _fast_step = LEngine._fast_step
+    l_prime_fast = LEngine.l_prime_fast
+
 
 def test_refused_halves_of_a_dip_are_suspects():
     # the grid misses both zeros; the dip search crosses zero, and both
