@@ -14,13 +14,17 @@ imaginary part over h, the s-derivative, the second's.
 Coefficients are streamed from the cached character table; no coefficient
 arrays are materialized beyond the table itself. The zero scan evaluates its
 grid (16 d points up to 2^17) through one reused power table a column block
-at a time, so its memory does not grow with the grid.
+at a time, so its memory does not grow with the grid. Each block sums only
+the degrees n <= N, N the least n with t^n <= GRID_TAIL at its largest t:
+the dropped tail is at most GRID_TAIL t/(1 - t), and the scan adds it to
+its error scale.
 
 F_d has a double zero at t = 1 (the full-period sum and the evenness of
 chi_d kill F_d(1) and F_d'(1)), so the scan's values near 1 sink under their
 error scale. An end certificate closes that gap: the exact integer moments
 F_d^(j)(1) and a Lagrange remainder bound prove F_d zero-free on
 (1 - delta*, 1), and the bound is checked against an exactly-rounded value.
+The scan reads that interval only sparsely.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ MELLIN_D_CAP = 2000
 GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
 _GRID_BLOCK_BYTES = 1 << 23  # fekete_grid's power table: 4,096 grid columns
 REFINE_TOL = 1e-12           # bracket width of a real zero of F_d on (0, 1)
+GRID_TAIL = 1e-17            # fekete_grid drops the degrees n with t^n under this
+END_SAMPLE = 64              # the scan reads every END_SAMPLE-th point inside (1 - delta*, 1)
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -67,22 +73,31 @@ def fekete_eval(d: int, t: float) -> tuple[float, float]:
 
 
 def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a grid (scan path; certificates re-use
-    fekete_eval).
+    """Vectorized evaluation over a grid of t in [0, 1) (scan path;
+    certificates re-use fekete_eval); DomainError outside it.
 
     Blocked Horner: F_d(t) = sum_b C_b(t) (t^B)^b with C_b a degree-(B-1)
     polynomial chunk (B = GRID_DEGREE_BLOCK), so the inner work is one
     (n_blocks x B) @ (B x columns) product instead of a length-d coefficient
     loop. The grid streams through one reused B x columns power table, a
     column block at a time (columns from _GRID_BLOCK_BYTES), so memory stays
-    flat in the grid size, and the values are the unblocked product's bit
-    for bit. (For d <= B the product is a BLAS gemv whose last bits on a
-    long grid depend on BLAS's thread split, blocked or not. Under the
-    package's one-thread BLAS default the grid is reproducible; a caller
-    who sets a BLAS thread count above one gets that split back.)
+    flat in the grid size.
+
+    Each column block sums only the degrees n <= N, N the least n with
+    top^n <= GRID_TAIL for the block's largest t (capped at d - 1): it reads
+    the first ceil((N + 1)/B) chunks, and builds only N + 1 power rows when
+    one chunk is enough and N < d - 1. The dropped tail is at most
+    GRID_TAIL t/(1 - t) at every t of the block. Where N = d - 1 the values
+    are the unblocked product's bit for bit. (For d <= B the product is a
+    BLAS gemv whose last bits on a long grid depend on BLAS's thread split,
+    blocked or not. Under the package's one-thread BLAS default the grid is
+    reproducible; a caller who sets a BLAS thread count above one gets that
+    split back.)
     """
     ts = np.asarray(ts, dtype=np.float64)
     flat = ts.ravel()
+    if not np.all((flat >= 0.0) & (flat < 1.0)):
+        raise DomainError(f"fekete_grid needs every t in [0, 1), got d={d}")
     block = GRID_DEGREE_BLOCK
     coeffs = char_table(d).astype(np.float64)  # index = exponent, coeffs[0] = 0
     n_blocks = (d + block - 1) // block
@@ -95,14 +110,21 @@ def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     out = np.empty(flat.shape, dtype=np.float64)
     for a, b in cols:
         t = flat[a:b]
-        powers = table[: block * (b - a)].reshape(block, b - a)
+        top = float(t.max())
+        degree = 1 if top <= GRID_TAIL else math.ceil(math.log(GRID_TAIL) / math.log(top))
+        degree = min(degree + (top**degree > GRID_TAIL), d - 1)  # + 1 if the logs round low
+        chunks = degree // block + 1
+        # one chunk of a cut block needs only degree + 1 rows; an uncut block
+        # keeps the full table, and so the unblocked product's bits
+        rows = degree + 1 if chunks == 1 and degree < d - 1 else block
+        powers = table[: rows * (b - a)].reshape(rows, b - a)
         powers[0] = 1.0
-        for j in range(1, block):
+        for j in range(1, rows):
             np.multiply(powers[j - 1], t, out=powers[j])
-        chunk_vals = chunk_mat @ powers      # (n_blocks, columns)
-        t_block = powers[block - 1] * t      # t^block
-        acc = np.zeros(t.shape, dtype=np.float64)
-        for c in range(n_blocks - 1, -1, -1):
+        chunk_vals = chunk_mat[:chunks, :rows] @ powers  # (chunks, columns)
+        t_block = powers[-1] * t  # t^B, read only when there are several chunks
+        acc = chunk_vals[-1].copy()
+        for c in range(chunks - 2, -1, -1):
             np.multiply(acc, t_block, out=acc)
             np.add(acc, chunk_vals[c], out=acc)
         out[a:b] = acc
@@ -183,14 +205,14 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     Near t = 1 the grid values sink under their error scale because of F_d's
     double zero there; the end certificate (end_moment, end_interval) proves
     (1 - delta*, 1) zero-free, so dips inside it are not suspects and a sign
-    flip inside it is one.
+    flip inside it is one. The scan reads only every END_SAMPLE-th grid
+    point there, and the last, so that check can still fail; with no end
+    certificate (delta* = 0) it reads the whole grid.
     """
     if d < 2:
         raise DomainError(f"Fekete polynomials need d >= 2, got {d}")
     if grid_points is None:
         grid_points = min(16 * d, 1 << 17)
-    ts = zero_scan_grid(d, grid_points)
-    vals = fekete_grid(d, ts)
     report = FeketeZeroReport(d=d, count=0)
     try:
         report.end_order, m_k = end_moment(d)
@@ -198,6 +220,10 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     except AccuracyError as exc:
         report.suspects.append({"reason": f"end certificate failed: {exc}"})
     t_end = 1.0 - report.end_delta
+    ts = zero_scan_grid(d, grid_points)
+    inside = ts[np.searchsorted(ts, t_end, side="right"):]
+    ts = np.concatenate([ts[: ts.size - inside.size], inside[:-1:END_SAMPLE], inside[-1:]])
+    vals = fekete_grid(d, ts)
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
     bounds = (float(ts[0]), float(ts[-1]))
@@ -212,8 +238,9 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
             report.suspects.append({"interval": (lo, hi), "reason": "uncertified sign change"})
         else:
             report.zeros.append((cert.location, cert.half_width))
-    # grid cells whose values dip under the local error scale without flipping
-    errs = 45.0 * np.finfo(float).eps * np.minimum(ts / (1.0 - ts), float(d))
+    # grid cells whose values dip under the local error scale (rounding, and
+    # fekete_grid's dropped tail) without flipping
+    errs = (45.0 * np.finfo(float).eps + GRID_TAIL) * np.minimum(ts / (1.0 - ts), float(d))
     dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]
     if report.zeros:
         z, w = np.array(report.zeros).T

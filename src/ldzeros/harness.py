@@ -236,8 +236,9 @@ class ResultStore:
 
     def lookup(self, key: str):
         """The stored value of `key` on a hit, else None: no entry, no cache
-        root, or an entry that fails its key or hash check (discarded with a
-        warning). Values are JSON objects or arrays, never null."""
+        root, or an entry that cannot be read as a JSON object or fails its
+        key or hash check (discarded with a warning). Values are JSON objects
+        or arrays, never null."""
         path = self._path(key)
         if not self.enabled() or not os.path.exists(path):
             return None
@@ -250,7 +251,10 @@ class ResultStore:
             sha = hashlib.sha256(_canonical_json(stored).encode()).hexdigest()
             if sha != blob.get("value_sha"):
                 raise CacheError(f"hash mismatch in {path}")
-        except (CacheError, json.JSONDecodeError, KeyError) as exc:
+        except (CacheError, OSError, ValueError, KeyError, AttributeError) as exc:
+            # OSError: an unreadable entry, such as a directory; ValueError:
+            # bytes that are not UTF-8 or not JSON; AttributeError: JSON that
+            # is not an object
             warnings.warn(f"cache entry discarded ({exc}); recomputing")
             return None
         self.hits += 1

@@ -73,9 +73,12 @@ def _weighted_prime_powers(y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def dirichlet_poly_a(d: int, y: float, s: complex) -> complex:
-    """A_d(s) = sum over prime powers n <= y^3 of Lambda(n) chi_d(n) w_y(n) n^{-s}."""
+    """A_d(s) = sum over prime powers n <= y^3 of Lambda(n) chi_d(n) w_y(n) n^{-s}.
+
+    chi_d has period d, so its values are read from one period (or from
+    0..max n, if shorter), built by chi_values."""
     pp, lam_w, log_pp = _weighted_prime_powers(y)
-    chi = chi_values(d, pp).astype(np.float64)
+    chi = chi_values(d, np.arange(min(d, pp[-1] + 1)))[pp % d].astype(np.float64)
     s = complex(s)
     if s.imag == 0.0:
         return complex(np.sum(lam_w * chi * np.exp(-s.real * log_pp)))

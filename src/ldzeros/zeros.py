@@ -121,27 +121,35 @@ def build_cover(x: float, nu: float) -> CircleCover:
 # ---------------------------------------------------------------------------
 
 class _CircleSampler:
-    """L sampled at `nodes` equispaced points of one circle, with the Taylor
-    coefficients read off by FFT.
+    """L sampled at `nodes` equispaced points of one circle centred on the
+    real axis (DomainError otherwise), with the Taylor coefficients read off
+    by FFT.
 
-    Given a sampler `prev` of the same circle with half as many nodes, only
-    the odd nodes are sampled: the even ones are prev's nodes bit for bit,
-    since 2 pi (2j) / (2m) and 2 pi j / m round to the same double, and
-    prev's samples are reused, so the sampler equals a freshly built one.
+    chi_d is real, so L(conj s) = conj L(s): L is evaluated at nodes 0..m/2,
+    and node m - j is taken as the conjugate of node j, which is what the
+    fast path returns there bit for bit. Given a sampler `prev` of the same
+    circle with half as many nodes, only the new odd nodes up to m/2 are
+    sampled: the even ones are prev's nodes bit for bit, since
+    2 pi (2j) / (2m) and 2 pi j / m round to the same double, and prev's
+    samples are reused, so the sampler equals a freshly built one.
     """
 
     def __init__(self, engine: LEngine, center: complex, radius: float, nodes: int,
                  prev: _CircleSampler | None = None):
         self.center = complex(center)
+        if self.center.imag != 0.0:
+            raise DomainError(f"sampled circles are centred on the real axis, got {center}")
         self.radius = float(radius)
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        pts = self.center + self.radius * np.exp(1j * theta)
+        half = nodes // 2
+        theta = 2.0 * math.pi * np.arange(half + 1) / nodes
+        pts = self.center + self.radius * np.exp(1j * theta)  # nodes 0 .. m/2
+        vals = np.empty(nodes, dtype=np.complex128)
         if prev is not None and 2 * prev.nodes == nodes:
-            vals = np.empty(nodes, dtype=np.complex128)
-            vals[0::2] = prev.samples
-            vals[1::2] = engine.l_fast(pts[1::2])
+            vals[0: half + 1: 2] = prev.samples[: half // 2 + 1]
+            vals[1: half + 1: 2] = engine.l_fast(pts[1::2])
         else:
-            vals = engine.l_fast(pts)
+            vals[: half + 1] = engine.l_fast(pts)
+        vals[half + 1:] = np.conj(vals[nodes - half - 1: 0: -1])  # node m - j from node j
         # c_k R^k = FFT(samples)/M; aliasing is negligible for entire L here
         self.coeff = np.fft.fft(vals) / nodes
         self.nodes = nodes
@@ -186,8 +194,10 @@ def contour_zero_count(engine: LEngine, center: complex, radius: float,
 
     Trapezoid rule on f'/f with node doubling from TRAPEZOID_START_NODES until
     the rounded count stabilizes; errors if the raw integral is farther than
-    INTEGER_GATE from an integer or the contour grazes a zero. Each doubling
-    samples L only at the new (odd) nodes of the sampling circle.
+    INTEGER_GATE from an integer or the contour grazes a zero. The centre
+    lies on the real axis (DomainError otherwise): L is sampled on the upper
+    half of the sampling circle only, and each doubling only at its new
+    (odd) nodes there.
     """
     return _contour_count(engine, center, radius, f_selector)[0]
 

@@ -8,7 +8,9 @@ from ldzeros import fekete
 from ldzeros.characters import char_table, enumerate_family
 from ldzeros.errors import AccuracyError, DomainError, ResourceError
 from ldzeros.fekete import (
+    END_SAMPLE,
     GRID_DEGREE_BLOCK,
+    GRID_TAIL,
     end_interval,
     end_moment,
     fekete_eval,
@@ -17,7 +19,10 @@ from ldzeros.fekete import (
     mellin_identity_check,
     zero_scan_grid,
 )
+from ldzeros.lfunc import block_ranges
 from test_characters import kronecker
+
+EPS = float(np.finfo(float).eps)
 
 
 # F_8(t) = t - t^3 - t^5 + t^7 = t (1 - t^2)(1 - t^4): no roots in open (0,1).
@@ -191,17 +196,76 @@ def _fekete_grid_unblocked(d: int, ts: np.ndarray, block: int = 256) -> np.ndarr
 
 @pytest.mark.parametrize("d", [104, 7976])
 def test_fekete_grid_bit_identical_to_unblocked(d):
+    # bit for bit in the column blocks that keep every degree (N = d - 1, so
+    # top^(d - 2) > GRID_TAIL); the others drop degrees past their tail and
+    # sum fewer terms, so they hold within that tail plus 4 ulp of the
+    # terms' magnitude sum t/(1 - t)
     cols = fekete._GRID_BLOCK_BYTES // (8 * GRID_DEGREE_BLOCK)
     ts = zero_scan_grid(d, max(16 * d, cols + 1))
     sizes = [1, cols - 1, cols, cols + 1, 16 * d]
     if d > GRID_DEGREE_BLOCK:  # several column blocks, a product per block
         sizes += [2 * cols + 1, 3 * cols - 1]
+    cut = 0
     for n in sizes:
-        got = fekete_grid(d, ts[-n:])
-        want = _fekete_grid_unblocked(d, ts[-n:])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+        t = ts[-n:]
+        got, want = fekete_grid(d, t), _fekete_grid_unblocked(d, t)
+        for a, b in block_ranges(n, cols):
+            if t[a:b].max() ** (d - 2) > GRID_TAIL:
+                assert np.array_equal(got[a:b].view(np.uint64), want[a:b].view(np.uint64)), n
+            else:
+                cut += 1
+                bound = (GRID_TAIL + 4.0 * EPS) * t[a:b] / (1.0 - t[a:b])
+                assert np.all(np.abs(got[a:b] - want[a:b]) <= bound), (n, a)
+    assert (cut > 0) == (d > GRID_DEGREE_BLOCK)  # the full grid of 7976 starts near 0
     assert fekete_grid(d, np.float64(0.5)).shape == ()
-    assert fekete_grid(d, np.float64(0.5)) == _fekete_grid_unblocked(d, np.array([0.5]))[0]
+    assert fekete_grid(d, np.float64(0.5)) == pytest.approx(
+        _fekete_grid_unblocked(d, np.array([0.5]))[0], rel=0.0, abs=(GRID_TAIL + 4.0 * EPS))
+
+
+def test_fekete_grid_within_the_scan_error_scale_of_fekete_eval():
+    # random d and random grids, both near 0 and deep towards 1; fekete_eval
+    # is exactly rounded, and the scan's error scale (the dip test's) is
+    # 45 eps + GRID_TAIL times min(t/(1 - t), d)
+    rng = np.random.default_rng(11)
+    ds = [8, 104] + [int(8 * rng.choice(enumerate_family(x).m)) for x in (1e3, 1e3, 1e4, 1e4)]
+    for d in ds:
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** rng.uniform(-9, -1, 60)])
+        got = fekete_grid(d, ts)
+        for t, g in zip(ts.tolist(), got.tolist()):
+            v, err = fekete_eval(d, t)
+            assert abs(g - v) <= err + (45.0 * EPS + GRID_TAIL) * min(t / (1.0 - t), d), (d, t)
+
+
+def test_shuffled_grid_gives_the_sorted_values_permuted():
+    # the cut follows each column block's largest t, wherever it sits
+    d = 7976
+    ts = zero_scan_grid(d, 16 * d)
+    perm = np.random.default_rng(3).permutation(ts.size)
+    got = fekete_grid(d, ts[perm])
+    want = fekete_grid(d, ts)[perm]
+    bound = (GRID_TAIL + 4.0 * EPS) * ts[perm] / (1.0 - ts[perm])
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("t", [-0.25, -1e-300, 1.0, 1.5, np.inf, np.nan])
+def test_fekete_grid_rejects_t_outside_the_unit_interval(t):
+    with pytest.raises(DomainError):
+        fekete_grid(104, np.array([0.2, t, 0.5]))
+
+
+def test_scan_reads_the_end_interval_sparsely(monkeypatch):
+    real, sizes = fekete.fekete_grid, []
+
+    def counted(d, ts):
+        sizes.append(np.size(ts))
+        return real(d, ts)
+
+    monkeypatch.setattr(fekete, "fekete_grid", counted)
+    rep = fekete_real_zeros(4168)
+    ts = zero_scan_grid(4168, 16 * 4168)
+    inside = int(np.sum(ts > 1.0 - rep.end_delta))
+    assert inside > 10 * END_SAMPLE
+    assert sizes[0] == ts.size - inside + (inside - 2) // END_SAMPLE + 2
 
 
 def test_fekete_grid_memory_flat_in_grid_size():

@@ -152,6 +152,28 @@ def test_cache_dir_naming_a_file_exits_1(tmp_path, capsys):
     assert "cannot write cache entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt, code", [
+    (lambda entry: entry.write_bytes(b"\xff\xfe not utf-8"), 0),
+    (lambda entry: entry.write_text("[1, 2]"), 0),  # JSON, but not an object
+    (lambda entry: (entry.unlink(), entry.mkdir()), 1),
+], ids=["not-utf-8", "not-an-object", "a-directory"])
+def test_unreadable_cache_entry_is_discarded_without_a_traceback(tmp_path, corrupt, code):
+    # the first two recompute; a directory in the entry's place is discarded
+    # too, and the store that follows cannot replace it
+    argv = ["zeros", "--x", "1e3", "--sample", "1", "--cache-dir", str(tmp_path / "c"),
+            "--out", str(tmp_path / "z.jsonl")]
+    assert main(argv) == 0
+    [entry] = (tmp_path / "c").rglob("*.json")
+    corrupt(entry)
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    proc = subprocess.run([sys.executable, "-m", "ldzeros.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "cache entry discarded" in proc.stderr and "Traceback" not in proc.stderr
+    if code:
+        assert "usage error: cannot write cache entry" in proc.stderr
+
+
 def test_store_disabled_passthrough():
     store = ResultStore(None)
     assert not store.enabled()

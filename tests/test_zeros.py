@@ -498,7 +498,33 @@ def test_node_doubling_samples_only_new_nodes(eng8):
     eng = _CountingEngine(eng8)
     cc = contour_zero_count(eng, 1.4 + 0.0j, 0.2, f_selector="L")
     assert cc.nodes == 512
-    assert eng.points == 512  # 256 + the 256 odd nodes, not 256 + 512
+    # nodes 0..128 of 256, then the 128 odd nodes of 512 below node 256
+    assert eng.points == 129 + 128
+
+
+@pytest.mark.parametrize("t_cap", [12.0, 52.0])
+@pytest.mark.parametrize("d", [8, 7976, 40008])
+def test_mirrored_sampler_bit_identical_to_direct_evaluation(d, t_cap):
+    # node m - j is the conjugate of node j; the sampler evaluates L on the
+    # upper half only, and its samples equal l_fast at every node
+    eng = LEngine(d, t_cap=t_cap)
+    center, radius, m = 5.0 / 6.0, 1.75 / 6.0 / SAMPLER_RATIO, 256
+    upper = center + radius * np.exp(1j * (2.0 * math.pi * np.arange(m // 2 + 1) / m))
+    nodes = np.concatenate([upper, np.conj(upper[-2:0:-1])])
+    want = eng.l_fast(nodes)
+    base = _CircleSampler(eng, center, radius, m)
+    assert np.array_equal(_bits(base.samples), _bits(want))
+    fine = _CircleSampler(eng, center, radius, 2 * m, prev=base)
+    upper = center + radius * np.exp(1j * (2.0 * math.pi * np.arange(m + 1) / (2 * m)))
+    want = eng.l_fast(np.concatenate([upper, np.conj(upper[-2:0:-1])]))
+    assert np.array_equal(_bits(fine.samples), _bits(want))
+
+
+def test_off_axis_centre_is_a_domain_error(eng8):
+    with pytest.raises(DomainError):
+        _CircleSampler(eng8, 0.85 + 0.01j, 0.25, 256)
+    with pytest.raises(DomainError):
+        contour_zero_count(eng8, 1.4 + 1e-12j, 0.2, f_selector="L")
 
 
 def test_jensen_reuses_its_precheck_circle(eng40008):
@@ -506,7 +532,7 @@ def test_jensen_reuses_its_precheck_circle(eng40008):
     eng = _CountingEngine(eng40008)
     jb = jensen_upper_bound(eng, cov, 1)
     pre = contour_zero_count(eng40008, complex(cov.centers[0]), 1.75 * cov.radii[0], "L")
-    assert eng.points == pre.nodes
+    assert eng.points == pre.nodes // 2 + 1  # the upper half of the circle
     # the bound equals one read from a freshly sampled circle of as many
     # nodes, and is no lower than the largest |L'/L| at 512 ring angles
     zj, rj, Rj = float(cov.centers[0]), float(cov.radii[0]), float(cov.outer_radii[0])
