@@ -204,25 +204,29 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
 
     Near t = 1 the grid values sink under their error scale because of F_d's
     double zero there; the end certificate (end_moment, end_interval) proves
-    (1 - delta*, 1) zero-free, so dips inside it are not suspects and a sign
-    flip inside it is one. The scan reads only every END_SAMPLE-th grid
-    point there, and the last, so that check can still fail; with no end
-    certificate (delta* = 0) it reads the whole grid.
+    (1 - delta*, 1) zero-free with the sign of (-1)^k M_k, so dips and sign
+    flips between values inside it are not suspects, and a read value there
+    that clears 3 err with the other sign is one. The scan reads only every
+    END_SAMPLE-th grid point there, and the last, so that check can still
+    fail; with no end certificate (delta* = 0) it reads the whole grid.
     """
     if d < 2:
         raise DomainError(f"Fekete polynomials need d >= 2, got {d}")
     if grid_points is None:
         grid_points = min(16 * d, 1 << 17)
     report = FeketeZeroReport(d=d, count=0)
+    end_sign = 0.0  # the sign of F_d on (1 - delta*, 1)
     try:
         report.end_order, m_k = end_moment(d)
         report.end_delta = end_interval(d, report.end_order, m_k)
+        end_sign = 1.0 if (-1) ** report.end_order * m_k > 0 else -1.0
     except AccuracyError as exc:
         report.suspects.append({"reason": f"end certificate failed: {exc}"})
     t_end = 1.0 - report.end_delta
     ts = zero_scan_grid(d, grid_points)
     inside = ts[np.searchsorted(ts, t_end, side="right"):]
-    ts = np.concatenate([ts[: ts.size - inside.size], inside[:-1:END_SAMPLE], inside[-1:]])
+    head = ts.size - inside.size  # the read points from index head on lie inside
+    ts = np.concatenate([ts[:head], inside[:-1:END_SAMPLE], inside[-1:]])
     vals = fekete_grid(d, ts)
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
@@ -230,8 +234,7 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     for i in flips:
         lo, hi = float(ts[i]), float(ts[i + 1])
         if lo >= t_end:
-            report.suspects.append({"interval": (lo, hi), "reason": "sign flip in the end interval"})
-            continue
+            continue  # inside the end interval: read against the certificate's sign below
         cert = certify_sign_change(lambda u: float(fekete_grid(d, np.array([u]))[0]),
                                    lambda u: fekete_eval(d, u), lo, hi, bounds, REFINE_TOL)
         if cert is None:
@@ -242,6 +245,10 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     # fekete_grid's dropped tail) without flipping
     errs = (45.0 * np.finfo(float).eps + GRID_TAIL) * np.minimum(ts / (1.0 - ts), float(d))
     dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]
+    end = slice(head, None)
+    against = ts[end][(np.abs(vals[end]) > 3 * errs[end]) & (sign[end] == -end_sign)]
+    report.suspects.extend({"at": float(t), "reason": "wrong sign in the end interval"}
+                           for t in against)
     if report.zeros:
         z, w = np.array(report.zeros).T
         dips = dips[~(np.abs(dips[:, None] - z) <= w * 4 + 1e-10).any(axis=1)]

@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     IndeterminateError,
 )
-from .lfunc import LEngine
+from .lfunc import BASE_T_CAP, LEngine
 
 TRAPEZOID_START_NODES = 256
 TRAPEZOID_MAX_NODES = 2048
@@ -574,7 +574,12 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
 
     Under the self-dual functional equation Lambda is real on the critical
     line, so its first sign change is the first on-line zero, certified on the
-    precise path inside its scan cell or IndeterminateError. A rectangle
+    precise path inside its scan cell or IndeterminateError. The scan grid
+    t = step, 2 step, ..., t_max is read in two stretches: the heights up to
+    min(t_max, BASE_T_CAP) as one batch, served by the engine's base
+    quadrature, and the rest only when the first shows no sign change; a
+    flip across the boundary is read on the joined values, and each stretch
+    read must be numerically real or AccuracyError. A rectangle
     winding certifies no off-line zero below the reported height (up to a
     small margin strip around the line, recorded in the result).
     """
@@ -586,11 +591,18 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     if t_max > engine.t_cap + 1e-9:
         raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
     t = np.arange(step, t_max + step, step)
-    vals = engine.lambda_fast(0.5 + 1j * t)
-    if np.max(np.abs(vals.imag)) > 1e-6 * np.max(np.abs(vals.real)):
-        raise AccuracyError("Lambda not numerically real on the critical line")
-    g = vals.real
-    sign_flip = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+    low = t.size if t_max <= BASE_T_CAP else int(np.searchsorted(t, BASE_T_CAP, side="right"))
+    g = np.empty(0)
+    for part in (t[:low], t[low:]):
+        if part.size == 0:
+            continue
+        vals = engine.lambda_fast(0.5 + 1j * part)
+        if np.max(np.abs(vals.imag)) > 1e-6 * np.max(np.abs(vals.real)):
+            raise AccuracyError("Lambda not numerically real on the critical line")
+        g = np.concatenate([g, vals.real])
+        sign_flip = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+        if len(sign_flip):
+            break
     if len(sign_flip) == 0:
         return GammaMinResult(d=engine.d, found=False, gamma=None, half_width=None, ends=None,
                               end_margins=None, t_max=t_max, offline_checked_height=None,

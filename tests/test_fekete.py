@@ -342,15 +342,55 @@ def test_failed_end_certificate_leaves_the_dips_suspect(monkeypatch):
 
 
 def test_grid_flip_inside_end_interval_is_a_suspect(monkeypatch):
-    real = fekete.fekete_grid
+    # negating the last read value flips a sign under the error scale: noise,
+    # not a suspect; a value that clears 3 err with the sign opposite to the
+    # end certificate's is one
+    k, m_k = end_moment(4168)
+    t_end = 1.0 - end_interval(4168, k, m_k)
+    want = 1.0 if (-1) ** k * m_k > 0 else -1.0
+    real, at = fekete.fekete_grid, []
 
-    def flipped(d, ts):
+    def noise(d, ts):
         vals = real(d, ts)
         if np.size(ts) > 1:
-            vals[-1] = -vals[-1]  # a sign flip deep inside (1 - delta*, 1)
+            vals[-1] = -vals[-1]
         return vals
 
-    monkeypatch.setattr(fekete, "fekete_grid", flipped)
+    def against(d, ts):
+        vals = real(d, ts)
+        if np.size(ts) > 1:
+            j = int(np.searchsorted(ts, t_end, side="right")) + 1  # both flips inside
+            vals[j] = -want
+            at.append(float(ts[j]))
+        return vals
+
+    monkeypatch.setattr(fekete, "fekete_grid", noise)
+    rep = fekete_real_zeros(4168)
+    assert rep.count == 2 and rep.suspects == []
+    monkeypatch.setattr(fekete, "fekete_grid", against)
     rep = fekete_real_zeros(4168)
     assert rep.count == 2
-    assert [s["reason"] for s in rep.suspects] == ["sign flip in the end interval"]
+    assert rep.suspects == [{"at": at[0], "reason": "wrong sign in the end interval"}]
+
+
+@pytest.mark.parametrize("d, count", [(104, 0), (248, 2), (1032, 2)])
+def test_noise_flips_in_the_end_interval_are_not_suspects(monkeypatch, d, count):
+    # these d's read values flip sign inside (1 - delta*, 1) under the error
+    # scale; the values there that clear 3 err all carry the certificate's sign
+    real, read = fekete.fekete_grid, []
+
+    def kept(d, ts):
+        vals = real(d, ts)
+        if np.size(ts) > 1:
+            read.append((ts, vals))
+        return vals
+
+    monkeypatch.setattr(fekete, "fekete_grid", kept)
+    rep = fekete_real_zeros(d)
+    assert rep.count == count and rep.suspects == []
+    ts, vals = read[0]
+    inside = ts > 1.0 - rep.end_delta
+    sign = np.sign(vals[inside])
+    assert np.any(sign[:-1] * sign[1:] < 0)
+    errs = (45.0 * EPS + GRID_TAIL) * np.minimum(ts[inside] / (1.0 - ts[inside]), float(d))
+    assert np.sum(np.abs(vals[inside]) > 3 * errs) >= 5

@@ -512,6 +512,30 @@ def test_cli_gamma_min_bad_t_max_exit_1(tmp_path, capsys, t_max):
     assert "Traceback" not in err
 
 
+def test_cli_gamma_min_far_above_the_base_strip_exits_0_without_a_traceback(tmp_path):
+    # t_cap 1e6 + 2 would need a 42 GiB theta matrix; every first flip of
+    # this sample lies under t = 12, read on the base quadrature
+    out = tmp_path / "g.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "ldzeros.cli", "gamma-min", "--x", "1e3",
+                           "--sample", "2", "--seed", "1", "--t-max", "1e6", "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    rows = [json.loads(line) for line in out.read_text().splitlines()][1:]
+    assert len(rows) == 2 and all(r["found"] for r in rows)
+
+
+def test_cli_gamma_min_needing_an_oversized_quadrature_exits_3(tmp_path, capsys, monkeypatch):
+    # a first stretch that ends below every flip sends the scan to the
+    # t_cap quadrature, which is over the byte budget
+    monkeypatch.setattr(zeros_module, "BASE_T_CAP", 0.05)
+    argv = ["gamma-min", "--x", "1e3", "--sample", "2", "--seed", "1", "--t-max", "1e6",
+            "--out", str(tmp_path / "g.jsonl")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: theta quadrature") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("d", ["0", "1", "-8"])
 def test_cli_fekete_bad_d_exit_1_promptly(d):
     # in a child process with a deadline: d = 0 and 1 used to search forever

@@ -313,8 +313,7 @@ def test_theta_sum_matches_termwise_oracle():
     # every term that does not underflow, with chi from the reciprocity loop
     for d in (8008, 79976, 799928):
         eng = LEngine(d, t_cap=12.0)
-        eng.lambda_fast(np.array([0.7]))
-        u, w_omega = eng._theta
+        u, w_omega = eng._quadrature(12.0)
         u_ref, w = _theta_weights(d, 12.0)
         assert np.max(np.abs(u - u_ref)) < 1e-13
         nodes = np.linspace(0, u.size - 1, 6).astype(int)
@@ -338,16 +337,15 @@ def _lambda_fast_unblocked(u: np.ndarray, wo: np.ndarray, s) -> np.ndarray:
 @pytest.mark.parametrize("d, t_cap", [(8, 60.0), (7976, 12.0), (7976, 52.0)])
 def test_fast_path_blocks_bit_identical_to_unblocked(d, t_cap):
     eng = LEngine(d, t_cap=t_cap)
-    eng.lambda_fast(np.array([0.7]))
-    u, wo = eng._theta
+    u, wo = eng._quadrature(t_cap)
     rows = max(2, lfunc._FAST_BLOCK_BYTES // (16 * u.size))
     rng = np.random.default_rng(d)
     s = rng.uniform(0.5, 1.2, 2048) + 1j * rng.uniform(-t_cap, t_cap, 2048)
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 2048):
-        got = eng._lambda_fast_raw(s[:n])
+        got = eng._lambda_fast_raw(s[:n], t_cap)
         want = _lambda_fast_unblocked(u, wo, s[:n])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
-    got = eng._lambda_fast_raw(s[3])
+    got = eng._lambda_fast_raw(s[3], t_cap)
     want = _lambda_fast_unblocked(u, wo, s[3])
     assert got.shape == want.shape == ()
     assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
@@ -389,6 +387,72 @@ def _theta_full_shape(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("t_cap", [12.0, 52.0])
 def test_theta_banded_bit_identical_to_full_shape(d, t_cap):
     eng = LEngine(d, t_cap=t_cap)
-    eng.lambda_fast(np.array([0.7]))
-    for got, want in zip(eng._theta, _theta_full_shape(d, t_cap)):
+    for got, want in zip(eng._quadrature(t_cap), _theta_full_shape(d, t_cap)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.atleast_1d(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [8, 7976, 799960])
+@pytest.mark.parametrize("t_cap", [52.0, 60.0])
+def test_base_quadrature_bit_identical_to_a_t_cap_12_engine(d, t_cap):
+    # a batch inside |Im s| <= 14 runs on the quadrature a t_cap-12 engine
+    # builds, bit for bit, and builds no other
+    eng, base = LEngine(d, t_cap=t_cap), LEngine(d, t_cap=lfunc.BASE_T_CAP)
+    rng = np.random.default_rng(d)
+    s = rng.uniform(0.3, 1.2, 64) + 1j * rng.uniform(-14.0, 14.0, 64)
+    s[0] = 0.7 + 14.0j
+    got, want = eng.lambda_fast(s), base.lambda_fast(s)
+    assert list(eng._theta) == [lfunc.BASE_T_CAP]
+    assert np.array_equal(_bits(got), _bits(want))
+    for a, b in zip(eng._theta[lfunc.BASE_T_CAP], base._theta[lfunc.BASE_T_CAP]):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert eng.fast_rel_err == base.fast_rel_err
+
+
+def test_a_batch_above_the_base_strip_runs_on_the_t_cap_quadrature():
+    eng = LEngine(7976, t_cap=52.0)
+    s = np.array([0.7, 0.8 + 5.0j, 0.9 - 14.5j])
+    got = eng.lambda_fast(s)
+    assert list(eng._theta) == [52.0]
+    u, wo = eng._theta[52.0]
+    assert u.size > 2 * _theta_weights(7976, 12.0)[0].size
+    assert np.array_equal(_bits(got), _bits(_lambda_fast_unblocked(u, wo, s)))
+    # a point well inside the strip moves with the quadrature it rides on
+    low = eng.lambda_fast(s[:2])
+    assert sorted(eng._theta) == [12.0, 52.0]
+    assert np.array_equal(_bits(low), _bits(_lambda_fast_unblocked(*eng._theta[12.0], s[:2])))
+
+
+def test_fast_rel_err_is_the_largest_error_among_the_built_quadratures():
+    eng = LEngine(7976, t_cap=52.0)
+    assert eng.fast_rel_err is None
+    eng.lambda_fast(np.array([0.7 + 1.0j]))
+    base = LEngine(7976, t_cap=12.0)
+    base.lambda_fast(np.array([0.7]))
+    assert eng.fast_rel_err == base.fast_rel_err
+    high = LEngine(7976, t_cap=52.0)
+    high.lambda_fast(np.array([0.7 + 30.0j]))
+    eng.lambda_fast(np.array([0.7 + 30.0j]))
+    assert eng.fast_rel_err == max(base.fast_rel_err, high.fast_rel_err)
+    assert high.fast_rel_err != base.fast_rel_err
+
+
+@pytest.mark.parametrize("t_cap", [1e6, 1e300])
+def test_an_oversized_quadrature_is_a_resource_error_before_allocating(t_cap):
+    # at t_cap 1e6 the theta matrix of d = 8 would be 10 x 8.7e6 doubles
+    import tracemalloc
+
+    eng = LEngine(8, t_cap=t_cap)
+    eng.lambda_fast(np.array([0.5 + 1.0j]))  # the base strip still works
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="matrix"):
+            eng.lambda_fast(np.array([0.5 + 20.0j]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert list(eng._theta) == [lfunc.BASE_T_CAP]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldzeros import zeros
-from ldzeros.errors import DomainError, IndeterminateError
+from ldzeros.errors import AccuracyError, DomainError, IndeterminateError
 from ldzeros.lfunc import LEngine, LValue
 from ldzeros.zeros import (
     SAMPLER_RATIO,
@@ -409,6 +409,64 @@ def test_gamma_min_rejects_a_non_positive_or_non_finite_height_or_step(eng8, bad
         gamma_min(eng8, t_max=bad)
     with pytest.raises(DomainError, match="step must be a positive finite number"):
         gamma_min(eng8, t_max=2.0, step=bad)
+
+
+class _LineStub:
+    """Lambda(1/2 + it) = lam(t) on the critical line, for gamma_min; every
+    lambda_fast batch is recorded."""
+
+    d = 8
+    t_cap = 52.0
+
+    def __init__(self, lam):
+        self.lam, self.batches = lam, []
+
+    def lambda_fast(self, s):
+        s = np.asarray(s, dtype=np.complex128)
+        self.batches.append(s.imag.copy())
+        return self.lam(s.imag)
+
+    def lambda_value(self, s):
+        return LValue(s=complex(s), lam=complex(self.lam(complex(s).imag)), err_est=1e-12)
+
+
+def test_gamma_min_with_a_low_flip_never_asks_above_the_base_strip(monkeypatch):
+    eng, heights = LEngine(7976, t_cap=52.0), []
+    for name in ("lambda_fast", "lambda_batch"):
+        real = getattr(LEngine, name)
+
+        def spy(self, s, real=real):
+            heights.append(float(np.max(np.abs(np.imag(s)), initial=0.0)))
+            return real(self, s)
+
+        monkeypatch.setattr(LEngine, name, spy)
+    gm = gamma_min(eng, t_max=50.0)
+    assert gm.found and gm.gamma < 1.0 and gm.offline_count == 0
+    assert max(heights) <= 12.0
+    assert list(eng._theta) == [12.0]
+
+
+@pytest.mark.parametrize("flip", [5.003, 20.003])
+def test_gamma_min_brackets_a_flip_as_one_batch_does(monkeypatch, flip):
+    split = _LineStub(lambda t: (flip - t) + 0j)
+    gm = gamma_min(split, t_max=50.0, offline_check=False)
+    assert gm.found and abs(gm.gamma - flip) <= gm.half_width
+    low = split.batches[0]
+    assert low.max() <= 12.0 and (flip < 12.0 or split.batches[1].min() > 12.0)
+    monkeypatch.setattr(zeros, "BASE_T_CAP", math.inf)
+    whole = _LineStub(lambda t: (flip - t) + 0j)
+    assert gamma_min(whole, t_max=50.0, offline_check=False) == gm
+    # the first stretch is a prefix of the one grid, bit for bit
+    assert np.array_equal(whole.batches[0][: low.size], low)
+    if flip > 12.0:
+        assert np.array_equal(whole.batches[0][low.size:], split.batches[1])
+
+
+def test_gamma_min_refuses_non_real_values_in_the_first_stretch():
+    stub = _LineStub(lambda t: (20.003 - t) + 1j * (t < 5.0))
+    with pytest.raises(AccuracyError, match="not numerically real"):
+        gamma_min(stub, t_max=50.0, offline_check=False)
+    assert len(stub.batches) == 1 and stub.batches[0].max() <= 12.0
 
 
 # ---------------------------------------------------------------------------
