@@ -11,13 +11,11 @@ quadrature after the u = e^-v substitution. Each side is evaluated once, at
 the complex step s + ih: the real part is the first identity's side and the
 imaginary part over h, the s-derivative, the second's.
 
-Coefficients are streamed from the cached character table; no coefficient
-arrays are materialized beyond the table itself. The zero scan evaluates its
-grid (16 d points up to 2^17) through one reused power table a column block
-at a time, so its memory does not grow with the grid. Each block sums only
-the degrees n <= N, N the least n with t^n <= GRID_TAIL at its largest t:
-the dropped tail is at most GRID_TAIL t/(1 - t), and the scan adds it to
-its error scale.
+The zero scan (16 d points, up to 2^17) reads F_d from Taylor pieces whose
+coefficients come from one small product per d, built once and cached
+(_pieces): a grid point costs one Horner of PIECE_TERMS terms instead of d
+multiply-adds, and its value does not depend on the batch it is read in.
+grid_error bounds the dropped terms and the rounding: the scan's error scale.
 
 F_d has a double zero at t = 1 (the full-period sum and the evenness of
 chi_d kill F_d(1) and F_d'(1)), so the scan's values near 1 sink under their
@@ -33,21 +31,26 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .characters import char_table
 from .errors import AccuracyError, DomainError, ResourceError
-from .lfunc import COMPLEX_STEP_H, LEngine, block_ranges
+from .lfunc import COMPLEX_STEP_H, LEngine
 from .specialfn import gamma
 from .zeros import certify_sign_change
 
 MELLIN_D_CAP = 2000
-GRID_DEGREE_BLOCK = 256      # degree chunk B of fekete_grid's blocked Horner
-_GRID_BLOCK_BYTES = 1 << 23  # fekete_grid's power table: 4,096 grid columns
 REFINE_TOL = 1e-12           # bracket width of a real zero of F_d on (0, 1)
-GRID_TAIL = 1e-17            # fekete_grid drops the degrees n with t^n under this
 END_SAMPLE = 64              # the scan reads every END_SAMPLE-th point inside (1 - delta*, 1)
+PIECE_TERMS = 26             # J: Taylor terms per piece of fekete_grid
+SERIES_EDGE = 0.2            # fekete_grid sums the plain power series below this t
+NEAR_REACH = 40              # pieces of radius 1/d out to delta = NEAR_REACH/d, then delta/5
+PIECE_TAIL = 1.5 * 5.0 ** -PIECE_TERMS  # dropped terms <= PIECE_TAIL min(1/(1 - t), d)
+GRID_ROUNDING = 45.0         # fekete_grid's rounding <= GRID_ROUNDING eps min(t/(1 - t), d)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_PIECE_BLOCK = 4096          # degrees n per block of the pieces' coefficient product
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -72,62 +75,92 @@ def fekete_eval(d: int, t: float) -> tuple[float, float]:
     return value, err
 
 
+@lru_cache(maxsize=32)
+def _pieces(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lows, centres, radii, coeffs) of F_d's pieces in ascending t, as
+    read-only arrays: piece k serves [lows[k], lows[k + 1]) as
+    sum_j coeffs[j, k] rho^j, rho = (t - centres[k]) / radii[k].
+
+    Piece 0 is the power series on [0, SERIES_EDGE), b_j = chi_d(j)
+    SERIES_EDGE^j. The others tile (SERIES_EDGE, 1) down from t = 1: in
+    delta = 1 - t, radius min(1/d, SERIES_EDGE/2) out to NEAR_REACH/d, then
+    delta_k/5, so every centre t_k is positive. Their b_kj = r_k^j sum_n
+    chi_d(n) C(n, j) t_k^(n-j) = G[k, j] (d r_k / t_k)^j come from one product
+    G = P @ C blocked over n, P[k, n] = t_k^n = exp(n log t_k) (the powers of
+    fekete_eval) and C[n, j] = chi_d(n) C(n, j) / d^j.
+    """
+    centres, radii, top = [], [], 0.0  # top: delta at the upper end of the next piece
+    while 1.0 - top > SERIES_EDGE:
+        radii.append(min(1.0 / d, SERIES_EDGE / 2) if top < NEAR_REACH / d else top / 4.0)
+        centres.append(1.0 - (top + radii[-1]))
+        top += 2.0 * radii[-1]
+    centres, radii = np.array(centres[::-1]), np.array(radii[::-1])
+    chi = char_table(d).astype(np.float64)
+    gram = np.zeros((centres.size, PIECE_TERMS))
+    for a in range(0, d, _PIECE_BLOCK):
+        n = np.arange(a, min(a + _PIECE_BLOCK, d), dtype=np.float64)
+        binom = np.empty((PIECE_TERMS, n.size))  # row j: chi_d(n) C(n, j) / d^j
+        binom[0] = chi[a:a + n.size]
+        for j in range(1, PIECE_TERMS):
+            np.multiply(binom[j - 1], (n - (j - 1)) / (j * d), out=binom[j])
+        powers = np.multiply.outer(np.log(centres), n)
+        with np.errstate(under="ignore"):
+            gram += np.exp(powers, out=powers) @ binom.T
+    j = np.arange(PIECE_TERMS)
+    series = np.zeros(PIECE_TERMS)
+    series[1:min(d, PIECE_TERMS)] = chi[1:PIECE_TERMS]
+    coeffs = np.vstack([series * SERIES_EDGE**j, gram * (d * radii / centres)[:, None] ** j]).T
+    out = (np.concatenate([[0.0, SERIES_EDGE], centres[1:] - radii[1:]]),
+           np.concatenate([[0.0], centres]), np.concatenate([[SERIES_EDGE], radii]),
+           np.ascontiguousarray(coeffs))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def grid_error(d: int, ts: np.ndarray) -> np.ndarray:
+    """fekete_grid's error bound at ts: GRID_ROUNDING eps min(t/(1 - t), d)
+    for rounding plus PIECE_TAIL min(1/(1 - t), d) for the dropped terms."""
+    ts = np.asarray(ts, dtype=np.float64)
+    eps = float(np.finfo(float).eps)
+    return (GRID_ROUNDING * eps * np.minimum(ts / (1.0 - ts), float(d))
+            + PIECE_TAIL * np.minimum(1.0 / (1.0 - ts), float(d)))
+
+
 def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a grid of t in [0, 1) (scan path;
-    certificates re-use fekete_eval); DomainError outside it.
+    """F_d over a grid of t in [0, 1) from Taylor pieces (scan path;
+    certificates re-use fekete_eval); DomainError outside [0, 1).
 
-    Blocked Horner: F_d(t) = sum_b C_b(t) (t^B)^b with C_b a degree-(B-1)
-    polynomial chunk (B = GRID_DEGREE_BLOCK), so the inner work is one
-    (n_blocks x B) @ (B x columns) product instead of a length-d coefficient
-    loop. The grid streams through one reused B x columns power table, a
-    column block at a time (columns from _GRID_BLOCK_BYTES), so memory stays
-    flat in the grid size.
-
-    Each column block sums only the degrees n <= N, N the least n with
-    top^n <= GRID_TAIL for the block's largest t (capped at d - 1): it reads
-    the first ceil((N + 1)/B) chunks, and builds only N + 1 power rows when
-    one chunk is enough and N < d - 1. The dropped tail is at most
-    GRID_TAIL t/(1 - t) at every t of the block. Where N = d - 1 the values
-    are the unblocked product's bit for bit. (For d <= B the product is a
-    BLAS gemv whose last bits on a long grid depend on BLAS's thread split,
-    blocked or not. Under the package's one-thread BLAS default the grid is
-    reproducible; a caller who sets a BLAS thread count above one gets that
-    split back.)
+    Each t costs one PIECE_TERMS-term Horner on the piece that serves it, so
+    its value does not depend on the batch. |chi_d| <= 1 bounds the dropped
+    terms: |b_kj| <= d/(j+1)! on the pieces of radius at most 1/d,
+    5^-j / delta_k on the others, 5^-j on the series; with 1/delta_k <=
+    1.2/(1 - t) they sum to at most PIECE_TAIL min(1/(1 - t), d). The
+    pieces' product is a GEMM whose last bits may follow BLAS's thread split.
     """
     ts = np.asarray(ts, dtype=np.float64)
     flat = ts.ravel()
     if not np.all((flat >= 0.0) & (flat < 1.0)):
         raise DomainError(f"fekete_grid needs every t in [0, 1), got d={d}")
-    block = GRID_DEGREE_BLOCK
-    coeffs = char_table(d).astype(np.float64)  # index = exponent, coeffs[0] = 0
-    n_blocks = (d + block - 1) // block
-    padded = np.zeros(n_blocks * block, dtype=np.float64)
-    padded[:d] = coeffs
-    chunk_mat = padded.reshape(n_blocks, block)
-    cols = block_ranges(flat.size, _GRID_BLOCK_BYTES // (8 * block))
-    width = max((b - a for a, b in cols), default=0)
-    table = np.empty(block * width, dtype=np.float64)
+    lows, centres, radii, coeffs = _pieces(d)
+    order = np.argsort(flat, kind="stable") if np.any(flat[1:] < flat[:-1]) else None
+    flat = flat if order is None else flat[order]
+    cuts = np.searchsorted(flat, lows[1:]).tolist()
     out = np.empty(flat.shape, dtype=np.float64)
-    for a, b in cols:
-        t = flat[a:b]
-        top = float(t.max())
-        degree = 1 if top <= GRID_TAIL else math.ceil(math.log(GRID_TAIL) / math.log(top))
-        degree = min(degree + (top**degree > GRID_TAIL), d - 1)  # + 1 if the logs round low
-        chunks = degree // block + 1
-        # one chunk of a cut block needs only degree + 1 rows; an uncut block
-        # keeps the full table, and so the unblocked product's bits
-        rows = degree + 1 if chunks == 1 and degree < d - 1 else block
-        powers = table[: rows * (b - a)].reshape(rows, b - a)
-        powers[0] = 1.0
-        for j in range(1, rows):
-            np.multiply(powers[j - 1], t, out=powers[j])
-        chunk_vals = chunk_mat[:chunks, :rows] @ powers  # (chunks, columns)
-        t_block = powers[-1] * t  # t^B, read only when there are several chunks
-        acc = chunk_vals[-1].copy()
-        for c in range(chunks - 2, -1, -1):
-            np.multiply(acc, t_block, out=acc)
-            np.add(acc, chunk_vals[c], out=acc)
-        out[a:b] = acc
+    for k, (a, b) in enumerate(zip([0, *cuts], [*cuts, flat.size])):
+        if b - a == 1:  # Python floats: the same operations without numpy's per-call cost
+            rho, acc = (float(flat[a]) - float(centres[k])) / float(radii[k]), 0.0
+            for c in coeffs[::-1, k].tolist():
+                acc = acc * rho + c
+            out[a] = acc
+        elif b > a:
+            rho, acc = (flat[a:b] - centres[k]) / radii[k], out[a:b]
+            acc.fill(0.0)
+            for c in coeffs[::-1, k]:
+                acc *= rho
+                acc += c
+    if order is not None:
+        out[order] = out.copy()
     return out.reshape(ts.shape)
 
 
@@ -144,24 +177,34 @@ def zero_scan_grid(d: int, n_points: int) -> np.ndarray:
     n_geom = n_points - n_uniform
     uni = np.linspace(1.0 / (n_uniform + 1), 1.0 - 1.0 / (n_uniform + 1), n_uniform)
     geom = 1.0 - np.logspace(math.log10(0.5), math.log10(delta_min), n_geom)
-    return np.unique(np.concatenate([uni, geom]))
+    ts = np.sort(np.concatenate([uni, geom]), kind="stable")  # two sorted runs: one merge
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = ts[1:] != ts[:-1]
+    return ts[keep]
 
 
 def end_moment(d: int) -> tuple[int, int]:
     """(k, M_k): the order of the zero of F_d at t = 1 and its leading moment.
 
-    M_j = F_d^(j)(1) = sum_n n (n-1) ... (n-j+1) chi_d(n), exactly, in Python
-    integers; k is the first j with M_j != 0. M_0 is a full-period character
-    sum, and M_1 = 0 for even chi_d since chi_d(d - n) = chi_d(n), so k = 2
-    across the family: the zero at t = 1 is double.
+    M_j = F_d^(j)(1) = sum_n n (n-1) ... (n-j+1) chi_d(n), exactly: int64 dot
+    products over chunks of n short enough that no chunk sum can overflow
+    (each term is at most (d-1) ... (d-j)), added as Python integers, and
+    Python integers throughout once a term can pass int64. k is the first j
+    with M_j != 0. M_0 is a full-period character sum, and M_1 = 0 for even
+    chi_d since chi_d(d - n) = chi_d(n), so k = 2 across the family: the zero
+    at t = 1 is double.
     """
-    chi = char_table(d)[1:].tolist()
-    falling = [1] * len(chi)  # n^(j) for n = 1 .. d-1
+    chi = char_table(d)[1:].astype(np.int64)
+    n = np.arange(1, d, dtype=np.int64)
+    falling = np.ones(d - 1, dtype=np.int64)  # n (n-1) ... (n-k+1)
     for k in itertools.count():
-        m_k = sum(c * f for c, f in zip(chi, falling))
+        step = _INT64_MAX // max(1, math.perm(d - 1, k)) if falling.dtype == np.int64 else d
+        m_k = sum(int(falling[a:a + step] @ chi[a:a + step]) for a in range(0, d - 1, step))
         if m_k:
             return k, m_k
-        falling = [f * (n - k) for n, f in enumerate(falling, start=1)]
+        if math.perm(d - 1, k + 1) > _INT64_MAX:
+            chi, n, falling = chi.astype(object), n.astype(object), falling.astype(object)
+        falling = falling * (n - k)
 
 
 def end_interval(d: int, k: int, m_k: int) -> float:
@@ -242,8 +285,8 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
         else:
             report.zeros.append((cert.location, cert.half_width))
     # grid cells whose values dip under the local error scale (rounding, and
-    # fekete_grid's dropped tail) without flipping
-    errs = (45.0 * np.finfo(float).eps + GRID_TAIL) * np.minimum(ts / (1.0 - ts), float(d))
+    # the pieces' dropped terms) without flipping
+    errs = grid_error(d, ts)
     dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]
     end = slice(head, None)
     against = ts[end][(np.abs(vals[end]) > 3 * errs[end]) & (sign[end] == -end_sign)]

@@ -32,7 +32,6 @@ import numpy as np
 from . import CODE_VERSION_TAG
 from .characters import enumerate_family
 from .errors import AccuracyError, CacheError, DomainError, IndeterminateError
-from .fekete import fekete_real_zeros, mellin_identity_check
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
 from .stats import (
@@ -412,6 +411,10 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
 
 
 def run_fekete(d: int, count_zeros: bool, check_identity: bool, s: float) -> dict:
+    # imported here, by the one driver that uses it, so the other commands
+    # never load (or, without bytecode caches, compile) the module
+    from .fekete import fekete_real_zeros, mellin_identity_check
+
     res: dict = {"d": d}
     if count_zeros:
         rep = fekete_real_zeros(d)

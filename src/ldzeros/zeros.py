@@ -577,7 +577,8 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     precise path inside its scan cell or IndeterminateError. The scan grid
     t = step, 2 step, ..., t_max is read in two stretches: the heights up to
     min(t_max, BASE_T_CAP) as one batch, served by the engine's base
-    quadrature, and the rest only when the first shows no sign change; a
+    quadrature, and the rest, built only then, when the first shows no sign
+    change; a
     flip across the boundary is read on the joined values, and each stretch
     read must be numerically real or AccuracyError. A rectangle
     winding certifies no off-line zero below the reported height (up to a
@@ -590,10 +591,16 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
             raise DomainError(f"{name} must be a positive finite number, got {value}")
     if t_max > engine.t_cap + 1e-9:
         raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
-    t = np.arange(step, t_max + step, step)
-    low = t.size if t_max <= BASE_T_CAP else int(np.searchsorted(t, BASE_T_CAP, side="right"))
+    t = np.arange(step, min(t_max, BASE_T_CAP) + step, step)
+    if t_max > BASE_T_CAP:
+        t = t[:int(np.searchsorted(t, BASE_T_CAP, side="right"))]
     g = np.empty(0)
-    for part in (t[:low], t[low:]):
+    for stretch in range(2):
+        if stretch:  # np.arange fills step + i step, so the whole grid extends t
+            if t_max <= BASE_T_CAP:
+                break
+            t = np.arange(step, t_max + step, step)
+        part = t[g.size:]
         if part.size == 0:
             continue
         vals = engine.lambda_fast(0.5 + 1j * part)

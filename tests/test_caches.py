@@ -13,6 +13,7 @@ import ldzeros
 # one call per lru_cache'd function of the package, small enough to be cheap
 CALLS = {
     "characters.char_table": (104,),
+    "fekete._pieces": (104,),
     "harness._source_digest": (),
     "primes.prime_sieve": (100,),
     "primes.prime_power_table": (100,),

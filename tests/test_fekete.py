@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,20 +11,18 @@ from ldzeros.characters import char_table, enumerate_family
 from ldzeros.errors import AccuracyError, DomainError, ResourceError
 from ldzeros.fekete import (
     END_SAMPLE,
-    GRID_DEGREE_BLOCK,
-    GRID_TAIL,
+    PIECE_TERMS,
+    SERIES_EDGE,
     end_interval,
     end_moment,
     fekete_eval,
     fekete_grid,
     fekete_real_zeros,
+    grid_error,
     mellin_identity_check,
     zero_scan_grid,
 )
-from ldzeros.lfunc import block_ranges
 from test_characters import kronecker
-
-EPS = float(np.finfo(float).eps)
 
 
 # F_8(t) = t - t^3 - t^5 + t^7 = t (1 - t^2)(1 - t^4): no roots in open (0,1).
@@ -170,81 +170,90 @@ def test_kronecker_consistency_of_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# blocked grid evaluation
+# grid evaluation from Taylor pieces
 # ---------------------------------------------------------------------------
 
-def _fekete_grid_unblocked(d: int, ts: np.ndarray, block: int = 256) -> np.ndarray:
-    """The scan as one B x grid power table and one product, without column
-    blocks."""
-    ts = np.asarray(ts, dtype=np.float64)
-    coeffs = char_table(d).astype(np.float64)
-    n_blocks = (d + block - 1) // block
-    padded = np.zeros(n_blocks * block, dtype=np.float64)
-    padded[:d] = coeffs
-    chunk_mat = padded.reshape(n_blocks, block)
-    powers = np.empty((block, ts.size), dtype=np.float64)
-    powers[0] = 1.0
-    for j in range(1, block):
-        powers[j] = powers[j - 1] * ts
-    chunk_vals = chunk_mat @ powers
-    t_block = powers[block - 1] * ts
-    out = np.zeros(ts.shape, dtype=np.float64)
-    for b in range(n_blocks - 1, -1, -1):
-        out = out * t_block + chunk_vals[b]
-    return out
+def _edge_points(d: int) -> np.ndarray:
+    """Both ends of the stretch each piece serves, both edges of every piece
+    (rho = -1, +1) inside [0, 1), the seam to the power series, t = 0 and
+    t = 1 - 1e-12."""
+    lows, centres, radii, _ = fekete._pieces(d)
+    ends = np.concatenate([lows, np.nextafter(lows[1:], 0.0), centres - radii, centres + radii,
+                           [0.0, SERIES_EDGE, np.nextafter(SERIES_EDGE, 0.0), 1.0 - 1e-12]])
+    return np.unique(ends[(ends >= 0.0) & (ends < 1.0)])
 
 
-@pytest.mark.parametrize("d", [104, 7976])
-def test_fekete_grid_bit_identical_to_unblocked(d):
-    # bit for bit in the column blocks that keep every degree (N = d - 1, so
-    # top^(d - 2) > GRID_TAIL); the others drop degrees past their tail and
-    # sum fewer terms, so they hold within that tail plus 4 ulp of the
-    # terms' magnitude sum t/(1 - t)
-    cols = fekete._GRID_BLOCK_BYTES // (8 * GRID_DEGREE_BLOCK)
-    ts = zero_scan_grid(d, max(16 * d, cols + 1))
-    sizes = [1, cols - 1, cols, cols + 1, 16 * d]
-    if d > GRID_DEGREE_BLOCK:  # several column blocks, a product per block
-        sizes += [2 * cols + 1, 3 * cols - 1]
-    cut = 0
-    for n in sizes:
-        t = ts[-n:]
-        got, want = fekete_grid(d, t), _fekete_grid_unblocked(d, t)
-        for a, b in block_ranges(n, cols):
-            if t[a:b].max() ** (d - 2) > GRID_TAIL:
-                assert np.array_equal(got[a:b].view(np.uint64), want[a:b].view(np.uint64)), n
-            else:
-                cut += 1
-                bound = (GRID_TAIL + 4.0 * EPS) * t[a:b] / (1.0 - t[a:b])
-                assert np.all(np.abs(got[a:b] - want[a:b]) <= bound), (n, a)
-    assert (cut > 0) == (d > GRID_DEGREE_BLOCK)  # the full grid of 7976 starts near 0
-    assert fekete_grid(d, np.float64(0.5)).shape == ()
-    assert fekete_grid(d, np.float64(0.5)) == pytest.approx(
-        _fekete_grid_unblocked(d, np.array([0.5]))[0], rel=0.0, abs=(GRID_TAIL + 4.0 * EPS))
+def _points_over_the_bound(d: int) -> list[float]:
+    """The edge points where fekete_grid strays from the exactly rounded
+    fekete_eval by more than fekete_eval's err plus grid_error."""
+    ts = _edge_points(d)
+    over = []
+    for t, g, b in zip(ts.tolist(), fekete_grid(d, ts).tolist(), grid_error(d, ts).tolist()):
+        v, err = fekete_eval(d, t)
+        if abs(g - v) > err + b:
+            over.append(t)
+    return over
+
+
+@pytest.mark.parametrize("d", [5, 8, 13, 104, 7976, 79640])
+def test_fekete_grid_within_its_error_bound_at_the_piece_edges(d):
+    assert _edge_points(d).size > 2 * fekete._pieces(d)[1].size
+    assert _points_over_the_bound(d) == []
+
+
+@pytest.mark.parametrize("piece", [0, 1, 5, -1], ids=["series", "lowest", "far", "next-to-1"])
+@pytest.mark.parametrize("j", [0, 7])
+def test_a_corrupted_piece_coefficient_fails_the_bound(monkeypatch, piece, j):
+    # a change of 1e-9 times the scale of F_d's terms at the piece's centre,
+    # about 1e7 ulp of that scale, against a bound of 45 ulp of it
+    d = 7976
+    lows, centres, radii, coeffs = fekete._pieces(d)
+    assert (radii[piece] > 1.0 / d) == (piece in (0, 1, 5))  # the series, radius delta/5, 1/d
+    bad = coeffs.copy()
+    bad[j, piece] += 1e-9 / (1.0 - centres[piece])
+    monkeypatch.setattr(fekete, "_pieces", lambda dd: (lows, centres, radii, bad))
+    assert _points_over_the_bound(d) != []
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 24])
+def test_small_d_builds_its_pieces_without_warnings(d):
+    # the pieces of radius 1/d stop before t = 0, so every centre has a log
+    fekete._pieces.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lows, centres, radii, coeffs = fekete._pieces(d)
+        fekete_real_zeros(d)
+    assert np.all(centres[1:] > 0.0) and np.all(np.isfinite(coeffs))
+    assert coeffs.shape == (PIECE_TERMS, centres.size)
+    assert lows[0] == 0.0 and lows[1] == SERIES_EDGE and np.all(np.diff(lows) > 0.0)
 
 
 def test_fekete_grid_within_the_scan_error_scale_of_fekete_eval():
     # random d and random grids, both near 0 and deep towards 1; fekete_eval
-    # is exactly rounded, and the scan's error scale (the dip test's) is
-    # 45 eps + GRID_TAIL times min(t/(1 - t), d)
+    # is exactly rounded, and grid_error is the dip test's error scale
     rng = np.random.default_rng(11)
     ds = [8, 104] + [int(8 * rng.choice(enumerate_family(x).m)) for x in (1e3, 1e3, 1e4, 1e4)]
     for d in ds:
         ts = np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** rng.uniform(-9, -1, 60)])
         got = fekete_grid(d, ts)
-        for t, g in zip(ts.tolist(), got.tolist()):
+        for t, g, b in zip(ts.tolist(), got.tolist(), grid_error(d, ts).tolist()):
             v, err = fekete_eval(d, t)
-            assert abs(g - v) <= err + (45.0 * EPS + GRID_TAIL) * min(t / (1.0 - t), d), (d, t)
+            assert abs(g - v) <= err + b, (d, t)
 
 
 def test_shuffled_grid_gives_the_sorted_values_permuted():
-    # the cut follows each column block's largest t, wherever it sits
+    # every t reads its own piece, so its value does not depend on the batch:
+    # a shuffled grid and one-point calls give the sorted grid's bits
     d = 7976
     ts = zero_scan_grid(d, 16 * d)
+    want = fekete_grid(d, ts)
     perm = np.random.default_rng(3).permutation(ts.size)
-    got = fekete_grid(d, ts[perm])
-    want = fekete_grid(d, ts)[perm]
-    bound = (GRID_TAIL + 4.0 * EPS) * ts[perm] / (1.0 - ts[perm])
-    assert np.all(np.abs(got - want) <= bound)
+    assert np.array_equal(fekete_grid(d, ts[perm]).view(np.uint64), want[perm].view(np.uint64))
+    for i in perm[:200].tolist():
+        assert fekete_grid(d, ts[i:i + 1]).view(np.uint64)[0] == want[i:i + 1].view(np.uint64)[0]
+    assert fekete_grid(d, np.float64(ts[5])).shape == ()
+    assert fekete_grid(d, np.float64(ts[5])) == want[5]
+    assert fekete_grid(d, np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("t", [-0.25, -1e-300, 1.0, 1.5, np.inf, np.nan])
@@ -269,19 +278,22 @@ def test_scan_reads_the_end_interval_sparsely(monkeypatch):
 
 
 def test_fekete_grid_memory_flat_in_grid_size():
-    # the unblocked table alone is 256 x 16d doubles, 261 MB at d = 7976
+    # a 256 x 16d power table would be 261 MB at d = 7976; the pieces are
+    # built inside the measurement too, blocked over n. At d = 79,640 the 16d
+    # points alone are 10 MB, and so is the output
     import tracemalloc
 
-    d = 7976
-    ts = zero_scan_grid(d, 16 * d)
-    char_table(d)
-    tracemalloc.start()
-    try:
-        fekete_grid(d, ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20, peak
+    for d in (7976, 79640):
+        ts = zero_scan_grid(d, 16 * d)
+        char_table(d)
+        fekete._pieces.cache_clear()
+        tracemalloc.start()
+        try:
+            fekete_grid(d, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, (d, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +305,31 @@ def test_end_moment_from_factored_forms():
     # ~ 2 delta^2 at t = 1 - delta, so M_2 = 2! * 8 and 2! * 2
     assert end_moment(8) == (2, 16)
     assert end_moment(5) == (2, 4)
+
+
+def _end_moment_lists(d: int) -> tuple[int, int]:
+    """end_moment over Python-int lists, term by term (the oracle)."""
+    chi = char_table(d)[1:].tolist()
+    falling = [1] * len(chi)  # n^(j) for n = 1 .. d-1
+    for k in itertools.count():
+        m_k = sum(c * f for c, f in zip(chi, falling))
+        if m_k:
+            return k, m_k
+        falling = [f * (n - k) for n, f in enumerate(falling, start=1)]
+
+
+@pytest.mark.parametrize("d", [5, 8, 104, 7976, 40008, 79640])
+def test_end_moment_equals_the_python_int_sum(d):
+    assert end_moment(d) == _end_moment_lists(d)
+
+
+@pytest.mark.parametrize("limit", [2**40, 2**20])
+def test_end_moment_exact_over_several_chunks(monkeypatch, limit):
+    # int64 holds M_2 of every d that char_table serves in one chunk; a lower
+    # limit makes d = 79,640 take 460 chunks (2^40) or, past M_0, Python ints
+    monkeypatch.setattr(fekete, "_INT64_MAX", limit)
+    for d in (104, 79640):
+        assert end_moment(d) == _end_moment_lists(d)
 
 
 def _fekete_exact(d: int, t: Fraction) -> Fraction:
@@ -373,7 +410,7 @@ def test_grid_flip_inside_end_interval_is_a_suspect(monkeypatch):
     assert rep.suspects == [{"at": at[0], "reason": "wrong sign in the end interval"}]
 
 
-@pytest.mark.parametrize("d, count", [(104, 0), (248, 2), (1032, 2)])
+@pytest.mark.parametrize("d, count", [(104, 0), (248, 2), (1592, 2)])
 def test_noise_flips_in_the_end_interval_are_not_suspects(monkeypatch, d, count):
     # these d's read values flip sign inside (1 - delta*, 1) under the error
     # scale; the values there that clear 3 err all carry the certificate's sign
@@ -392,5 +429,5 @@ def test_noise_flips_in_the_end_interval_are_not_suspects(monkeypatch, d, count)
     inside = ts > 1.0 - rep.end_delta
     sign = np.sign(vals[inside])
     assert np.any(sign[:-1] * sign[1:] < 0)
-    errs = (45.0 * EPS + GRID_TAIL) * np.minimum(ts[inside] / (1.0 - ts[inside]), float(d))
+    errs = grid_error(d, ts[inside])
     assert np.sum(np.abs(vals[inside]) > 3 * errs) >= 5

@@ -991,3 +991,13 @@ def test_import_sets_one_blas_thread_unless_the_caller_set_one():
     assert _fresh_import() == "1"
     assert _fresh_import(OPENBLAS_NUM_THREADS="2") == "2"
     assert _fresh_import(OMP_NUM_THREADS="2") == "None"
+
+
+def test_cli_import_leaves_fekete_unloaded():
+    # only the `fekete` driver imports the module, so the other commands
+    # neither load it nor, without bytecode caches, compile it
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    code = "import sys, ldzeros.cli; print('ldzeros.fekete' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == "False"

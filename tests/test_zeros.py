@@ -446,6 +446,24 @@ def test_gamma_min_with_a_low_flip_never_asks_above_the_base_strip(monkeypatch):
     assert list(eng._theta) == [12.0]
 
 
+def test_gamma_min_with_a_low_flip_builds_only_the_low_heights():
+    # t_max = 1e6 is 2.6 million heights (63 MB as the complex batch); a
+    # flip under BASE_T_CAP is read from the 31 heights up to it alone
+    import tracemalloc
+
+    stub = _LineStub(lambda t: (5.003 - t) + 0j)
+    stub.t_cap = 2e6
+    tracemalloc.start()
+    try:
+        gm = gamma_min(stub, t_max=1e6, offline_check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gm.found and abs(gm.gamma - 5.003) <= gm.half_width
+    assert stub.batches[0].size == 31 and stub.batches[0].max() <= 12.0
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("flip", [5.003, 20.003])
 def test_gamma_min_brackets_a_flip_as_one_batch_does(monkeypatch, flip):
     split = _LineStub(lambda t: (flip - t) + 0j)
