@@ -56,9 +56,9 @@ _PIECE_BLOCK = 4096          # degrees n per block of the pieces' coefficient pr
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
     """F_d(t) with a certified error bound; returns (value, err_bound).
 
-    Powers come from exp(n log t) (per-term relative error below 45 ulp for
-    any representable t^n, independent of d, which matters because the real
-    zeros cluster near t = 1), and the sum is exactly rounded (math.fsum).
+    Each power t^n = exp(n log t) is within (45 + 2 |n log t|) eps relative,
+    the exponent's rounding growing with |n log t|, plus one subnormal step
+    math.ulp(0.0) when tiny; the sum is exactly rounded (math.fsum).
     """
     if not 0.0 <= t < 1.0:
         raise DomainError(f"fekete_eval needs t in [0, 1), got {t}")
@@ -66,12 +66,14 @@ def fekete_eval(d: int, t: float) -> tuple[float, float]:
         return 0.0, 0.0
     chi = char_table(d).astype(np.float64)
     n = np.arange(1, d, dtype=np.float64)
+    log_t = math.log(t)
     with np.errstate(under="ignore"):
-        powers = np.exp(n * math.log(t))
+        powers = np.exp(n * log_t)
     terms = chi[1:] * powers
     value = math.fsum(terms)
     eps = float(np.finfo(float).eps)
-    err = 45.0 * eps * float(np.sum(powers)) + 2.0 * eps * abs(value)
+    err = (45.0 * eps * float(np.sum(powers)) + 2.0 * eps * abs(log_t) * float(n @ powers)
+           + (d - 1) * math.ulp(0.0) + 2.0 * eps * abs(value))
     return value, err
 
 

@@ -34,10 +34,10 @@ Two evaluation paths, one contract:
   its bits do not depend on the banding.
   Points are evaluated in row blocks through two reused, cache-sized
   buffers; each value is the bits of the unblocked (points x nodes) product.
-  The panel width follows a height cap: a batch inside the base strip
-  |Im s| <= BASE_T_CAP + 2 runs on the quadrature of cap min(t_cap,
-  BASE_T_CAP), any other on that of cap t_cap, each built on first use and
-  refused (ResourceError) before allocating a matrix over THETA_MAX_BYTES.
+  An engine has one quadrature, whose panel width is set by BASE_T_CAP, so
+  engines that differ only in t_cap compute the same fast values bit for
+  bit; it is built on first use and refused (ResourceError) before
+  allocating a matrix over THETA_MAX_BYTES, which only a large d can need.
 
 L' on the real axis is one complex step sigma + ih on either path: _step
 serves l_prime and log_deriv, _fast_step l_prime_fast and log_deriv_fast.
@@ -66,8 +66,8 @@ L_FLOOR = 1e-12            # conditioning floor for -L'/L
 GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
-THETA_MAX_BYTES = 1 << 29   # largest (n_theta x nodes) matrix; d = 8e8 at cap 12 needs 413 MB
-BASE_T_CAP = 12.0          # default t_cap, and the cap of the quadrature for low points
+THETA_MAX_BYTES = 1 << 29   # largest (n_theta x nodes) matrix; d = 8e8 needs 413 MB
+BASE_T_CAP = 12.0          # default t_cap, and the height the fast-path panel width is set for
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
 
@@ -101,16 +101,14 @@ class LEngine:
     ----------
     d : family discriminant (8m), positive
     eps_target : absolute accuracy goal for Lambda on the strip, in (0, 1)
-    t_cap : largest |Im s| this engine will be asked for; sets the density
-        of the fast-path quadrature that serves points above the base strip
+    t_cap : largest |Im s| this engine will be asked for; both paths refuse
+        points with |Im s| > t_cap + 2
 
     The expansion length n_trunc is the least N with pi N^2 / d >=
     log(1/eps_target) + 5, which keeps the tail under eps_target.
 
-    A lambda_fast batch with every |Im s| <= BASE_T_CAP + 2 runs on the
-    quadrature of cap min(t_cap, BASE_T_CAP), any other on the one of cap
-    t_cap. fast_rel_err is the largest cross-validation error among the
-    quadratures built so far, None before the first.
+    fast_rel_err is the cross-validation error of the fast path's one
+    quadrature, set when it is built, None before.
     """
 
     def __init__(self, d: int, eps_target: float = 1e-12, t_cap: float = BASE_T_CAP):
@@ -135,7 +133,7 @@ class LEngine:
         self._x = math.pi * n.astype(np.float64) ** 2 / self.d
         self._log_d_pi = math.log(self.d / math.pi)
         self._tail = self._tail_bound()
-        self._theta = {}  # cap -> (nodes u, weighted omega), built lazily
+        self._theta = None  # (nodes u, weighted omega), built lazily
         self.fast_rel_err = None
 
     # -- precise path -----------------------------------------------------
@@ -234,15 +232,12 @@ class LEngine:
 
     # -- fast path ---------------------------------------------------------
 
-    def _build_theta(self, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    def _build_theta(self) -> tuple[np.ndarray, np.ndarray]:
         t_max = max(self.d * THETA_C / math.pi, 40.0)
         U = math.log(t_max)
-        width = min(0.7, 4.0 * math.pi / max(cap, 1.0) / 1.5)
-        # the matrix size in Python integers, so no cap overflows the check
-        ratio = U / width
-        panels = max(4, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+        panels = max(4, math.ceil(U / (4.0 * math.pi / BASE_T_CAP / 1.5)))
         if self._n_theta * 16 * panels * 8 > THETA_MAX_BYTES:
-            raise ResourceError(f"theta quadrature of d={self.d} at cap {cap} needs a "
+            raise ResourceError(f"theta quadrature of d={self.d} needs a "
                                 f"{self._n_theta} x {16 * panels} matrix, over "
                                 f"{THETA_MAX_BYTES} bytes")
         gl_x, gl_w = np.polynomial.legendre.leggauss(16)
@@ -274,24 +269,23 @@ class LEngine:
             blk[~live] = 0.0
         return u, w * (chi @ expo)
 
-    def _quadrature(self, cap: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weighted omega of the quadrature of height cap `cap`,
-        built on first use and cross-validated against the precise path."""
-        if cap not in self._theta:
-            self._theta[cap] = self._build_theta(cap)
-            probes = np.array([0.62, 0.93 + 0.6j * min(cap, 10.0),
-                               1.21 - 0.25j * min(cap, 10.0)], dtype=np.complex128)
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weighted omega of the theta quadrature, built on first
+        use and cross-validated against the precise path."""
+        if self._theta is None:
+            self._theta = self._build_theta()
+            h = min(self.t_cap, 10.0)  # probe heights inside the strip
+            probes = np.array([0.62, 0.93 + 0.6j * h, 1.21 - 0.25j * h], dtype=np.complex128)
             ref, _ = self.lambda_batch(probes)
-            fast = self._lambda_fast_raw(probes, cap)
+            fast = self._lambda_fast_raw(probes)
             scale = np.abs(ref) + 1e-30
-            err = float(np.max(np.abs(fast - ref) / scale)) * 4.0 + 1e-12
-            self.fast_rel_err = max(err, self.fast_rel_err or 0.0)
-        return self._theta[cap]
+            self.fast_rel_err = float(np.max(np.abs(fast - ref) / scale)) * 4.0 + 1e-12
+        return self._theta
 
-    def _lambda_fast_raw(self, s: np.ndarray, cap: float) -> np.ndarray:
+    def _lambda_fast_raw(self, s: np.ndarray) -> np.ndarray:
         # row blocks through two reused buffers: the same elementwise
         # operations and the same gemv rows as one (points x nodes) product
-        u, wo = self._quadrature(cap)
+        u, wo = self._quadrature()
         s = np.asarray(s, dtype=np.complex128)
         flat = s.ravel()
         out = np.empty(flat.shape, dtype=np.complex128)
@@ -311,13 +305,10 @@ class LEngine:
         return out.reshape(s.shape)
 
     def lambda_fast(self, s: np.ndarray) -> np.ndarray:
-        """Lambda(s) on the cached theta quadrature (vectorized over s): the
-        base quadrature when every point lies in the base strip, else the
-        one of cap t_cap."""
+        """Lambda(s) on the cached theta quadrature (vectorized over s)."""
         s = np.asarray(s, dtype=np.complex128)
         self._check_strip(s)
-        low = bool(np.all(np.abs(s.imag) <= BASE_T_CAP + 2.0))
-        return self._lambda_fast_raw(s, min(self.t_cap, BASE_T_CAP) if low else self.t_cap)
+        return self._lambda_fast_raw(s)
 
     def l_fast(self, s: np.ndarray) -> np.ndarray:
         """L(s) on the fast path (vectorized)."""

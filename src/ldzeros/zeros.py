@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     IndeterminateError,
 )
-from .lfunc import BASE_T_CAP, LEngine
+from .lfunc import LEngine
 
 TRAPEZOID_START_NODES = 256
 TRAPEZOID_MAX_NODES = 2048
@@ -55,6 +55,16 @@ RECT_MAX_DEPTH = 26        # boundary refinement rounds of rect_zero_count
 LOCATE_RESOLUTION = 1e-3   # box size at which locate_zeros_in_box stops
 REFINE_TOL = 1e-9          # bracket width of a real zero of L'
 GAMMA_REFINE_TOL = 1e-8    # bracket width of gamma_min
+GAMMA_STRETCH = 12.0       # height of the stretches gamma_min reads its scan grid in
+
+
+def _noise_scale(vals: np.ndarray) -> float:
+    """The scale of the proximity margins, float(np.median(np.abs(vals))) +
+    1e-300 bit for bit (NaN if vals holds one), without np.median's numpy.ma."""
+    a = np.abs(vals)
+    mid = [a.size // 2] if a.size % 2 else [a.size // 2 - 1, a.size // 2]
+    part = np.partition(a, mid + [a.size - 1])  # NaNs sort last
+    return math.nan if math.isnan(part[-1]) else float(part[mid].mean()) + 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,7 @@ def _contour_count(engine: LEngine, center: complex, radius: float,
         sampler = _CircleSampler(engine, center, radius / SAMPLER_RATIO, m, prev=sampler)
         f = sampler.ring(SAMPLER_RATIO, order)
         fp = sampler.ring(SAMPLER_RATIO, order + 1)
-        scale = float(np.median(np.abs(f))) + 1e-300
+        scale = _noise_scale(f)
         margin = 10.0 * engine.fast_rel_err * scale
         min_mod = float(np.min(np.abs(f)))
         if min_mod < margin:
@@ -311,7 +321,7 @@ def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
     else:
         raise ContourProximityError("rectangle boundary refinement did not settle")
 
-    scale = float(np.median(np.abs(vals))) + 1e-300
+    scale = _noise_scale(vals)
     margin = 20.0 * engine.fast_rel_err * scale
     min_mod = float(np.min(np.abs(vals)))
     if min_mod < margin:
@@ -455,7 +465,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
     n = int(math.ceil(span / grid_step))
     grid = np.linspace(sigma1, sigma2, n + 1)
     vals = engine.l_prime_fast(grid)
-    scale = float(np.median(np.abs(vals))) + 1e-300
+    scale = _noise_scale(vals)
     near_zero_tol = max(3.0 * engine.fast_rel_err * scale * 50.0, 1e-9 * scale)
 
     def fast(x: float) -> float:
@@ -575,12 +585,11 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     Under the self-dual functional equation Lambda is real on the critical
     line, so its first sign change is the first on-line zero, certified on the
     precise path inside its scan cell or IndeterminateError. The scan grid
-    t = step, 2 step, ..., t_max is read in two stretches: the heights up to
-    min(t_max, BASE_T_CAP) as one batch, served by the engine's base
-    quadrature, and the rest, built only then, when the first shows no sign
-    change; a
-    flip across the boundary is read on the joined values, and each stretch
-    read must be numerically real or AccuracyError. A rectangle
+    is np.arange(step, t_max + step, step), bit for bit, read one stretch of
+    GAMMA_STRETCH (or step, if larger) at a time up to the first stretch
+    that shows a sign change; only the last height and value before a
+    stretch are kept, so memory does not grow with t_max. Each stretch read
+    must be numerically real or AccuracyError. A rectangle
     winding certifies no off-line zero below the reported height (up to a
     small margin strip around the line, recorded in the result).
     """
@@ -591,26 +600,25 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
             raise DomainError(f"{name} must be a positive finite number, got {value}")
     if t_max > engine.t_cap + 1e-9:
         raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
-    t = np.arange(step, min(t_max, BASE_T_CAP) + step, step)
-    if t_max > BASE_T_CAP:
-        t = t[:int(np.searchsorted(t, BASE_T_CAP, side="right"))]
-    g = np.empty(0)
-    for stretch in range(2):
-        if stretch:  # np.arange fills step + i step, so the whole grid extends t
-            if t_max <= BASE_T_CAP:
-                break
-            t = np.arange(step, t_max + step, step)
-        part = t[g.size:]
-        if part.size == 0:
+    # the grid np.arange(step, t_max + step, step) has n heights step + i step
+    n = math.ceil((t_max + step - step) / step)  # computed as np.arange does
+    i0, upto, cell, before = 0, 0.0, None, np.empty((2, 0))  # last height and value read
+    while cell is None and i0 < n:
+        upto += max(GAMMA_STRETCH, step)
+        whole = upto >= t_max
+        t = step + np.arange(i0, n if whole else min(n, math.floor(upto / step) + 1)) * step
+        t = t if whole else t[t <= upto]
+        if t.size == 0:
             continue
-        vals = engine.lambda_fast(0.5 + 1j * part)
+        vals = engine.lambda_fast(0.5 + 1j * t)
         if np.max(np.abs(vals.imag)) > 1e-6 * np.max(np.abs(vals.real)):
             raise AccuracyError("Lambda not numerically real on the critical line")
-        g = np.concatenate([g, vals.real])
-        sign_flip = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
-        if len(sign_flip):
-            break
-    if len(sign_flip) == 0:
+        read = np.hstack([before, [t, vals.real]])  # rows: heights, values
+        flip = np.flatnonzero(np.sign(read[1, :-1]) != np.sign(read[1, 1:]))
+        if flip.size:
+            cell = (float(read[0, flip[0]]), float(read[0, flip[0] + 1]))
+        before, i0 = read[:, -1:], i0 + t.size
+    if cell is None:
         return GammaMinResult(d=engine.d, found=False, gamma=None, half_width=None, ends=None,
                               end_margins=None, t_max=t_max, offline_checked_height=None,
                               offline_count=None)
@@ -622,8 +630,6 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
         v = engine.lambda_value(0.5 + 1j * h)
         return v.lam.real, v.err_est
 
-    i = int(sign_flip[0])
-    cell = (float(t[i]), float(t[i + 1]))
     cert = certify_sign_change(fast, precise, *cell, cell, GAMMA_REFINE_TOL)
     if cert is None:
         raise IndeterminateError(f"no certified sign change of Lambda(1/2 + it) on "

@@ -513,8 +513,8 @@ def test_cli_gamma_min_bad_t_max_exit_1(tmp_path, capsys, t_max):
 
 
 def test_cli_gamma_min_far_above_the_base_strip_exits_0_without_a_traceback(tmp_path):
-    # t_cap 1e6 + 2 would need a 42 GiB theta matrix; every first flip of
-    # this sample lies under t = 12, read on the base quadrature
+    # about 11 million heights up to 1e6; every first flip of this sample lies
+    # under t = 12, in the first stretch
     out = tmp_path / "g.jsonl"
     proc = subprocess.run([sys.executable, "-m", "ldzeros.cli", "gamma-min", "--x", "1e3",
                            "--sample", "2", "--seed", "1", "--t-max", "1e6", "--out", str(out)],
@@ -525,15 +525,19 @@ def test_cli_gamma_min_far_above_the_base_strip_exits_0_without_a_traceback(tmp_
     assert len(rows) == 2 and all(r["found"] for r in rows)
 
 
-def test_cli_gamma_min_needing_an_oversized_quadrature_exits_3(tmp_path, capsys, monkeypatch):
-    # a first stretch that ends below every flip sends the scan to the
-    # t_cap quadrature, which is over the byte budget
-    monkeypatch.setattr(zeros_module, "BASE_T_CAP", 0.05)
-    argv = ["gamma-min", "--x", "1e3", "--sample", "2", "--seed", "1", "--t-max", "1e6",
-            "--out", str(tmp_path / "g.jsonl")]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource error: theta quadrature") and "Traceback" not in err
+def test_cli_gamma_min_with_its_first_stretch_below_every_flip_exits_0(tmp_path, capsys,
+                                                                      monkeypatch):
+    # every flip lies past the first stretch, and the scan reads stretches on
+    # up to it: the rows of t_max = 1e6 are those of the default t_max
+    argv = ["gamma-min", "--x", "1e3", "--sample", "2", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "default.jsonl")]) == 0
+    monkeypatch.setattr(zeros_module, "GAMMA_STRETCH", 0.05)
+    assert main(argv + ["--t-max", "1e6", "--out", str(tmp_path / "high.jsonl")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [(tmp_path / f"{name}.jsonl").read_text().splitlines()[1:]
+            for name in ("default", "high")]
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
+    assert all(json.loads(r)["gamma"] > 0.05 for r in rows[0])
 
 
 @pytest.mark.parametrize("d", ["0", "1", "-8"])

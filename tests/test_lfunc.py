@@ -294,13 +294,13 @@ def test_fast_log_deriv_matches_precise(eng104):
         assert abs(a - b.real) < 1e-8
 
 
-def _theta_weights(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
+def _theta_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u = log t and weights of the fast path's quadrature on
     [0, log t_max]: panels of 16-point Gauss-Legendre, as the engine lays
     them out."""
     c = math.log(1e15) + 3.0
     U = math.log(max(d * c / math.pi, 40.0))
-    width = min(0.7, 4.0 * math.pi / max(t_cap, 1.0) / 1.5)
+    width = 4.0 * math.pi / lfunc.BASE_T_CAP / 1.5
     panels = max(4, math.ceil(U / width))
     x, wts = np.polynomial.legendre.leggauss(16)
     half = U / panels / 2.0
@@ -313,8 +313,8 @@ def test_theta_sum_matches_termwise_oracle():
     # every term that does not underflow, with chi from the reciprocity loop
     for d in (8008, 79976, 799928):
         eng = LEngine(d, t_cap=12.0)
-        u, w_omega = eng._quadrature(12.0)
-        u_ref, w = _theta_weights(d, 12.0)
+        u, w_omega = eng._quadrature()
+        u_ref, w = _theta_weights(d)
         assert np.max(np.abs(u - u_ref)) < 1e-13
         nodes = np.linspace(0, u.size - 1, 6).astype(int)
         n_max = math.isqrt(int(745 * d / (math.pi * math.exp(u[nodes[0]])))) + 1
@@ -337,15 +337,15 @@ def _lambda_fast_unblocked(u: np.ndarray, wo: np.ndarray, s) -> np.ndarray:
 @pytest.mark.parametrize("d, t_cap", [(8, 60.0), (7976, 12.0), (7976, 52.0)])
 def test_fast_path_blocks_bit_identical_to_unblocked(d, t_cap):
     eng = LEngine(d, t_cap=t_cap)
-    u, wo = eng._quadrature(t_cap)
+    u, wo = eng._quadrature()
     rows = max(2, lfunc._FAST_BLOCK_BYTES // (16 * u.size))
     rng = np.random.default_rng(d)
     s = rng.uniform(0.5, 1.2, 2048) + 1j * rng.uniform(-t_cap, t_cap, 2048)
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 2048):
-        got = eng._lambda_fast_raw(s[:n], t_cap)
+        got = eng._lambda_fast_raw(s[:n])
         want = _lambda_fast_unblocked(u, wo, s[:n])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
-    got = eng._lambda_fast_raw(s[3], t_cap)
+    got = eng._lambda_fast_raw(s[3])
     want = _lambda_fast_unblocked(u, wo, s[3])
     assert got.shape == want.shape == ()
     assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
@@ -359,12 +359,12 @@ def test_block_ranges_cover_and_never_go_narrow():
             assert all(min(n, size // 2) <= b - a <= size + size // 2 for a, b in blocks)
 
 
-def _theta_full_shape(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
+def _theta_full_shape(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weighted omega from one full-shape (n_theta x nodes)
     exponent matrix: the theta build as it was before its banded fill."""
     c = math.log(1.0 / 1e-15) + 3.0
     U = math.log(max(d * c / math.pi, 40.0))
-    width = min(0.7, 4.0 * math.pi / max(t_cap, 1.0) / 1.5)
+    width = 4.0 * math.pi / lfunc.BASE_T_CAP / 1.5
     panels = max(4, math.ceil(U / width))
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, U, panels + 1)
@@ -387,7 +387,7 @@ def _theta_full_shape(d: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("t_cap", [12.0, 52.0])
 def test_theta_banded_bit_identical_to_full_shape(d, t_cap):
     eng = LEngine(d, t_cap=t_cap)
-    for got, want in zip(eng._quadrature(t_cap), _theta_full_shape(d, t_cap)):
+    for got, want in zip(eng._quadrature(), _theta_full_shape(d)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -398,61 +398,83 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("d", [8, 7976, 799960])
 @pytest.mark.parametrize("t_cap", [52.0, 60.0])
 def test_base_quadrature_bit_identical_to_a_t_cap_12_engine(d, t_cap):
-    # a batch inside |Im s| <= 14 runs on the quadrature a t_cap-12 engine
-    # builds, bit for bit, and builds no other
+    # an engine has one quadrature, the base one, whatever its t_cap: fast
+    # values agree bit for bit with a t_cap-12 engine's on batches of at
+    # least 2 points inside that strip, and with the other high engine's up
+    # to |Im s| = 54
     eng, base = LEngine(d, t_cap=t_cap), LEngine(d, t_cap=lfunc.BASE_T_CAP)
+    other = LEngine(d, t_cap=112.0 - t_cap)
     rng = np.random.default_rng(d)
     s = rng.uniform(0.3, 1.2, 64) + 1j * rng.uniform(-14.0, 14.0, 64)
     s[0] = 0.7 + 14.0j
-    got, want = eng.lambda_fast(s), base.lambda_fast(s)
-    assert list(eng._theta) == [lfunc.BASE_T_CAP]
-    assert np.array_equal(_bits(got), _bits(want))
-    for a, b in zip(eng._theta[lfunc.BASE_T_CAP], base._theta[lfunc.BASE_T_CAP]):
+    for n in (2, 3, 64):
+        assert np.array_equal(_bits(eng.lambda_fast(s[:n])), _bits(base.lambda_fast(s[:n])))
+    for a, b in zip(eng._theta, base._theta):
         assert np.array_equal(_bits(a), _bits(b))
     assert eng.fast_rel_err == base.fast_rel_err
+    high = rng.uniform(0.3, 1.2, 64) + 1j * rng.uniform(-54.0, 54.0, 64)
+    high[0] = 0.7 - 54.0j
+    for n in (2, 3, 64):
+        assert np.array_equal(_bits(eng.lambda_fast(high[:n])),
+                              _bits(other.lambda_fast(high[:n])))
 
 
-def test_a_batch_above_the_base_strip_runs_on_the_t_cap_quadrature():
+def test_low_points_keep_their_bits_beside_points_above_the_base_strip():
     eng = LEngine(7976, t_cap=52.0)
-    s = np.array([0.7, 0.8 + 5.0j, 0.9 - 14.5j])
-    got = eng.lambda_fast(s)
-    assert list(eng._theta) == [52.0]
-    u, wo = eng._theta[52.0]
-    assert u.size > 2 * _theta_weights(7976, 12.0)[0].size
-    assert np.array_equal(_bits(got), _bits(_lambda_fast_unblocked(u, wo, s)))
-    # a point well inside the strip moves with the quadrature it rides on
+    s = np.array([0.7, 0.8 + 5.0j, 0.9 - 14.5j, 0.6 + 40.0j])
+    both = eng.lambda_fast(s)
     low = eng.lambda_fast(s[:2])
-    assert sorted(eng._theta) == [12.0, 52.0]
-    assert np.array_equal(_bits(low), _bits(_lambda_fast_unblocked(*eng._theta[12.0], s[:2])))
+    assert np.array_equal(_bits(both[:2]), _bits(low))
+    assert np.array_equal(_bits(both), _bits(_lambda_fast_unblocked(*eng._theta, s)))
+    assert eng._theta[0].size == _theta_weights(7976)[0].size
 
 
-def test_fast_rel_err_is_the_largest_error_among_the_built_quadratures():
+def test_fast_rel_err_does_not_move_after_a_batch_above_the_base_strip():
     eng = LEngine(7976, t_cap=52.0)
     assert eng.fast_rel_err is None
-    eng.lambda_fast(np.array([0.7 + 1.0j]))
-    base = LEngine(7976, t_cap=12.0)
-    base.lambda_fast(np.array([0.7]))
-    assert eng.fast_rel_err == base.fast_rel_err
-    high = LEngine(7976, t_cap=52.0)
-    high.lambda_fast(np.array([0.7 + 30.0j]))
-    eng.lambda_fast(np.array([0.7 + 30.0j]))
-    assert eng.fast_rel_err == max(base.fast_rel_err, high.fast_rel_err)
-    assert high.fast_rel_err != base.fast_rel_err
+    eng.lambda_fast(np.array([0.7 + 1.0j, 0.8]))
+    err = eng.fast_rel_err
+    eng.lambda_fast(np.array([0.7 + 30.0j, 0.8 - 50.0j]))
+    assert eng.fast_rel_err == err
+    # nor does it follow which batch an engine built its quadrature on
+    base, high = LEngine(7976, t_cap=lfunc.BASE_T_CAP), LEngine(7976, t_cap=52.0)
+    base.lambda_fast(np.array([0.7, 0.8]))
+    high.lambda_fast(np.array([0.7 + 30.0j, 0.8 - 50.0j]))
+    assert eng.fast_rel_err == base.fast_rel_err == high.fast_rel_err
 
 
 @pytest.mark.parametrize("t_cap", [1e6, 1e300])
-def test_an_oversized_quadrature_is_a_resource_error_before_allocating(t_cap):
-    # at t_cap 1e6 the theta matrix of d = 8 would be 10 x 8.7e6 doubles
+def test_an_oversized_quadrature_is_a_resource_error_before_allocating(monkeypatch, t_cap):
+    # the budget binds on d alone: a moderate d's matrix over a lowered
+    # budget is refused before allocating, at any t_cap
     import tracemalloc
 
-    eng = LEngine(8, t_cap=t_cap)
-    eng.lambda_fast(np.array([0.5 + 1.0j]))  # the base strip still works
+    eng = LEngine(7976, t_cap=t_cap)
+    monkeypatch.setattr(lfunc, "THETA_MAX_BYTES", 8 * eng._n_theta * 16 * 4)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="matrix"):
-            eng.lambda_fast(np.array([0.5 + 20.0j]))
+            eng.lambda_fast(np.array([0.5 + 1.0j]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert list(eng._theta) == [lfunc.BASE_T_CAP]
+    assert eng._theta is None and eng.fast_rel_err is None
+
+
+def test_a_large_quadrature_peaks_near_its_matrix():
+    # THETA_MAX_BYTES bounds the theta matrix; the build around it and the
+    # first batch (nodes, weights, the fast path's buffers) add little at a
+    # large d
+    import tracemalloc
+
+    eng = LEngine(799960)
+    np.polynomial.legendre.leggauss(16)  # its first call imports numpy.polynomial
+    tracemalloc.start()
+    try:
+        eng.lambda_fast(np.array([0.7, 0.8 + 1.0j]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = eng._n_theta * eng._theta[0].size * 8
+    assert matrix < peak < 1.1 * matrix, (peak, matrix)

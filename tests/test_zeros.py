@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -363,6 +366,34 @@ def test_jensen_refuses_a_disc_holding_a_zero_of_l(eng40008, monkeypatch):
         jensen_upper_bound(eng40008, cov, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256, 1000, 1001])
+def test_noise_scale_is_np_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        v = 10.0 ** rng.uniform(-300, 300, n) * rng.choice([-1.0, 1.0], n)
+        for vals in (v, v + 1j * rng.normal(size=n)):
+            assert zeros._noise_scale(vals) == float(np.median(np.abs(vals))) + 1e-300
+    v[rng.integers(n)] = np.nan
+    assert math.isnan(zeros._noise_scale(v)) and math.isnan(np.median(np.abs(v)))
+
+
+def test_counts_leave_numpy_ma_unimported():
+    # np.median's first call imports numpy.ma (about 1.2 MB a process)
+    code = """
+import sys
+from ldzeros.lfunc import LEngine
+from ldzeros.zeros import contour_zero_count, count_real_zeros, rect_zero_count
+eng = LEngine(104)
+contour_zero_count(eng, 0.75, 0.1, "L")
+rect_zero_count(eng, 0.6, 0.9, -0.5, 0.5)
+count_real_zeros(eng, 0.55, 1.0)
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=120)
+
+
 # ---------------------------------------------------------------------------
 # gamma_min
 # ---------------------------------------------------------------------------
@@ -443,12 +474,11 @@ def test_gamma_min_with_a_low_flip_never_asks_above_the_base_strip(monkeypatch):
     gm = gamma_min(eng, t_max=50.0)
     assert gm.found and gm.gamma < 1.0 and gm.offline_count == 0
     assert max(heights) <= 12.0
-    assert list(eng._theta) == [12.0]
 
 
 def test_gamma_min_with_a_low_flip_builds_only_the_low_heights():
     # t_max = 1e6 is 2.6 million heights (63 MB as the complex batch); a
-    # flip under BASE_T_CAP is read from the 31 heights up to it alone
+    # flip in the first stretch is read from the 31 heights up to 12 alone
     import tracemalloc
 
     stub = _LineStub(lambda t: (5.003 - t) + 0j)
@@ -469,15 +499,15 @@ def test_gamma_min_brackets_a_flip_as_one_batch_does(monkeypatch, flip):
     split = _LineStub(lambda t: (flip - t) + 0j)
     gm = gamma_min(split, t_max=50.0, offline_check=False)
     assert gm.found and abs(gm.gamma - flip) <= gm.half_width
-    low = split.batches[0]
-    assert low.max() <= 12.0 and (flip < 12.0 or split.batches[1].min() > 12.0)
-    monkeypatch.setattr(zeros, "BASE_T_CAP", math.inf)
+    scans = [b for b in split.batches if b.size > 1]  # the rest are bisection steps
+    assert len(scans) == 1 + (flip > 12.0)
+    assert scans[0].max() <= 12.0 and scans[-1].min() > 12.0 * (len(scans) - 1)
+    monkeypatch.setattr(zeros, "GAMMA_STRETCH", math.inf)
     whole = _LineStub(lambda t: (flip - t) + 0j)
     assert gamma_min(whole, t_max=50.0, offline_check=False) == gm
-    # the first stretch is a prefix of the one grid, bit for bit
-    assert np.array_equal(whole.batches[0][: low.size], low)
-    if flip > 12.0:
-        assert np.array_equal(whole.batches[0][low.size:], split.batches[1])
+    # the stretches read are a prefix of the one grid, bit for bit
+    read = np.concatenate(scans)
+    assert np.array_equal(whole.batches[0][: read.size], read)
 
 
 def test_gamma_min_refuses_non_real_values_in_the_first_stretch():
@@ -485,6 +515,43 @@ def test_gamma_min_refuses_non_real_values_in_the_first_stretch():
     with pytest.raises(AccuracyError, match="not numerically real"):
         gamma_min(stub, t_max=50.0, offline_check=False)
     assert len(stub.batches) == 1 and stub.batches[0].max() <= 12.0
+
+
+def test_gamma_min_with_a_late_flip_keeps_one_stretch_in_memory():
+    # a flip far past the first stretch, at t_max = 1e6: the scan reads the
+    # stretches up to it, one at a time; this one lies just above the 250th
+    # stretch, so its cell spans two stretches
+    import tracemalloc
+
+    stub = _LineStub(lambda t: (3000.003 - t) + 0j)
+    stub.t_cap = 2e6
+    tracemalloc.start()
+    try:
+        gm = gamma_min(stub, t_max=1e6, offline_check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gm.found and abs(gm.gamma - 3000.003) <= gm.half_width
+    scans = [b for b in stub.batches if b.size > 1]
+    assert len(scans) == 251 and scans[-2].max() <= 3000.0 < scans[-1].min()
+    assert all(b.max() - b.min() < zeros.GAMMA_STRETCH for b in scans)
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("step", [0.1, 0.3, 1 / 3, 0.7, math.pi / (4.0 * math.log(104)), 5.0,
+                                  13.0])
+@pytest.mark.parametrize("t_max", [0.05, 5.0, 11.9, 12.0, 12.05, 47.3, 50.0, 300.0])
+def test_gamma_min_stretches_are_the_arange_grid_bit_for_bit(monkeypatch, step, t_max):
+    # a stub that never flips shows every height the scan reads
+    stub = _LineStub(lambda t: 1.0 + 0.0 * t + 0j)
+    stub.t_cap = 1e3
+    assert not gamma_min(stub, t_max=t_max, step=step, offline_check=False).found
+    got = np.concatenate(stub.batches)
+    want = np.arange(step, t_max + step, step)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert all(b.size for b in stub.batches)
+    first = want[want <= max(12.0, step)] if t_max > max(12.0, step) else want
+    assert np.array_equal(stub.batches[0], first)
 
 
 # ---------------------------------------------------------------------------
