@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .primes import factorize, squarefree_segment
 
 # char_table holds one full period of chi_d, O(d) bytes, so it is offered up
@@ -34,6 +34,9 @@ _MIN_LANES = 1024
 # the exponent of 2 in r for r = 1..255, and 8 for r = 0 (at least 8)
 _TWOS = np.array([8] + [(r & -r).bit_length() - 1 for r in range(1, 256)], dtype=np.int64)
 _MINUS_TWO = np.array([0, 0, 0, 1, 0, 1, 0, 0], dtype=np.int64)  # (x/2) = -1 by x mod 8
+# enumerate_family's segment arrays peak at 18 bytes per m in [x/2, x] (the m,
+# the squarefree mask, m % 2 and its mask); x = 1e8 needs 900 MB
+FAMILY_MAX_BYTES = 1 << 30
 
 
 def chi_values(d, n) -> np.ndarray:
@@ -161,11 +164,15 @@ class Family:
 
 
 def enumerate_family(x: float) -> Family:
-    """Enumerate D(x). Squarefreeness decided by a segment sieve."""
-    if x < 2:
-        raise DomainError(f"family requires x >= 2, got {x}")
+    """Enumerate D(x). Squarefreeness decided by a segment sieve, refused
+    (ResourceError) before allocating arrays over FAMILY_MAX_BYTES."""
+    if not 2 <= x < math.inf:  # nan fails too
+        raise DomainError(f"family requires a finite x >= 2, got {x}")
     lo = math.ceil(x / 2)
     hi = math.floor(x)
+    if 18 * (hi - lo + 1) > FAMILY_MAX_BYTES:
+        raise ResourceError(f"family D({x:g}) needs {18 * (hi - lo + 1)} bytes of arrays, "
+                            f"over {FAMILY_MAX_BYTES}")
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     ms = ms[squarefree_segment(lo, hi) & (ms % 2 == 1)]
     if not len(ms):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -80,10 +81,13 @@ _int_list.__name__ = "int list"
 
 
 def _one_float(text: str) -> tuple:
-    return (float(text),)
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return (x,)
 
 
-_one_float.__name__ = "float"
+_one_float.__name__ = "finite float"
 
 
 def _field(name: str, **kwargs) -> dict:

@@ -26,13 +26,6 @@ class ConditioningError(RuntimeError):
 class NearZeroError(RuntimeError):
     """A denominator is below its conditioning floor (signals proximity to a zero)."""
 
-    def __init__(self, message: str, magnitude: float):
-        super().__init__(message)
-        self.magnitude = magnitude
-
-    def __reduce__(self):  # a pool worker's error is pickled to the parent
-        return type(self), (self.args[0], self.magnitude)
-
 
 class IndeterminateError(RuntimeError):
     """A certificate could not be produced; the result is neither true nor false."""
@@ -49,7 +42,7 @@ class TruncationError(RuntimeError):
         super().__init__(message)
         self.suggested = suggested
 
-    def __reduce__(self):
+    def __reduce__(self):  # a pool worker's error is pickled to the parent
         return type(self), (self.args[0], self.suggested)
 
 

@@ -76,8 +76,9 @@ _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 _bool = _checked("bool", lambda raw: _BOOLS.get(str(raw).lower()), lambda v: v is not None)
 _positive_int = _checked("positive int", int, lambda v: v >= 1)
 FIELD_PARSERS = {
-    "x_list": _checked("float list", lambda raw: tuple(
-        float(t) for t in (raw.split(",") if isinstance(raw, str) else raw)), bool),
+    "x_list": _checked("finite float list", lambda raw: tuple(
+        float(t) for t in (raw.split(",") if isinstance(raw, str) else raw)),
+        lambda v: v and all(map(math.isfinite, v))),
     "nu_policy": word_or_number("auto", "hyp"),
     "sample_size": _positive_int, "mc_samples": _positive_int,
     "seed": _checked("non-negative int", int, lambda v: v >= 0), "threads": _positive_int,

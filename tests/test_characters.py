@@ -12,6 +12,7 @@ from ldzeros.characters import (
     chi_values,
     enumerate_family,
 )
+from ldzeros.errors import ResourceError
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +229,39 @@ def test_family_x20_members():
 
 
 def test_family_requires_x_at_least_2():
-    with pytest.raises(DomainError):
-        enumerate_family(1.5)
+    # and finite: math.ceil cannot take nan or inf
+    for x in (1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            enumerate_family(x)
+
+
+def test_family_arrays_peak_at_18_bytes_per_m():
+    # FAMILY_MAX_BYTES counts 18 bytes per m in [x/2, x]: x = 1e8 fits, 1e9 does not
+    import tracemalloc
+
+    enumerate_family(1e3)
+    tracemalloc.start()
+    try:
+        enumerate_family(1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 500_001 + 2**16, peak
+    assert 18 * (5 * 10**7 + 1) <= characters.FAMILY_MAX_BYTES < 18 * (5 * 10**8 + 1)
+
+
+@pytest.mark.parametrize("x", [1e9, 1e13, 1e300])
+def test_family_over_its_byte_budget_is_refused_before_allocating(x):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="bytes"):
+            enumerate_family(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_family_members_ascending_and_squarefree_oracle():

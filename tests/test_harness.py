@@ -618,6 +618,16 @@ def test_cli_eval_gamma_factor_overflow_exit_4(capsys):
     assert "numerical error: gamma factor" in err and "Traceback" not in err
 
 
+def test_cli_family_over_its_byte_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # D(1e13) would need 90 TB of sieve arrays: refused before allocating,
+    # and the default output file is neither written nor left behind
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--x", "1e13"]) == 3
+    cap = capsys.readouterr()
+    assert cap.err.startswith("resource error: family D(1e+13)") and "Traceback" not in cap.err
+    assert cap.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_cli_eval_gamma_pole_exit_4(capsys):
     # s = 0 is a pole of the gamma factor: a ConditioningError, not a traceback
     rc = main(["eval", "--d", "8", "--s", "0"])
@@ -634,7 +644,7 @@ _DOCUMENTED_EXIT_CODES = [
     (errors.ResourceError("x"), 3, "resource error"),
     (errors.AccuracyError("x"), 4, "numerical error"),
     (errors.ConditioningError("x"), 4, "numerical error"),
-    (errors.NearZeroError("x", 0.0), 4, "numerical error"),
+    (errors.NearZeroError("x"), 4, "numerical error"),
     (errors.TruncationError("x"), 4, "numerical error"),
     (errors.CacheError("x"), 5, "cache error"),
 ]
@@ -677,8 +687,16 @@ def test_each_error_survives_the_pickle_a_pool_sends_it_in(exc):
     ["zeros", "--x", "1e3", "--nu", "abc"],
     ["zeros", "--x", "1e3", "--sigma-min", "abc"],
     ["rd-stats", "--x-list", "1e3", "--sample", "-3"],
+    ["zeros", "--x", "nan"],
+    ["zeros", "--x", "nan", "--out", "z.jsonl"],
+    ["gamma-min", "--x", "inf"],
+    ["moments", "--x", "nan"],
+    ["rd-stats", "--x-list", "nan"],
+    ["discrepancy", "--x", "1e3,nan"],
 ], ids=["s-abc", "s-im-abc", "s-three-parts", "s-missing", "x-list-abc", "rd-x-list-abc",
-        "k-list-a", "nu-abc", "sigma-min-abc", "rd-sample-negative"])
+        "k-list-a", "nu-abc", "sigma-min-abc", "rd-sample-negative", "zeros-x-nan",
+        "zeros-x-nan-out", "gamma-min-x-inf", "moments-x-nan", "rd-x-list-nan",
+        "x-list-nan"])
 def test_cli_malformed_argument_is_usage_error_exit_1(capsys, argv):
     # argparse's own exit code 2 is this CLI's "indeterminate"
     with pytest.raises(SystemExit) as exc:
@@ -705,6 +723,7 @@ def test_cli_parses_complex_s_and_lists(monkeypatch, capsys):
     ("nu_policy", "garbage"), ("sample_size", "0"), ("sample_size", "-3"),
     ("mc_samples", "0"), ("seed", "-1"), ("seed", "1.5"), ("eps_target", "0"),
     ("eps_target", "-1e-12"), ("eps_target", "2"), ("x_list", "1e3,,1e4"), ("x_list", "abc"),
+    ("x_list", "nan"), ("x_list", "1e3,inf"),
     ("z", "abc"), ("threads", "two"), ("threads", "0"), ("threads", "-5"),  # once ran serial
     ("scan_height_cap", "tall"),
 ])

@@ -443,6 +443,17 @@ def test_fast_rel_err_does_not_move_after_a_batch_above_the_base_strip():
     assert eng.fast_rel_err == base.fast_rel_err == high.fast_rel_err
 
 
+@pytest.mark.parametrize("d", [104, 7976])
+def test_fast_rel_err_does_not_follow_t_cap(d):
+    # the probes sit at fixed points, outside a t_cap-1 engine's strip too
+    errs = set()
+    for t_cap in (1.0, 3.0, 7.0, 12.0, 52.0):
+        eng = LEngine(d, t_cap=t_cap)
+        eng.lambda_fast(np.array([0.7, 0.8]))
+        errs.add(_bits(eng.fast_rel_err).item())
+    assert len(errs) == 1, errs
+
+
 @pytest.mark.parametrize("t_cap", [1e6, 1e300])
 def test_an_oversized_quadrature_is_a_resource_error_before_allocating(monkeypatch, t_cap):
     # the budget binds on d alone: a moderate d's matrix over a lowered

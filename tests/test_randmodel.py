@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,15 +339,39 @@ def test_moment_rand_even_nonneg():
 
 
 def test_moment_rand_matches_brute_force():
-    # tiny support: enumerate the joint law of X(3), X(5) exactly
-    b = {3: Fraction(1), 5: Fraction(2), 15: Fraction(1, 2), 9: Fraction(1, 3)}
-    for k in (1, 2, 3, 4):
+    # support on the primes 2, 3, 5 and 7: enumerate the joint law of X(3),
+    # X(5), X(7) (27 outcomes, X(2) = 0) and evaluate each X(n) by division
+    b = {1: Fraction(1), 3: Fraction(1), 5: Fraction(-2), 6: Fraction(5), 7: Fraction(3, 7),
+         9: Fraction(1, 3), 15: Fraction(-1, 2), 21: Fraction(2, 5), 25: Fraction(-3, 4),
+         27: Fraction(1, 6)}
+    laws = [((1, Fraction(p, 2 * (p + 1))), (-1, Fraction(p, 2 * (p + 1))), (0, Fraction(1, p + 1)))
+            for p in (3, 5, 7)]
+
+    def x_of(n, values):
+        out = 1
+        for p, v in values.items():
+            while n % p == 0:
+                n //= p
+                out *= v
+        assert n == 1
+        return out
+
+    for k in range(7):
         total = Fraction(0)
-        for v3, w3 in ((1, Fraction(3, 8)), (-1, Fraction(3, 8)), (0, Fraction(1, 4))):
-            for v5, w5 in ((1, Fraction(5, 12)), (-1, Fraction(5, 12)), (0, Fraction(1, 6))):
-                s = b[3] * v3 + b[5] * v5 + b[15] * v3 * v5 + b[9] * v3 * v3
-                total += w3 * w5 * s**k
-        assert moment_rand(b, 15, k) == total, k
+        for (v3, w3), (v5, w5), (v7, w7) in itertools.product(*laws):
+            values = {2: 0, 3: v3, 5: v5, 7: v7}
+            s = sum(c * x_of(n, values) for n, c in b.items())
+            total += w3 * w5 * w7 * s**k
+        assert moment_rand(b, 30, k) == total, k
+
+
+def test_moment_rand_at_the_caps():
+    # every n <= 30 at k = 6; the value of the signature-state expansion that
+    # preceded the sum over products
+    b = {n: Fraction((-1) ** n, n) for n in range(1, 31)}
+    assert moment_rand(b, 30, 6) == Fraction(
+        3453687029380814615595177576569545645095693130647535296517219,
+        376490061442133574743632765484252846907037166417268750000000)
 
 
 def test_moment_rand_caps():
