@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 # argument types: a ValueError becomes argparse's "invalid <__name__> value"
 def _parse_s(text: str) -> complex:
     parts = [float(t) for t in text.split(",")]
-    if len(parts) > 2:
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
         raise ValueError(text)
     return complex(*parts)
 

@@ -38,13 +38,6 @@ class ContourProximityError(IndeterminateError):
 class TruncationError(RuntimeError):
     """A truncation bound exceeds the requested tolerance."""
 
-    def __init__(self, message: str, suggested: int | None = None):
-        super().__init__(message)
-        self.suggested = suggested
-
-    def __reduce__(self):  # a pool worker's error is pickled to the parent
-        return type(self), (self.args[0], self.suggested)
-
 
 class CacheError(RuntimeError):
     """Stored artifact disagrees with its recorded key or hash."""

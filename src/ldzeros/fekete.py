@@ -269,9 +269,9 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
         report.suspects.append({"reason": f"end certificate failed: {exc}"})
     t_end = 1.0 - report.end_delta
     ts = zero_scan_grid(d, grid_points)
-    inside = ts[np.searchsorted(ts, t_end, side="right"):]
-    head = ts.size - inside.size  # the read points from index head on lie inside
-    ts = np.concatenate([ts[:head], inside[:-1:END_SAMPLE], inside[-1:]])
+    head = int(np.searchsorted(ts, t_end, side="right"))  # from index head on, inside
+    # by index, so that no view keeps the full grid alive through the scan
+    ts = np.concatenate([ts[:head], ts[head:-1:END_SAMPLE], ts[max(head, ts.size - 1):]])
     vals = fekete_grid(d, ts)
     sign = np.sign(vals)
     flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]

@@ -35,6 +35,7 @@ from .errors import AccuracyError, CacheError, DomainError, IndeterminateError
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
 from .stats import (
+    DEFAULT_SCAN_HEIGHT_CAP,
     central_moments,
     discrepancy,
     large_sieve_check,
@@ -100,7 +101,7 @@ class RunConfig:
     threads: int = 1
     z: float = 0.9
     mc_samples: int = 10000
-    scan_height_cap: float = 10.0
+    scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP
     strict: bool = False
     verify_cache: bool = False
 
@@ -345,8 +346,7 @@ def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -
     """L(s) (and L'(s) on the real line, or L'/L off it) with error estimates.
     A value whose own estimate exceeds EVAL_REL_TOL of its magnitude is an
     AccuracyError, never printed."""
-    eng = LEngine(d, eps_target=config.eps_target,
-                  t_cap=max(12.0, abs(s.imag) + 2.0))
+    eng = LEngine(d, eps_target=config.eps_target, t_cap=abs(s.imag) + 2.0)
     val, err = eng.l_value(s)
     res = {"d": d, "s": [s.real, s.imag], "l": [val.real, val.imag], "err_est": err}
     checked = [("L", val, err)]
@@ -435,8 +435,8 @@ def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
     rows, mapper = [], _cached_map(config)
-    for x in config.x_list:
-        fam = enumerate_family(x)
+    # every x is enumerated, or refused, before any d
+    for x, fam in zip(config.x_list, [enumerate_family(x) for x in config.x_list]):
         rows.append(discrepancy(fam, config.z, config.mc_samples, config.seed,
                                 members=sample_members(fam, config.sample_size, config.seed),
                                 scan_height_cap=config.scan_height_cap, mapper=mapper))
@@ -534,7 +534,7 @@ def run_verify(config: RunConfig) -> dict:
             raise AccuracyError(f"verify: {what}")
 
     results = {}
-    eng = LEngine(104, t_cap=12.0)
+    eng = LEngine(104)
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for _ in range(20):
@@ -564,7 +564,7 @@ def run_verify(config: RunConfig) -> dict:
           "cover anchors")
     results["cover"] = {"J": cov.J}
 
-    rec = count_real_zeros(LEngine(40008, t_cap=12.0), 0.55, 1.0)
+    rec = count_real_zeros(LEngine(40008), 0.55, 1.0)
     check(rec.verify(), "zero record of d = 40008")
     results["zero_record_verified"] = rec.count
     return results

@@ -36,8 +36,9 @@ Two evaluation paths, one contract:
   buffers; each value is the bits of the unblocked (points x nodes) product.
   An engine has one quadrature, whose panel width is set by BASE_T_CAP, so
   engines that differ only in t_cap compute the same fast values bit for
-  bit; it is built on first use and refused (ResourceError) before
-  allocating a matrix over THETA_MAX_BYTES, which only a large d can need.
+  bit, and t_cap only raises the strip above the base one it is built for.
+  It is built on first use and refused (ResourceError) before allocating a
+  matrix over THETA_MAX_BYTES, which only a large d can need.
 
 L' on the real axis is one complex step sigma + ih on either path: _step
 serves l_prime and log_deriv, _fast_step l_prime_fast and log_deriv_fast.
@@ -67,7 +68,7 @@ GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
 THETA_MAX_BYTES = 1 << 29   # largest (n_theta x nodes) matrix; d = 8e8 needs 413 MB
-BASE_T_CAP = 12.0          # default t_cap, and the height the fast-path panel width is set for
+BASE_T_CAP = 12.0          # least t_cap, and the height the fast-path panel width is set for
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
 
@@ -101,8 +102,8 @@ class LEngine:
     ----------
     d : family discriminant (8m), positive
     eps_target : absolute accuracy goal for Lambda on the strip, in (0, 1)
-    t_cap : largest |Im s| this engine will be asked for; both paths refuse
-        points with |Im s| > t_cap + 2
+    t_cap : both paths refuse points with |Im s| > t_cap + 2; a t_cap under
+        BASE_T_CAP is raised to it, so every engine takes the base strip
 
     The expansion length n_trunc is the least N with pi N^2 / d >=
     log(1/eps_target) + 5, which keeps the tail under eps_target.
@@ -121,7 +122,7 @@ class LEngine:
             raise DomainError(f"t_cap={t_cap} must be a positive finite number")
         self.d = int(d)
         self.eps_target = float(eps_target)
-        self.t_cap = float(t_cap)
+        self.t_cap = max(float(t_cap), BASE_T_CAP)
         self.n_trunc = math.ceil(math.sqrt(d * (math.log(1.0 / eps_target) + 5.0) / math.pi))
         self._n_theta = math.ceil(math.sqrt(self.d * THETA_C / math.pi))
         # one chi_d request: lambda_batch reads n_trunc values, the theta sum n_theta
@@ -157,9 +158,6 @@ class LEngine:
         """Lambda(s) and error estimates for an array of strip points."""
         s = np.asarray(s, dtype=np.complex128).ravel()
         self._check_strip(s)
-        return self._lambda_batch_raw(s)
-
-    def _lambda_batch_raw(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = np.empty(s.shape, dtype=np.complex128)
         err = np.empty(s.shape, dtype=np.float64)
         # both halves of a row go through one upper_gamma call of at most 3e6
@@ -275,19 +273,20 @@ class LEngine:
         use and cross-validated against the precise path."""
         if self._theta is None:
             self._theta = self._build_theta()
-            # fixed probes, past a small t_cap's strip, so the error does not follow t_cap
             probes = np.array([0.62, 0.93 + 6j, 1.21 - 2.5j], dtype=np.complex128)
-            ref, _ = self._lambda_batch_raw(probes)
-            fast = self._lambda_fast_raw(probes)
+            ref, _ = self.lambda_batch(probes)
+            fast = self.lambda_fast(probes)
             scale = np.abs(ref) + 1e-30
             self.fast_rel_err = float(np.max(np.abs(fast - ref) / scale)) * 4.0 + 1e-12
         return self._theta
 
-    def _lambda_fast_raw(self, s: np.ndarray) -> np.ndarray:
+    def lambda_fast(self, s: np.ndarray) -> np.ndarray:
+        """Lambda(s) on the cached theta quadrature (vectorized over s)."""
+        s = np.asarray(s, dtype=np.complex128)
+        self._check_strip(s)
         # row blocks through two reused buffers: the same elementwise
         # operations and the same gemv rows as one (points x nodes) product
         u, wo = self._quadrature()
-        s = np.asarray(s, dtype=np.complex128)
         flat = s.ravel()
         out = np.empty(flat.shape, dtype=np.complex128)
         blocks = block_ranges(flat.size, max(2, _FAST_BLOCK_BYTES // (16 * u.size)))
@@ -304,12 +303,6 @@ class LEngine:
             np.add(x1, x2, out=x1)
             out[a:b] = x1 @ wo
         return out.reshape(s.shape)
-
-    def lambda_fast(self, s: np.ndarray) -> np.ndarray:
-        """Lambda(s) on the cached theta quadrature (vectorized over s)."""
-        s = np.asarray(s, dtype=np.complex128)
-        self._check_strip(s)
-        return self._lambda_fast_raw(s)
 
     def l_fast(self, s: np.ndarray) -> np.ndarray:
         """L(s) on the fast path (vectorized)."""

@@ -125,9 +125,7 @@ def default_cutoff(z: float, tol: float) -> int:
         lo, hi = hi, hi * 2
         if hi > CUTOFF_CAP:
             raise TruncationError(
-                f"tail tolerance {tol:.3e} needs a prime cutoff beyond {CUTOFF_CAP} at z={z}",
-                suggested=hi,
-            )
+                f"tail tolerance {tol:.3e} needs a prime cutoff beyond {CUTOFF_CAP} at z={z}")
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if tail_bias_bound(z, mid) < tol:

@@ -129,7 +129,7 @@ def sigma_y_d(engine: LEngine, y: float, t: float, scan_height_cap: float) -> Si
     rc = rect_zero_count(engine, *box)
     scan = RegionScan(count=rc.count, box=box, clipped=half_height > scan_height_cap,
                       requested_height=half_height,
-                      witnesses=tuple(locate_zeros_in_box(engine, *box)) if rc.count else ())
+                      witnesses=tuple(locate_zeros_in_box(engine, rc)) if rc.count else ())
     if scan.count == 0:
         return SigmaYD(d=d, y=y, t=t, value=default, attained_by_default=True, scan=scan)
     excess = 2.0 / logy

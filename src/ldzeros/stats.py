@@ -135,7 +135,7 @@ def membership(d: int, y: float, scan_height_cap: float) -> tuple[LEngine, Sigma
     sigma_{y,d} at height 0, with its rectangle zero-free windows scanned up
     to scan_height_cap. Callers decide exclusion (sig.attained_by_default)
     and word their own reasons; IndeterminateError propagates."""
-    eng = LEngine(d, t_cap=12.0)
+    eng = LEngine(d)
     return eng, sigma_y_d(eng, y, 0.0, scan_height_cap)
 
 
@@ -283,7 +283,6 @@ def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
     llx = math.log(logx)
     y = x ** (4.0 / nu)
     nu_hyp = min(nu, llx**0.2)
-    hyp_x_cap = llx**0.2
     kept: list[float] = []  # |Ld(s)| of the restricted subfamily, in order
     excluded: list[tuple[int, str]] = []
     ds = (8 * family.m).tolist() if members is None else members
@@ -293,7 +292,7 @@ def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
             if not sig.attained_by_default:
                 excluded.append((d, "sigma above default"))
                 continue
-            hyp = hypothesis_ld_check(eng, x, min(nu_hyp, hyp_x_cap))
+            hyp = hypothesis_ld_check(eng, x, nu_hyp)
             if not hyp.passed:
                 excluded.append((d, f"low-zero disc contains {hyp.count} zeros"))
                 continue
@@ -346,7 +345,7 @@ def zeros_worker(args) -> dict:
     the zero brackets and the suspects (pool-safe). `zeros` and `rd-stats`
     both compute their rows here, so they share result-store entries."""
     d, x, sigma1, eps_target = args
-    rec = count_real_zeros(LEngine(d, eps_target=eps_target, t_cap=12.0), sigma1, 1.0)
+    rec = count_real_zeros(LEngine(d, eps_target=eps_target), sigma1, 1.0)
     return {
         "d": d,
         "x": x,
@@ -366,14 +365,12 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
     explicitly suspect, aggregated from `zeros_worker` rows: the rows of
     rd.jsonl. mapper(worker, args_list) computes one x's rows in job order:
     `map`, or a result store's cached_map."""
+    if any(x < 1e3 for x in x_list):  # every x is refused or sampled before any d
+        raise DomainError(f"x={min(x_list)} below the stated floor 1e3")
     samples = []
-    for x in x_list:
-        if x < 1e3:
-            raise DomainError(f"x={x} below the stated floor 1e3")
-        fam = enumerate_family(x)
+    for x, ds in [(x, sample_members(enumerate_family(x), sample_size, seed)) for x in x_list]:
         nu = nu_from_policy(nu_policy, x)
         sigma1 = 0.5 + nu / math.log(x)
-        ds = sample_members(fam, sample_size, seed)
         rows = list(mapper(zeros_worker, [(d, x, sigma1, eps_target) for d in ds]))
         counts = [row["count"] for row in rows]
         arr = np.array(counts, dtype=np.float64)

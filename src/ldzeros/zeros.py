@@ -188,6 +188,8 @@ class ContourCount:
     nodes: int
     min_modulus: float
     f_selector: str
+    # the last sampler built, on the circle of radius radius / SAMPLER_RATIO
+    sampler: _CircleSampler = field(repr=False, compare=False)
 
 
 def _winding_from_samples(vals: np.ndarray) -> float:
@@ -209,18 +211,11 @@ def contour_zero_count(engine: LEngine, center: complex, radius: float,
     half of the sampling circle only, and each doubling only at its new
     (odd) nodes there.
     """
-    return _contour_count(engine, center, radius, f_selector)[0]
-
-
-def _contour_count(engine: LEngine, center: complex, radius: float,
-                   f_selector: str) -> tuple[ContourCount, _CircleSampler]:
-    """contour_zero_count, plus the last sampler it built (its circle has
-    radius radius / SAMPLER_RATIO) for callers that sample that circle again."""
     if f_selector not in ("L", "Lprime"):
         raise DomainError(f"unknown f_selector {f_selector!r}")
     order = 0 if f_selector == "L" else 1
     center = complex(center)
-    prev = None
+    prev = None  # the count at the previous node number, if that one was clean
     last_failure = None
     newton_dist = math.inf
     sampler = None
@@ -257,11 +252,10 @@ def _contour_count(engine: LEngine, center: complex, radius: float,
             prev = None
             m *= 2
             continue
-        if prev is not None and prev.count == count:
-            return ContourCount(count=count, integral=integral, nodes=m,
-                                min_modulus=min_mod, f_selector=f_selector), sampler
-        prev = ContourCount(count=count, integral=integral, nodes=m,
-                            min_modulus=min_mod, f_selector=f_selector)
+        if prev == count:
+            return ContourCount(count=count, integral=integral, nodes=m, min_modulus=min_mod,
+                                f_selector=f_selector, sampler=sampler)
+        prev = count
         m *= 2
     if newton_dist < 6.0 * (2.0 * math.pi * radius / TRAPEZOID_MAX_NODES):
         raise ContourProximityError(
@@ -336,13 +330,12 @@ def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
                      min_modulus=min_mod, box=(re_lo, re_hi, im_lo, im_hi))
 
 
-def locate_zeros_in_box(engine: LEngine, re_lo, re_hi, im_lo,
-                        im_hi) -> list[tuple[float, float, float, float]]:
-    """Localize the zeros of a counted box by recursive bisection, down to
-    boxes of size LOCATE_RESOLUTION. Sub-boxes whose boundary grazes a zero
-    are kept as unresolved witnesses rather than dropped."""
-    boxes = [(re_lo, re_hi, im_lo, im_hi,
-              rect_zero_count(engine, re_lo, re_hi, im_lo, im_hi).count)]
+def locate_zeros_in_box(engine: LEngine,
+                        counted: RectCount) -> list[tuple[float, float, float, float]]:
+    """Localize the zeros of the box of a rect_zero_count result by recursive
+    bisection, down to boxes of size LOCATE_RESOLUTION. Sub-boxes whose
+    boundary grazes a zero are kept as unresolved witnesses, not dropped."""
+    boxes = [(*counted.box, counted.count)]
     out = []
     while boxes:
         a, b, c, d, n = boxes.pop()
@@ -546,11 +539,12 @@ def jensen_upper_bound(engine: LEngine, cover: CircleCover, j: int) -> JensenRep
     zj = float(cover.centers[j - 1])
     rj = float(cover.radii[j - 1])
     Rj = float(cover.outer_radii[j - 1])
-    outer, sampler = _contour_count(engine, complex(zj), 1.75 * rj, f_selector="L")
+    outer = contour_zero_count(engine, complex(zj), 1.75 * rj, f_selector="L")
     if outer.count != 0:
         raise IndeterminateError(
             f"L has {outer.count} zeros within (7/4) r_j of z_{j}; Jensen bound not applicable"
         )
+    sampler = outer.sampler
     ratio = Rj / sampler.radius
     m_jd = float(np.max(np.abs(sampler.ring(ratio, 1) / sampler.ring(ratio, 0))))
     ld, _ = engine.log_deriv(zj)

@@ -456,3 +456,36 @@ def test_noise_flips_in_the_end_interval_are_not_suspects(monkeypatch, d, count)
     assert 1.0 - rep.end_delta == t_end
     ts, vals, clear = read[0]
     assert clear.size >= 5 and np.all(np.sign(vals[clear]) == want)
+
+
+@pytest.mark.parametrize("fail_end", [False, True], ids=["certified", "no-end-certificate"])
+def test_scan_reads_the_head_then_every_end_sample_th_point_and_the_last(monkeypatch, fail_end):
+    # the read points, bit for bit, as a view of the end interval gave them:
+    # the grid up to 1 - delta*, every END_SAMPLE-th point after it, and the
+    # last (none after it, and no point twice, when delta* = 0)
+    d = 4168
+    if fail_end:
+        k, m_k = end_moment(d)
+        monkeypatch.setattr(fekete, "end_moment", lambda d: (k, -m_k))
+    real, read = fekete.fekete_grid, []
+    monkeypatch.setattr(fekete, "fekete_grid", lambda d, ts: read.append(ts) or real(d, ts))
+    rep = fekete_real_zeros(d)
+    assert (rep.end_delta == 0.0) == fail_end
+    ts = zero_scan_grid(d, 16 * d)
+    inside = ts[ts > 1.0 - rep.end_delta]
+    want = np.concatenate([ts[: ts.size - inside.size], inside[:-1:END_SAMPLE], inside[-1:]])
+    assert np.array_equal(read[0].view(np.uint64), want.view(np.uint64))
+
+
+def test_scan_lets_go_of_the_full_grid():
+    # the 127,616-point grid of d = 7,976 is freed once the read points are
+    # taken from it; a view of it kept through the scan read 5.83 MiB here
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fekete_real_zeros(7976)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.2 * 2**20, peak

@@ -693,10 +693,12 @@ def test_each_error_survives_the_pickle_a_pool_sends_it_in(exc):
     ["moments", "--x", "nan"],
     ["rd-stats", "--x-list", "nan"],
     ["discrepancy", "--x", "1e3,nan"],
+    ["eval", "--d", "8", "--s", "0.5,nan"],
+    ["eval", "--d", "8", "--s", "inf"],
 ], ids=["s-abc", "s-im-abc", "s-three-parts", "s-missing", "x-list-abc", "rd-x-list-abc",
         "k-list-a", "nu-abc", "sigma-min-abc", "rd-sample-negative", "zeros-x-nan",
         "zeros-x-nan-out", "gamma-min-x-inf", "moments-x-nan", "rd-x-list-nan",
-        "x-list-nan"])
+        "x-list-nan", "s-im-nan", "s-inf"])
 def test_cli_malformed_argument_is_usage_error_exit_1(capsys, argv):
     # argparse's own exit code 2 is this CLI's "indeterminate"
     with pytest.raises(SystemExit) as exc:
@@ -904,6 +906,21 @@ def test_cli_report_checks_out_before_reading(tmp_path, capsys):
     out = "/nonexistent/dir/r.dat"
     assert main(["report", "--in", str(tmp_path / "missing.jsonl"), "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: cannot write {out!r}")
+
+
+@pytest.mark.parametrize("argv, worker, code", [
+    (["rd-stats", "--x-list", "1e4,1e9"], "zeros_worker", 3),
+    (["rd-stats", "--x-list", "1e4,500"], "zeros_worker", 1),
+    (["discrepancy", "--x", "1e3,1e9"], "_membership_worker", 3),
+], ids=["rd-stats-x-too-large", "rd-stats-x-below-floor", "discrepancy-x-too-large"])
+def test_cli_refuses_a_bad_later_x_before_any_d(tmp_path, capsys, monkeypatch, argv, worker,
+                                                 code):
+    # every x is enumerated, or refused, before the first d of the first x
+    monkeypatch.setattr(f"ldzeros.stats.{worker}", _unreachable)
+    out = tmp_path / "r.out"
+    assert main(argv + ["--sample", "40", "--out", str(out)]) == code
+    cap = capsys.readouterr()
+    assert "Traceback" not in cap.err and cap.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, compute", [

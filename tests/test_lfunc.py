@@ -342,10 +342,10 @@ def test_fast_path_blocks_bit_identical_to_unblocked(d, t_cap):
     rng = np.random.default_rng(d)
     s = rng.uniform(0.5, 1.2, 2048) + 1j * rng.uniform(-t_cap, t_cap, 2048)
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 2048):
-        got = eng._lambda_fast_raw(s[:n])
+        got = eng.lambda_fast(s[:n])
         want = _lambda_fast_unblocked(u, wo, s[:n])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
-    got = eng._lambda_fast_raw(s[3])
+    got = eng.lambda_fast(s[3])
     want = _lambda_fast_unblocked(u, wo, s[3])
     assert got.shape == want.shape == ()
     assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
@@ -445,13 +445,31 @@ def test_fast_rel_err_does_not_move_after_a_batch_above_the_base_strip():
 
 @pytest.mark.parametrize("d", [104, 7976])
 def test_fast_rel_err_does_not_follow_t_cap(d):
-    # the probes sit at fixed points, outside a t_cap-1 engine's strip too
+    # the probes sit at fixed points in the base strip, which every engine takes
     errs = set()
     for t_cap in (1.0, 3.0, 7.0, 12.0, 52.0):
         eng = LEngine(d, t_cap=t_cap)
         eng.lambda_fast(np.array([0.7, 0.8]))
         errs.add(_bits(eng.fast_rel_err).item())
     assert len(errs) == 1, errs
+
+
+@pytest.mark.parametrize("t_cap", [1e-3, 1.0, 7.0])
+def test_a_t_cap_under_the_base_is_raised_to_it(t_cap):
+    # a t_cap only raises the strip: an engine of a small t_cap takes the base
+    # strip |Im s| <= 14, with the bits of a t_cap-12 engine on both paths
+    low, base = LEngine(104, t_cap=t_cap), LEngine(104, t_cap=lfunc.BASE_T_CAP)
+    assert low.t_cap == base.t_cap == lfunc.BASE_T_CAP and LEngine(104, t_cap=52.0).t_cap == 52.0
+    rng = np.random.default_rng(104)
+    s = rng.uniform(0.3, 1.2, 16) + 1j * rng.uniform(-14.0, 14.0, 16)
+    s[:2] = 0.7 + 14.0j, 0.6 - 14.0j
+    for got, want in zip(low.lambda_batch(s), base.lambda_batch(s)):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(low.lambda_fast(s)), _bits(base.lambda_fast(s)))
+    assert low.fast_rel_err == base.fast_rel_err
+    for f in (low.lambda_batch, low.lambda_fast, base.lambda_batch, base.lambda_fast):
+        with pytest.raises(DomainError, match="outside the engine strip"):
+            f(np.array([0.7, 0.7 + 14.001j]))
 
 
 @pytest.mark.parametrize("t_cap", [1e6, 1e300])

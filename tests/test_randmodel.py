@@ -97,9 +97,8 @@ def sample_l_rand(z: float, prime_cutoff: int, assignment: RandomAssignment,
     bias = tail_bias_bound(z, prime_cutoff)
     if bias > tol:
         raise TruncationError(
-            f"tail bound {bias:.3e} exceeds tolerance {tol:.3e} at P={prime_cutoff}",
-            suggested=default_cutoff(z, tol),
-        )
+            f"tail bound {bias:.3e} exceeds tolerance {tol:.3e} at P={prime_cutoff}; "
+            f"P={default_cutoff(z, tol)} meets it")
     mask = assignment.primes <= prime_cutoff
     p = assignment.primes[mask].astype(np.float64)
     v = assignment.values[mask].astype(np.float64)
@@ -225,9 +224,10 @@ def test_sample_l_rand_all_plus_one_at_z1():
 
 def test_sample_l_rand_truncation_error_suggests_larger_p():
     a = sample_assignment(1, 100)
-    with pytest.raises(TruncationError) as ei:
-        sample_l_rand(0.75, 100, a, tol=1e-9)
-    assert ei.value.suggested is not None and ei.value.suggested > 100
+    # a tolerance that some P under CUTOFF_CAP meets, so the error names it
+    with pytest.raises(TruncationError, match=r"P=\d+ meets it") as ei:
+        sample_l_rand(0.75, 100, a, tol=1e-2)
+    assert int(str(ei.value).split("P=")[-1].split()[0]) > 100
 
 
 def test_mc_mean_matches_exact_term_expectations():

@@ -12,6 +12,7 @@ from ldzeros.selberg import (
     sigma_y_d,
     weight,
 )
+from ldzeros.zeros import LOCATE_RESOLUTION
 from test_characters import kronecker
 
 
@@ -159,6 +160,44 @@ def test_sigma_membership_fraction_small_family():
         if sigma_y_d(eng, y, 0.0, 6.0).attained_by_default:
             ok += 1
     assert ok == len(fam)
+
+
+class _ZeroPairStub:
+    """L(s) = (s - rho)(s - conj rho): one zero pair, for the rectangle scans
+    of sigma_y_d."""
+
+    d = 8
+    fast_rel_err = 1e-12
+
+    def __init__(self, rho: complex):
+        self.rho = rho
+
+    def l_fast(self, s):
+        s = np.asarray(s, dtype=np.complex128)
+        return (s - self.rho) * (s - self.rho.conjugate())
+
+
+def test_sigma_pushed_up_by_an_intruding_zero_pair():
+    # y = 100: the window is beta > 0.934, |gamma| <= 100^(3 (beta - 1/2)) / log 100,
+    # over 100 at beta = 0.95; the box is clipped to |gamma| <= 8
+    rho = 0.9512345 + 3.0037j
+    res = sigma_y_d(_ZeroPairStub(rho), 100.0, 0.0, 8.0)
+    assert res.scan.count == 2 and not res.attained_by_default
+    for zero in (rho, rho.conjugate()):
+        [box] = [w for w in res.scan.witnesses
+                 if w[0] <= zero.real <= w[1] and w[2] <= zero.imag <= w[3]]
+        assert max(box[1] - box[0], box[3] - box[2]) <= LOCATE_RESOLUTION
+    assert res.value == 0.5 + 2.0 * (max(w[1] for w in res.scan.witnesses) - 0.5)
+
+
+def test_sigma_keeps_its_default_past_a_zero_pair_outside_the_window():
+    # y = 1e10: at beta = 0.59 the window reaches |gamma| <= 10^2.7 / log y, about
+    # 22, so a pair at height 30 lies in the box of half-height 40 but not in it
+    rho = 0.5901234 + 30.0037j
+    res = sigma_y_d(_ZeroPairStub(rho), 1e10, 0.0, 40.0)
+    assert res.scan.count == 2 and len(res.scan.witnesses) >= 2
+    assert res.attained_by_default
+    assert res.value == 0.5 + 4.0 / math.log(1e10)
 
 
 # ---------------------------------------------------------------------------
