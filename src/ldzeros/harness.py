@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import CODE_VERSION_TAG
-from .characters import enumerate_family
+from .characters import Family, enumerate_family
 from .errors import AccuracyError, CacheError, DomainError, IndeterminateError
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
@@ -435,10 +435,14 @@ def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
     rows, mapper = [], _cached_map(config)
-    # every x is enumerated, or refused, before any d
-    for x, fam in zip(config.x_list, [enumerate_family(x) for x in config.x_list]):
+    # every x is enumerated, or refused, before any d; only its sampled
+    # members are kept, as a Family of them, so one D(x) is alive at a time
+    samples = []
+    for x in config.x_list:
+        ds = sample_members(enumerate_family(x), config.sample_size, config.seed)
+        samples.append(Family(float(x), np.array(ds, dtype=np.int64) // 8))
+    for fam in samples:
         rows.append(discrepancy(fam, config.z, config.mc_samples, config.seed,
-                                members=sample_members(fam, config.sample_size, config.seed),
                                 scan_height_cap=config.scan_height_cap, mapper=mapper))
     _write(out, config, ["x,z,n_family,n_mc,D,bound,ratio,n_excluded"] + [
         f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},{r.bound!r},{r.ratio!r},"

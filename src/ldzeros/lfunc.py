@@ -9,14 +9,16 @@ Two evaluation paths, one contract:
       Lambda(s) = sum_n chi_d(n) [G(s, n) + G(1-s, n)],
       G(s, n)   = (d/pi)^{s/2} n^{-s} Gamma(s/2, pi n^2 / d),
 
-  truncated at N with pi N^2 / d >= log(1/eps) + 5. Each value carries an
-  error estimate (truncation tail plus first-order rounding). Both G-term
-  families obey |term| <= (d/pi) n^{-2} e^{-pi n^2/d}, which is what the
-  tail bound sums. All arithmetic is complex, so a complex step s + ih
-  differentiates the whole pipeline exactly (h = 1e-20). Both halves of a
-  row, s/2 and (1-s)/2, go through one upper_gamma call; each lane's value
-  depends only on its own (a, x), so a point's value does not depend on
-  the batch it is evaluated in.
+  truncated at N with pi N^2 / d >= log(1/eps) + 5 and summed over only
+  the n <= N with chi_d(n) != 0 (d = 8m, so every even n drops out; about
+  40% of the n are left). Each value carries an error estimate: the
+  truncation tail over all n > N plus first-order rounding of the terms
+  summed. Both G-term families obey |term| <= (d/pi) n^{-2} e^{-pi n^2/d},
+  which is what the tail bound sums. All arithmetic is complex, so a
+  complex step s + ih differentiates the whole pipeline exactly
+  (h = 1e-20). Both halves of a row, s/2 and (1-s)/2, go through one
+  upper_gamma call; each lane's value depends only on its own (a, x), so
+  a point's value does not depend on the batch it is evaluated in.
 
 * The *fast* path integrates t^{s/2} against the theta sum
   omega(t) = sum chi_d(n) exp(-pi n^2 t / d) on [1, infinity); omega is
@@ -30,8 +32,9 @@ Two evaluation paths, one contract:
   A term falls with n and with t, so the live terms form a band: the
   (n_theta x nodes) matrix is filled in cache-sized row blocks, each over
   the columns its first row keeps live, with the same element expressions
-  as a full-shape fill, and omega is the unchanged full-shape product, so
-  its bits do not depend on the banding.
+  as a full-shape fill, and only in the rows with chi_d(n) != 0; omega is
+  the unchanged full-shape product (a 0 row adds +0), so its bits do not
+  depend on the banding or the skipped rows.
   Points are evaluated in row blocks through two reused, cache-sized
   buffers; each value is the bits of the unblocked (points x nodes) product.
   An engine has one quadrature, whose panel width is set by BASE_T_CAP, so
@@ -39,6 +42,24 @@ Two evaluation paths, one contract:
   bit, and t_cap only raises the strip above the base one it is built for.
   It is built on first use and refused (ResourceError) before allocating a
   matrix over THETA_MAX_BYTES, which only a large d can need.
+
+* The fast path's *line kernel* (lambda_line, l_line) serves the points
+  s_k = s_0 + k h of one line, laid out by their callers (rectangle edges,
+  the grid of count_real_zeros, the heights of gamma_min): e^{s u/2} and
+  e^{(1-s) u/2} are exponentials only at every LINE_ANCHOR-th point, and
+  products with the powers rho^j = e^{+-j h u/2} (running products) in
+  between, reduced with the same @ wo; a line pays one exponential per
+  node per anchor, not per point. Against exact exponentials at the
+  anchors, a term j steps past its anchor is off by at most
+  j (ulp(rho) + 2 ulp) relative, ulp(rho) = eps (1 + |h| u_max/2), and by
+  offset * u_max/2 for the point's offset from s_anchor + j h (at most
+  LINE_OFFSET_TOL (|s_k| + |s_k - s_0|), else DomainError). Each value
+  carries that times sum_j |wo_j| (|e1_j| + |e2_j|), taken at the line's
+  extreme Re s, as its bound: rect_zero_count adds it to its proximity
+  margin node by node. Through the complex step of L' it grows at most by
+  u_max/2 + |(log gamma factor)'|, far under count_real_zeros's near-zero
+  tolerance. lambda_fast is unchanged, so every one-point, probe and
+  circle value keeps its bits.
 
 L' on the real axis is one complex step sigma + ih on either path: _step
 serves l_prime and log_deriv, _fast_step l_prime_fast and log_deriv_fast.
@@ -68,6 +89,9 @@ GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
 THETA_MAX_BYTES = 1 << 29   # largest (n_theta x nodes) matrix; d = 8e8 needs 413 MB
+LINE_ANCHOR = 16           # points per exact exponential on lambda_line's lines
+LINE_OFFSET_TOL = 1e-15    # lambda_line's point offset over |s_k| + |s_k - s_0|
+EPS = float(np.finfo(np.float64).eps)
 BASE_T_CAP = 12.0          # least t_cap, and the height the fast-path panel width is set for
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
@@ -128,10 +152,12 @@ class LEngine:
         # one chi_d request: lambda_batch reads n_trunc values, the theta sum n_theta
         n_all = np.arange(1, max(self.n_trunc, self._n_theta) + 1, dtype=np.int64)
         self._chi_all = chi_values(self.d, n_all).astype(np.float64)
-        self._chi = self._chi_all[: self.n_trunc]
-        n = n_all[: self.n_trunc]
-        self._logn = np.log(n.astype(np.float64))
-        self._x = math.pi * n.astype(np.float64) ** 2 / self.d
+        # the precise path keeps only the n <= n_trunc with chi_d(n) != 0
+        live = np.flatnonzero(self._chi_all[: self.n_trunc])
+        self._chi = self._chi_all[live]
+        n = live + 1.0
+        self._logn = np.log(n)
+        self._x = math.pi * n**2 / self.d
         self._log_d_pi = math.log(self.d / math.pi)
         self._tail = self._tail_bound()
         self._theta = None  # (nodes u, weighted omega), built lazily
@@ -162,7 +188,7 @@ class LEngine:
         err = np.empty(s.shape, dtype=np.float64)
         # both halves of a row go through one upper_gamma call of at most 3e6
         # lanes; each lane's value is independent of the batch it rides in
-        rows = max(1, int(1.5e6 // max(1, self.n_trunc)))
+        rows = max(1, int(1.5e6 // max(1, self._x.size)))
         for i in range(0, s.size, rows):
             sb = s[i: i + rows, None]
             a1, a2 = sb / 2.0, (1.0 - sb) / 2.0
@@ -251,21 +277,26 @@ class LEngine:
         chi = self._chi_all[:n_theta]
         # banded fill: a term falls with n and with t, so a row block's live
         # columns end where its first row's do, and once a first row has no
-        # live column neither has any row after it
+        # live column neither has any row after it. Only the rows with
+        # chi_d(n) != 0 are filled, through one reused buffer; the others stay
+        # 0 and add +0 to the full-shape product, so omega keeps its bits
         n2 = n**2
         expo = np.zeros((n_theta, t.size))
         rows = max(1, _FAST_BLOCK_BYTES // (8 * t.size))
+        buf = np.empty(rows * t.size)
         for r0 in range(0, n_theta, rows):
             cols = np.flatnonzero(-math.pi * (n2[r0] * t) / self.d > EXP_NORMAL_FLOOR)
             if cols.size == 0:
                 break
-            blk = expo[r0: r0 + rows, : cols[-1] + 1]
-            np.multiply.outer(n2[r0: r0 + rows], t[: cols[-1] + 1], out=blk)
+            nz = r0 + np.flatnonzero(chi[r0: r0 + rows])
+            blk = buf[: nz.size * (cols[-1] + 1)].reshape(nz.size, cols[-1] + 1)
+            np.multiply.outer(n2[nz], t[: cols[-1] + 1], out=blk)
             blk *= -math.pi
             blk /= self.d
             live = blk > EXP_NORMAL_FLOOR
             np.exp(blk, out=blk, where=live)
             blk[~live] = 0.0
+            expo[nz, : cols[-1] + 1] = blk
         return u, w * (chi @ expo)
 
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,21 +335,79 @@ class LEngine:
             out[a:b] = x1 @ wo
         return out.reshape(s.shape)
 
+    def lambda_line(self, s: np.ndarray, step: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Lambda at the points s_k = s_0 + k step of one line, given to a few
+        ulps (DomainError otherwise), on the cached theta quadrature, and a
+        bound on each value's extra rounding: exact exponentials at every
+        LINE_ANCHOR-th point, products by the powers of e^{+-step u/2}
+        between them (module docstring)."""
+        s = np.asarray(s, dtype=np.complex128).ravel()
+        self._check_strip(s)
+        if s.size == 0:
+            return s.copy(), np.zeros(0)
+        step, j = complex(step), np.arange(s.size) % LINE_ANCHOR
+        offset = np.abs(s - (np.repeat(s[::LINE_ANCHOR], LINE_ANCHOR)[: s.size] + j * step))
+        if np.any(offset > LINE_OFFSET_TOL * (np.abs(s) + np.abs(s - s[0]))):
+            raise DomainError(f"points are not s_0 + k ({step}) on one line")
+        u, wo = self._quadrature()
+        # the bound: sum_j |wo_j| (|e1_j| + |e2_j|) at the line's extreme Re s
+        # times the relative rounding of j ratios and j products, and of the
+        # offset; u is ascending, so u[-1] is u_max
+        mag = (np.exp(s.real.max() * u / 2.0)
+               + np.exp((1.0 - s.real.min()) * u / 2.0)) @ np.abs(wo)
+        ratio_eps = (1.0 + abs(step) * u[-1] / 2.0) * EPS
+        err = (j * (ratio_eps + 2.0 * EPS) + offset * u[-1] / 2.0) * mag
+        # rows j - 1 of p1, p2: e^{+-j step u/2} as running products, j >= 1
+        p1, p2 = (np.cumprod(np.broadcast_to(np.exp(h / 2.0 * u), (LINE_ANCHOR - 1, u.size)),
+                             axis=0) for h in (step, -step))
+        # row blocks of whole anchor groups through two reused, cache-sized
+        # buffers; row 0 of a group is its anchor's exact exponentials
+        groups = min(-(-s.size // LINE_ANCHOR),
+                     max(1, _FAST_BLOCK_BYTES // (16 * LINE_ANCHOR * u.size)))
+        e1 = np.empty((groups, LINE_ANCHOR, u.size), dtype=np.complex128)
+        e2 = np.empty_like(e1)
+        wo = wo.astype(np.complex128)
+        out = np.empty(s.shape, dtype=np.complex128)
+        for a in range(0, s.size, groups * LINE_ANCHOR):
+            anchors = s[a: a + groups * LINE_ANCHOR: LINE_ANCHOR]
+            g, b = anchors.size, min(s.size, a + groups * LINE_ANCHOR)
+            for e, p, x in ((e1, p1, anchors / 2.0), (e2, p2, (1.0 - anchors) / 2.0)):
+                np.multiply.outer(x, u, out=e[:g, 0])
+                np.exp(e[:g, 0], out=e[:g, 0])
+                np.multiply(e[:g, :1], p, out=e[:g, 1:])
+            np.add(e1[:g], e2[:g], out=e1[:g])
+            out[a:b] = e1[:g].reshape(-1, u.size)[: b - a] @ wo
+        return out, err
+
+    def _gamma_factors(self, s: np.ndarray) -> np.ndarray:
+        """(d/pi)^{s/2} Gamma(s/2) at an array of points."""
+        return np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0)
+
     def l_fast(self, s: np.ndarray) -> np.ndarray:
         """L(s) on the fast path (vectorized)."""
         s = np.asarray(s, dtype=np.complex128)
-        lam = self.lambda_fast(s)
-        gf = np.exp((s / 2.0) * self._log_d_pi) * gamma(s / 2.0)
-        return lam / gf
+        return self.lambda_fast(s) / self._gamma_factors(s)
 
-    def _fast_step(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """L and L' at real points from one complex step of l_fast."""
-        v = self.l_fast(np.asarray(sigma, dtype=np.float64) + 1j * COMPLEX_STEP_H)
+    def l_line(self, s: np.ndarray, step: complex) -> tuple[np.ndarray, np.ndarray]:
+        """L at the points s_k = s_0 + k step of one line and the bound on
+        each value's extra rounding (lambda_line)."""
+        s = np.asarray(s, dtype=np.complex128).ravel()
+        lam, err = self.lambda_line(s, step)
+        gf = self._gamma_factors(s)
+        return lam / gf, err / np.abs(gf)
+
+    def _fast_step(self, sigma: np.ndarray,
+                   step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """L and L' at real points from one complex step of l_fast, or of
+        l_line when the points are sigma_0 + k step."""
+        s = np.asarray(sigma, dtype=np.float64) + 1j * COMPLEX_STEP_H
+        v = self.l_fast(s) if step is None else self.l_line(s, step)[0]
         return v.real, v.imag / COMPLEX_STEP_H
 
-    def l_prime_fast(self, sigma: np.ndarray) -> np.ndarray:
-        """L'(sigma) at real points on the fast path (vectorized)."""
-        return self._fast_step(sigma)[1]
+    def l_prime_fast(self, sigma: np.ndarray, step: float | None = None) -> np.ndarray:
+        """L'(sigma) at real points on the fast path (vectorized); on the
+        line kernel when the points are sigma_0 + k step."""
+        return self._fast_step(sigma, step)[1]
 
     def log_deriv_fast(self, sigma: float) -> float:
         """-L'/L at a real point on the fast path."""

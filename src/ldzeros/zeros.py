@@ -24,7 +24,12 @@ Counting conventions:
   circle of its own zero-free pre-check.
 
 * Rectangle counts (used for zero-free-region certificates) accumulate the
-  argument of L along the boundary with adaptive segment refinement.
+  argument of L along the boundary with adaptive segment refinement. Each
+  edge is read on the line kernel (LEngine.l_line), whose rounding bound
+  joins the proximity margin node by node; refinement midpoints go to
+  l_fast. A box symmetric about the real axis, as every membership box is,
+  is read on its lower half only, refinement included: chi_d is real, so
+  the upper half is the conjugate of the lower one.
 
 Never assumes zero-freeness silently: every "no zeros here" is a contour
 certificate or the operation reports indeterminate.
@@ -278,55 +283,71 @@ class RectCount:
     box: tuple[float, float, float, float]  # re_lo, re_hi, im_lo, im_hi
 
 
+def _edge_values(engine: LEngine, a: complex, b: complex, spacing: float,
+                 end: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points a + (b - a) k/n, k < n, of one edge (and b itself if `end`),
+    L there on the line kernel and the kernel's bound on its extra rounding."""
+    n = max(2, math.ceil(abs(b - a) / spacing))
+    z = a + (b - a) * np.arange(n) / n
+    if end:
+        z = np.append(z, b)
+    return (z, *engine.l_line(z, (b - a) / n))
+
+
 def rect_zero_count(engine: LEngine, re_lo: float, re_hi: float,
                     im_lo: float, im_hi: float) -> RectCount:
     """Zeros of L inside an axis-aligned box, by adaptive phase winding of L
-    along the boundary. Indeterminate when the boundary grazes a zero."""
+    along the boundary. Indeterminate when the boundary grazes a zero.
+
+    A box symmetric about the real axis (im_lo == -im_hi) is read on its
+    lower half, (re_lo, 0) -> (re_lo, im_lo) -> (re_hi, im_lo) -> (re_hi, 0),
+    refinement included; chi_d is real, so the upper half is its conjugate."""
     if not (re_lo < re_hi and im_lo < im_hi):
         raise DomainError("degenerate rectangle")
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    mirror = im_lo == -im_hi
+    if mirror:
+        corners = [complex(re_lo, 0.0), complex(re_lo, im_lo),
+                   complex(re_hi, im_lo), complex(re_hi, 0.0)]
+    else:
+        corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+                   complex(re_hi, im_hi), complex(re_lo, im_hi), complex(re_lo, im_lo)]
     # initial node spacing tuned to the local log-derivative scale
     tmax = max(abs(im_lo), abs(im_hi))
-    step = 1.2 / (math.log(engine.d) + math.log(2.0 + tmax))
-    pts: list[complex] = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(2, math.ceil(abs(b - a) / step))
-        seg = a + (b - a) * np.arange(n) / n
-        pts.extend(seg.tolist())
-    z = np.array(pts, dtype=np.complex128)
-    vals = engine.l_fast(z)
-    total_nodes = len(z)
+    spacing = 1.2 / (math.log(engine.d) + math.log(2.0 + tmax))
+    edges = [_edge_values(engine, a, b, spacing, end=k == len(corners) - 2)
+             for k, (a, b) in enumerate(zip(corners, corners[1:]))]
+    z, vals, errs = (np.concatenate(part) for part in zip(*edges))
 
+    # refine the path from its first corner to its last
     for _ in range(RECT_MAX_DEPTH):
-        ratios = np.roll(vals, -1) / vals
-        dphi = np.angle(ratios)
-        bad = np.abs(dphi) > 1.2
+        bad = np.abs(np.angle(vals[1:] / vals[:-1])) > 1.2
         if not bad.any():
             break
-        idx = np.nonzero(bad)[0]
-        mids = (z[idx] + np.roll(z, -1)[idx]) / 2.0
-        mvals = engine.l_fast(mids)
-        total_nodes += len(mids)
-        order = np.argsort(np.concatenate([np.arange(len(z), dtype=np.float64),
-                                           idx + 0.5]), kind="stable")
-        z = np.concatenate([z, mids])[order]
-        vals = np.concatenate([vals, mvals])[order]
+        idx = np.flatnonzero(bad) + 1
+        mids = (z[idx - 1] + z[idx]) / 2.0
+        z = np.insert(z, idx, mids)
+        vals = np.insert(vals, idx, engine.l_fast(mids))
+        errs = np.insert(errs, idx, 0.0)
     else:
         raise ContourProximityError("rectangle boundary refinement did not settle")
+    if mirror:  # the upper half, (re_hi, 0) -> (re_lo, 0), from the lower one
+        vals = np.concatenate([vals, np.conj(vals[-2:0:-1])])
+        errs = np.concatenate([errs, errs[-2:0:-1]])
+    else:  # the path ends where it starts
+        vals, errs = vals[:-1], errs[:-1]
 
-    scale = _noise_scale(vals)
-    margin = 20.0 * engine.fast_rel_err * scale
+    # the fast path's margin, plus the line kernel's bound at its nodes
+    margin = 20.0 * engine.fast_rel_err * _noise_scale(vals) + errs
     min_mod = float(np.min(np.abs(vals)))
-    if min_mod < margin:
-        raise ContourProximityError(
-            f"min |L| = {min_mod:.3e} within margin {margin:.3e} on the rectangle boundary"
-        )
+    if np.any(np.abs(vals) < margin):
+        k = int(np.argmin(np.abs(vals) - margin))
+        raise ContourProximityError(f"|L| = {abs(vals[k]):.3e} within margin {margin[k]:.3e} "
+                                    "on the rectangle boundary")
     winding = _winding_from_samples(vals)
     count = int(round(winding))
     if abs(winding - count) > 0.05 or count < 0:
         raise AccuracyError(f"rectangle winding {winding:.4f} is not a clean count")
-    return RectCount(count=count, winding=winding, nodes=total_nodes,
+    return RectCount(count=count, winding=winding, nodes=vals.size,
                      min_modulus=min_mod, box=(re_lo, re_hi, im_lo, im_hi))
 
 
@@ -444,8 +465,8 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
                      grid_step: float | None = None) -> ZeroRecord:
     """Certified count of real zeros of L' on [sigma1, sigma2].
 
-    Sign changes on a grid, bisection refinement, suspect escalation to a
-    small-disc contour count of L'. The returned count is the number of
+    Sign changes on a grid read on the line kernel, bisection refinement,
+    suspect escalation to a small-disc contour count of L'. The returned count is the number of
     certificates; suspects are reported separately (certified lower bound).
     """
     if not (0.5 < sigma1 < sigma2 <= 2.0):
@@ -457,7 +478,7 @@ def count_real_zeros(engine: LEngine, sigma1: float, sigma2: float,
         raise DomainError(f"grid_step {grid_step} coarser than (sigma2-sigma1)/8")
     n = int(math.ceil(span / grid_step))
     grid = np.linspace(sigma1, sigma2, n + 1)
-    vals = engine.l_prime_fast(grid)
+    vals = engine.l_prime_fast(grid, span / n)  # on the line kernel
     scale = _noise_scale(vals)
     near_zero_tol = max(3.0 * engine.fast_rel_err * scale * 50.0, 1e-9 * scale)
 
@@ -579,11 +600,11 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     Under the self-dual functional equation Lambda is real on the critical
     line, so its first sign change is the first on-line zero, certified on the
     precise path inside its scan cell or IndeterminateError. The scan grid
-    is np.arange(step, t_max + step, step), bit for bit, read one stretch of
-    GAMMA_STRETCH (or step, if larger) at a time up to the first stretch
-    that shows a sign change; only the last height and value before a
-    stretch are kept, so memory does not grow with t_max. Each stretch read
-    must be numerically real or AccuracyError. A rectangle
+    is np.arange(step, t_max + step, step), bit for bit, read on the line
+    kernel one stretch of GAMMA_STRETCH (or step, if larger) at a time up to
+    the first stretch that shows a sign change; only the last height and
+    value before a stretch are kept, so memory does not grow with t_max.
+    Each stretch read must be numerically real or AccuracyError. A rectangle
     winding certifies no off-line zero below the reported height (up to a
     small margin strip around the line, recorded in the result).
     """
@@ -604,7 +625,7 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
         t = t if whole else t[t <= upto]
         if t.size == 0:
             continue
-        vals = engine.lambda_fast(0.5 + 1j * t)
+        vals, _ = engine.lambda_line(0.5 + 1j * t, 1j * step)
         if np.max(np.abs(vals.imag)) > 1e-6 * np.max(np.abs(vals.real)):
             raise AccuracyError("Lambda not numerically real on the critical line")
         read = np.hstack([before, [t, vals.real]])  # rows: heights, values

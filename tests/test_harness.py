@@ -443,6 +443,38 @@ def test_strict_discrepancy_writes_then_exits_2(tmp_path, monkeypatch, capsys):
         f.replace(b"strict=False", b"strict=True") for f in relaxed]
 
 
+def test_discrepancy_holds_one_family_at_a_time(tmp_path, monkeypatch):
+    # every x is enumerated before any d, but only its sample is kept: when
+    # a d of the second x is computed, the first family's array is gone
+    import gc
+    import weakref
+
+    from ldzeros import harness
+
+    families = []
+
+    def enumerate_family(x):
+        fam = stats_module.enumerate_family(x)
+        families.append((x, weakref.ref(fam.m)))
+        return fam
+
+    alive = {}
+
+    def worker(args):
+        d, x = args[0], 1e3 if args[0] <= 8e3 else 3e3
+        gc.collect()
+        alive.setdefault(x, [x0 for x0, ref in families if ref() is not None])
+        return d, None, 0.01 * (d % 97)
+
+    monkeypatch.setattr(harness, "enumerate_family", enumerate_family)
+    monkeypatch.setattr(stats_module, "_membership_worker", worker)
+    cfg = RunConfig(x_list=(1000.0, 3000.0), sample_size=5, mc_samples=50,
+                    out=str(tmp_path / "disc.csv"))
+    harness.run_discrepancy(cfg)
+    assert [x for x, _ in families] == [1000.0, 3000.0]
+    assert alive == {1e3: [], 3e3: []}
+
+
 def test_provenance_line_format():
     cfg = RunConfig(seed=2)
     line = provenance_line(cfg)

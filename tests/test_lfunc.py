@@ -15,6 +15,7 @@ from ldzeros.lfunc import (
     hurwitz_zeta_shifted,
 )
 from ldzeros.primes import prime_power_table
+from ldzeros.specialfn import upper_gamma
 from test_characters import kronecker
 
 # Class number formula for Q(sqrt(2)): h = 1, fundamental unit 1 + sqrt(2),
@@ -271,6 +272,35 @@ def test_err_est_honest_against_oracle():
             assert abs(v.lam - o) <= max(v.err_est, 1e-12 * (1 + abs(v.lam)))
 
 
+@pytest.mark.parametrize("d", [8, 104, 1032, 4168, 7976, 9992])
+def test_err_est_summed_over_live_terms_dominates_the_oracle_error(d):
+    # the rounding term sums only the n with chi_d(n) != 0, which lambda_batch
+    # computes; the estimate is still an upper bound at random strip points
+    eng = LEngine(d)
+    rng = np.random.default_rng(d)
+    s = rng.uniform(0.3, 1.2, 6) + 1j * rng.uniform(-12.0, 12.0, 6)
+    lam, err = eng.lambda_batch(s)
+    for k in range(s.size):
+        true = abs(lam[k] - euler_maclaurin_oracle(d, s[k]) * eng.gamma_factor(s[k]))
+        assert true <= 0.1 * err[k], (s[k], true, err[k])
+
+
+@pytest.mark.parametrize("d", [8, 7976, 120120])
+def test_precise_path_evaluates_only_the_terms_with_chi_nonzero(monkeypatch, d):
+    lanes = []
+
+    def spy(a, x):
+        lanes.append(np.broadcast(a, x).shape[1])
+        return upper_gamma(a, x)
+
+    monkeypatch.setattr(lfunc, "upper_gamma", spy)
+    eng = LEngine(d)
+    live = np.count_nonzero(chi_values(d, np.arange(1, eng.n_trunc + 1, dtype=np.int64)))
+    assert live < eng.n_trunc
+    eng.lambda_batch(np.array([0.7, 0.8 + 2.0j]))
+    assert lanes == [live]
+
+
 # ---------------------------------------------------------------------------
 # fast path
 # ---------------------------------------------------------------------------
@@ -383,9 +413,11 @@ def _theta_full_shape(d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w * (chi @ expo)
 
 
-@pytest.mark.parametrize("d", [8, 7976, 799960])
+@pytest.mark.parametrize("d", [8, 7976, 120120, 799960])
 @pytest.mark.parametrize("t_cap", [12.0, 52.0])
 def test_theta_banded_bit_identical_to_full_shape(d, t_cap):
+    # the fill skips the rows with chi_d(n) = 0 (about 81% of them at
+    # d = 120120 = 8 * 3 * 5 * 7 * 11 * 13) and leaves them 0
     eng = LEngine(d, t_cap=t_cap)
     for got, want in zip(eng._quadrature(), _theta_full_shape(d)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -507,3 +539,75 @@ def test_a_large_quadrature_peaks_near_its_matrix():
         tracemalloc.stop()
     matrix = eng._n_theta * eng._theta[0].size * 8
     assert matrix < peak < 1.1 * matrix, (peak, matrix)
+
+
+# ---------------------------------------------------------------------------
+# line kernel
+# ---------------------------------------------------------------------------
+
+def _lines(d: int) -> dict[str, tuple[np.ndarray, complex]]:
+    """Points and step of the four kinds of line the fast-path scans read,
+    laid out as their callers lay them out: rectangle edges, the critical
+    line of gamma_min and the real segment of count_real_zeros."""
+    out = {}
+    for kind, (a, b) in {"vertical": (1.125 - 10.0j, 1.125 + 10.0j),
+                         "vertical, downward": (0.53 + 10.0j, 0.53 - 10.0j),
+                         "horizontal": (0.53 - 10.0j, 1.125 - 10.0j),
+                         "horizontal, leftward": (1.125 + 10.0j, 0.53 + 10.0j)}.items():
+        n = 301
+        out[kind] = (a + (b - a) * np.arange(n) / n, (b - a) / n)
+    step = math.pi / (4.0 * math.log(d))
+    t = step + np.arange(math.ceil(14.0 / step)) * step
+    out["critical"] = (0.5 + 1j * t[t <= 14.0], 1j * step)
+    sigma1 = 0.5 + 1.0 / math.log(max(d, 1000))
+    out["real"] = (np.linspace(sigma1, 1.0, 97) + 1j * lfunc.COMPLEX_STEP_H, (1.0 - sigma1) / 96)
+    return out
+
+
+@pytest.mark.parametrize("d", [8, 104, 7976, 79976, 799928])
+def test_line_kernel_within_its_bound_of_l_fast(d):
+    # l_line differs from l_fast by its own bound plus l_fast's rounding of
+    # e^{s u/2} (eps (|s| u/2 + 2) relative per term); on the real segment
+    # the complex step carries both through (log L)' <= u_max/2 + kappa
+    eng = LEngine(d)
+    u, wo = eng._quadrature()
+    kappa = 0.5 * math.log(d / math.pi) + 2.2
+    for kind, (z, step) in _lines(d).items():
+        got, err = eng.l_line(z, step)
+        want = eng.l_fast(z)
+        gf = np.abs(eng._gamma_factors(z))
+        mag = (np.exp(np.multiply.outer(z.real / 2.0, u))
+               + np.exp(np.multiply.outer((1.0 - z.real) / 2.0, u))) @ np.abs(wo) / gf
+        bound = err + lfunc.EPS * mag * (np.abs(z) * u[-1] / 2.0 + 2.0)
+        assert np.all(np.abs(got - want) <= bound), kind
+        assert np.all(err[:: lfunc.LINE_ANCHOR] == 0.0) and np.all(err[1:16] > 0.0)
+        if kind == "real":
+            diff = np.abs(got.imag - want.imag) / lfunc.COMPLEX_STEP_H
+            assert np.all(diff <= bound * (u[-1] / 2.0 + kappa)), kind
+
+
+@pytest.mark.parametrize("d", [8, 7976, 799928])
+def test_line_kernel_is_mirror_exact(d):
+    # on the conjugate line the kernel returns the conjugate values, so a
+    # symmetric box's upper half is its lower half conjugated
+    eng = LEngine(d)
+    for kind, (z, step) in _lines(d).items():
+        lam, err = eng.lambda_line(z, step)
+        lam_c, err_c = eng.lambda_line(np.conj(z), np.conj(step))
+        assert np.array_equal(lam_c, np.conj(lam)), kind  # as values: +0 == -0
+        assert np.array_equal(err_c, err), kind
+
+
+@pytest.mark.parametrize("bad", ["off the line", "wrong step", "outside the strip"])
+def test_line_kernel_refuses_points_off_its_line(bad):
+    eng = LEngine(104)
+    z, step = _lines(104)["horizontal"]
+    if bad == "off the line":
+        z = z.copy()
+        z[37] += 1e-9
+    elif bad == "wrong step":
+        step = step * (1.0 + 1e-9)
+    else:
+        z, step = z - 2.0, step
+    with pytest.raises(DomainError):
+        eng.lambda_line(z, step)

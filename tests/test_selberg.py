@@ -176,6 +176,9 @@ class _ZeroPairStub:
         s = np.asarray(s, dtype=np.complex128)
         return (s - self.rho) * (s - self.rho.conjugate())
 
+    def l_line(self, s, step):
+        return self.l_fast(s), np.zeros(np.shape(s))
+
 
 def test_sigma_pushed_up_by_an_intruding_zero_pair():
     # y = 100: the window is beta > 0.934, |gamma| <= 100^(3 (beta - 1/2)) / log 100,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ldzeros import zeros
+from ldzeros import lfunc, zeros
 from ldzeros.errors import AccuracyError, DomainError, IndeterminateError
 from ldzeros.lfunc import LEngine, LValue
 from ldzeros.zeros import (
@@ -200,6 +200,9 @@ class _CubicEngine:
         u = np.asarray(s) - self.A
         return u * u * u / 3.0 - 1e-8 * np.asarray(s)
 
+    def l_line(self, s, step):
+        return self.l_fast(s), np.zeros(np.shape(s))
+
     def l_prime(self, sigma):
         return (sigma - self.A) ** 2 - 1e-8, 1.0
 
@@ -340,6 +343,132 @@ def test_rect_no_offline_zeros(eng8):
     assert rc.count == 0
 
 
+def _rect_count_direct(engine, re_lo, re_hi, im_lo, im_hi) -> tuple[int, float]:
+    """Count and winding of the whole boundary loop, every point on l_fast:
+    rect_zero_count without the line kernel and the mirror."""
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    spacing = 1.2 / (math.log(engine.d) + math.log(2.0 + max(abs(im_lo), abs(im_hi))))
+    z = np.concatenate([a + (b - a) * np.arange(n) / n
+                        for a, b in zip(corners, corners[1:] + corners[:1])
+                        for n in [max(2, math.ceil(abs(b - a) / spacing))]])
+    vals = engine.l_fast(z)
+    while True:
+        bad = np.flatnonzero(np.abs(np.angle(np.roll(vals, -1) / vals)) > 1.2)
+        if not bad.size:
+            break
+        mids = (z[bad] + np.roll(z, -1)[bad]) / 2.0
+        z, vals = np.insert(z, bad + 1, mids), np.insert(vals, bad + 1, engine.l_fast(mids))
+    winding = float(np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * math.pi))
+    return round(winding), winding
+
+
+class _RecordingEngine:
+    """Forwards to an engine and records the points sent to l_fast and l_line."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.points = []
+
+    def l_fast(self, s):
+        self.points.append(np.asarray(s))
+        return self._engine.l_fast(s)
+
+    def l_line(self, s, step):
+        self.points.append(np.asarray(s))
+        return self._engine.l_line(s, step)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+def test_rect_count_equals_direct_evaluation_on_membership_boxes():
+    # the boxes of criterion 10 (z = 0.9): symmetric, so read on their lower
+    # half; the count, and the winding to rounding, are the direct loop's
+    from ldzeros.characters import enumerate_family
+    from ldzeros.selberg import SIGMA_BETA_TOP
+    from ldzeros.stats import DEFAULT_SCAN_HEIGHT_CAP, membership_y, sample_members
+
+    for x in (1e3, 1e4):
+        y = membership_y(x, 0.9)
+        hh = min(y ** (3.0 * (SIGMA_BETA_TOP - 0.5)) / math.log(y), DEFAULT_SCAN_HEIGHT_CAP)
+        box = (0.5 + 2.0 / math.log(y), SIGMA_BETA_TOP, -hh, hh)
+        for d in sample_members(enumerate_family(x), 20, 7):
+            eng = _RecordingEngine(LEngine(d))
+            rc = rect_zero_count(eng, *box)
+            count, winding = _rect_count_direct(eng._engine, *box)
+            assert rc.count == count and abs(rc.winding - winding) < 1e-9, d
+            assert max(float(np.max(p.imag)) for p in eng.points) <= 0.0, d
+
+
+class _PairEngine:
+    """L(s) = (s - rho)(s - conj rho) on both fast entry points."""
+
+    d = 8
+    fast_rel_err = 1e-12
+
+    def __init__(self, rho: complex):
+        self.rho = rho
+
+    def l_fast(self, s):
+        s = np.asarray(s, dtype=np.complex128)
+        return (s - self.rho) * (s - self.rho.conjugate())
+
+    def l_line(self, s, step):
+        return self.l_fast(s), np.zeros(np.shape(s))
+
+
+@pytest.mark.parametrize("box, want", [
+    ((0.6, 1.0, -5.0, 5.0), 2),    # symmetric: the lower half and its mirror
+    ((0.6, 1.0, -4.0, 5.0), 2),    # not symmetric: the whole loop
+    ((0.6, 1.0, 1.0, 5.0), 1),
+    ((0.6, 1.0, -2.5, 2.5), 0),
+])
+def test_rect_count_of_a_zero_pair_equals_direct_evaluation(box, want):
+    eng = _RecordingEngine(_PairEngine(0.8123 + 3.0456j))
+    rc = rect_zero_count(eng, *box)
+    assert rc.count == want == _rect_count_direct(eng._engine, *box)[0]
+    evaluated = np.concatenate(eng.points)
+    if box[2] == -box[3]:
+        assert evaluated.imag.max() == 0.0 and rc.nodes == 2 * (evaluated.size - 1)
+    else:
+        assert evaluated.imag.min() == box[2] and evaluated.imag.max() == box[3]
+        assert rc.nodes == evaluated.size - 1  # less the first corner, read twice
+
+
+def test_rect_margin_carries_the_line_kernel_bound():
+    # a bound on the line kernel's rounding over |L| at a node refuses the
+    # box, even where the fast-path margin alone would pass it
+    class Loose(_PairEngine):
+        def l_line(self, s, step):
+            vals = self.l_fast(s)
+            return vals, 2.0 * np.abs(vals)
+
+    with pytest.raises(zeros.ContourProximityError, match="within margin"):
+        rect_zero_count(Loose(0.8123 + 3.0456j), 0.6, 1.0, -5.0, 5.0)
+    assert rect_zero_count(_PairEngine(0.8123 + 3.0456j), 0.6, 1.0, -5.0, 5.0).count == 2
+
+
+def test_line_bound_on_the_real_grid_is_under_the_near_zero_tolerance():
+    # count_real_zeros reads its grid on the line kernel; carried through the
+    # complex step, the kernel's bound stays far under near_zero_tol, so a
+    # grid sign it could flip lies in a cell the dip search reads on l_fast
+    from ldzeros.characters import enumerate_family
+    from ldzeros.stats import nu_from_policy, sample_members
+
+    for x in (1e3, 1e4, 1e5):
+        sigma1 = 0.5 + nu_from_policy("auto", x) / math.log(x)
+        for d in sample_members(enumerate_family(x), 8, 3):
+            eng = LEngine(d)
+            grid = np.linspace(sigma1, 1.0, 97)
+            vals, err = eng.l_line(grid + 1j * lfunc.COMPLEX_STEP_H, (1.0 - sigma1) / 96)
+            scale = zeros._noise_scale(vals.imag / lfunc.COMPLEX_STEP_H)
+            near_zero_tol = max(3.0 * eng.fast_rel_err * scale * 50.0, 1e-9 * scale)
+            u = eng._quadrature()[0]
+            bound = err * (u[-1] / 2.0 + 0.5 * math.log(d / math.pi) + 2.2)
+            assert np.max(bound) < 0.05 * near_zero_tol, d
+
+
 def test_contour_chain_on_chord(eng40008):
     cov = build_cover(1e4, math.log(math.log(1e4)))
     zj, rj = complex(cov.centers[0]), float(cov.radii[0])
@@ -456,18 +585,21 @@ class _LineStub:
         self.batches.append(s.imag.copy())
         return self.lam(s.imag)
 
+    def lambda_line(self, s, step):
+        return self.lambda_fast(s), np.zeros(np.shape(s))
+
     def lambda_value(self, s):
         return LValue(s=complex(s), lam=complex(self.lam(complex(s).imag)), err_est=1e-12)
 
 
 def test_gamma_min_with_a_low_flip_never_asks_above_the_base_strip(monkeypatch):
     eng, heights = LEngine(7976, t_cap=52.0), []
-    for name in ("lambda_fast", "lambda_batch"):
+    for name in ("lambda_fast", "lambda_line", "lambda_batch"):
         real = getattr(LEngine, name)
 
-        def spy(self, s, real=real):
+        def spy(self, s, *step, real=real):
             heights.append(float(np.max(np.abs(np.imag(s)), initial=0.0)))
-            return real(self, s)
+            return real(self, s, *step)
 
         monkeypatch.setattr(LEngine, name, spy)
     gm = gamma_min(eng, t_max=50.0)
