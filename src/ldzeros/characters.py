@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .primes import factorize, squarefree_segment
+from .primes import factorize, odd_squarefree
 
 # char_table holds one full period of chi_d, O(d) bytes, so it is offered up
 # to this modulus; every other request runs chi_values directly.
@@ -34,8 +34,9 @@ _MIN_LANES = 1024
 # the exponent of 2 in r for r = 1..255, and 8 for r = 0 (at least 8)
 _TWOS = np.array([8] + [(r & -r).bit_length() - 1 for r in range(1, 256)], dtype=np.int64)
 _MINUS_TWO = np.array([0, 0, 0, 1, 0, 1, 0, 0], dtype=np.int64)  # (x/2) = -1 by x mod 8
-# enumerate_family's segment arrays peak at 18 bytes per m in [x/2, x] (the m,
-# the squarefree mask, m % 2 and its mask); x = 1e8 needs 900 MB
+# enumerate_family's arrays peak under 5 bytes per m in [x/2, x] (the squarefree
+# mask and the odd squarefree m, about 0.4 of them); x = 4e8 needs 1 GB
+FAMILY_BYTES_PER_M = 5
 FAMILY_MAX_BYTES = 1 << 30
 
 
@@ -170,11 +171,10 @@ def enumerate_family(x: float) -> Family:
         raise DomainError(f"family requires a finite x >= 2, got {x}")
     lo = math.ceil(x / 2)
     hi = math.floor(x)
-    if 18 * (hi - lo + 1) > FAMILY_MAX_BYTES:
-        raise ResourceError(f"family D({x:g}) needs {18 * (hi - lo + 1)} bytes of arrays, "
-                            f"over {FAMILY_MAX_BYTES}")
-    ms = np.arange(lo, hi + 1, dtype=np.int64)
-    ms = ms[squarefree_segment(lo, hi) & (ms % 2 == 1)]
+    if FAMILY_BYTES_PER_M * (hi - lo + 1) > FAMILY_MAX_BYTES:
+        raise ResourceError(f"family D({x:g}) needs {FAMILY_BYTES_PER_M * (hi - lo + 1)} "
+                            f"bytes of arrays, over {FAMILY_MAX_BYTES}")
+    ms = odd_squarefree(lo, hi)
     if not len(ms):
         raise DomainError(f"family D(x) is empty at x={x}")
     ms.flags.writeable = False

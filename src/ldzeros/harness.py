@@ -42,6 +42,7 @@ from .stats import (
     moment_lhs,
     nu_from_policy,
     rd_statistics,
+    sample_family,
     sample_members,
     zeros_worker,
 )
@@ -375,11 +376,10 @@ def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -
 def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"zeros_{int(x)}.jsonl")
-    fam = enumerate_family(x)
+    ds = sample_family(x, config.sample_size, config.seed)
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
-    args_list = [(d, x, sigma1, config.eps_target)
-                 for d in sample_members(fam, config.sample_size, config.seed)]
+    args_list = [(d, x, sigma1, config.eps_target) for d in ds]
     rows = _cached_map(config)(zeros_worker, args_list)
     _write(out, config, rows, jsonl=True)
     suspects = sum(len(r["suspects"]) for r in rows)
@@ -404,9 +404,8 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
         raise DomainError(f"t_max must be a positive finite number, got {t_max}")
     x = config.x_list[0]
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
-    fam = enumerate_family(x)
     args_list = [(d, x, t_max, config.eps_target)
-                 for d in sample_members(fam, config.sample_size, config.seed)]
+                 for d in sample_family(x, config.sample_size, config.seed)]
     rows = _cached_map(config)(_gamma_min_worker, args_list)
     return [_write(out, config, rows, jsonl=True)]
 
@@ -435,11 +434,11 @@ def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
     rows, mapper = [], _cached_map(config)
-    # every x is enumerated, or refused, before any d; only its sampled
-    # members are kept, as a Family of them, so one D(x) is alive at a time
+    # every x is sampled, or refused, before any d; only its sampled members
+    # are kept, as a Family of them, so at most one D(x) is ever alive
     samples = []
     for x in config.x_list:
-        ds = sample_members(enumerate_family(x), config.sample_size, config.seed)
+        ds = sample_family(x, config.sample_size, config.seed)
         samples.append(Family(float(x), np.array(ds, dtype=np.int64) // 8))
     for fam in samples:
         rows.append(discrepancy(fam, config.z, config.mc_samples, config.seed,

@@ -17,8 +17,9 @@ Two evaluation paths, one contract:
   which is what the tail bound sums. All arithmetic is complex, so a
   complex step s + ih differentiates the whole pipeline exactly
   (h = 1e-20). Both halves of a row, s/2 and (1-s)/2, go through one
-  upper_gamma call; each lane's value depends only on its own (a, x), so
-  a point's value does not depend on the batch it is evaluated in.
+  upper_gamma call, of at most GAMMA_CALL_BYTES of state (a row over that
+  goes in column chunks); each lane's value depends only on its own (a, x),
+  so a point's value does not depend on the batch it is evaluated in.
 
 * The *fast* path integrates t^{s/2} against the theta sum
   omega(t) = sum chi_d(n) exp(-pi n^2 t / d) on [1, infinity); omega is
@@ -29,19 +30,25 @@ Two evaluation paths, one contract:
   The theta sum exponentiates only terms above the normal-number floor
   exp(-708) and sets the rest to 0: they cannot change omega by a bit, and
   as subnormals they would send exp and the product down their slow paths.
-  A term falls with n and with t, so the live terms form a band: the
-  (n_theta x nodes) matrix is filled in cache-sized row blocks, each over
-  the columns its first row keeps live, with the same element expressions
-  as a full-shape fill, and only in the rows with chi_d(n) != 0; omega is
-  the unchanged full-shape product (a 0 row adds +0), so its bits do not
-  depend on the banding or the skipped rows.
+  The (n_theta x nodes) matrix is never held: omega is summed one column
+  block of whole 16-node panels at a time, through one reused (n_theta x
+  width) buffer of about _FAST_BLOCK_BYTES (never under one panel). A term
+  falls with n and with t, so the live terms form a band: a block fills
+  only the rows live in its first column, and of those only the ones with
+  chi_d(n) != 0, with the same element expressions as a full-shape fill;
+  the rest stay or are set back to 0. Each block's chi @ block runs over
+  all n_theta rows (a 0 row adds +0), which is gemv's per-column sum of the
+  full-shape product: omega's bits do not depend on the block width, the
+  banding or the skipped rows.
   Points are evaluated in row blocks through two reused, cache-sized
   buffers; each value is the bits of the unblocked (points x nodes) product.
   An engine has one quadrature, whose panel width is set by BASE_T_CAP, so
   engines that differ only in t_cap compute the same fast values bit for
   bit, and t_cap only raises the strip above the base one it is built for.
-  It is built on first use and refused (ResourceError) before allocating a
-  matrix over THETA_MAX_BYTES, which only a large d can need.
+  It is built on first use and refused (ResourceError) before allocating
+  anything when one (n_theta x 16) block would pass THETA_MAX_BYTES, which
+  only a large d can need (check_theta_block, which the sampled drivers run
+  on their largest d before their first).
 
 * The fast path's *line kernel* (lambda_line, l_line) serves the points
   s_k = s_0 + k h of one line, laid out by their callers (rectangle edges,
@@ -88,13 +95,31 @@ L_FLOOR = 1e-12            # conditioning floor for -L'/L
 GAMMA_FACTOR_FLOOR = 1e-280
 EXP_NORMAL_FLOOR = -708.0  # exp(-708) ~ 3.3e-308 is still a normal double
 _FAST_BLOCK_BYTES = 1 << 19  # per fast-path buffer; its two buffers fit a 2 MB L2 cache
-THETA_MAX_BYTES = 1 << 29   # largest (n_theta x nodes) matrix; d = 8e8 needs 413 MB
+# largest (n_theta x 16) column block of the theta build: 40 MB at d = 8e9 (x = 1e9);
+# the budget passes d up to 9.2e10
+THETA_MAX_BYTES = 1 << 27
+GAMMA_CALL_BYTES = 1 << 24  # state of one upper_gamma call of lambda_batch: 83,886 lanes
+_GAMMA_LANE_BYTES = 200     # upper_gamma's peak state per lane (195 traced at d = 8e6)
 LINE_ANCHOR = 16           # points per exact exponential on lambda_line's lines
 LINE_OFFSET_TOL = 1e-15    # lambda_line's point offset over |s_k| + |s_k - s_0|
 EPS = float(np.finfo(np.float64).eps)
 BASE_T_CAP = 12.0          # least t_cap, and the height the fast-path panel width is set for
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
+
+
+def theta_terms(d: int) -> int:
+    """n_theta: the terms of the theta sum of d."""
+    return math.ceil(math.sqrt(d * THETA_C / math.pi))
+
+
+def check_theta_block(d: int) -> None:
+    """ResourceError unless one column block of the theta build of d, n_theta
+    x 16 float64, fits THETA_MAX_BYTES: the budget binds on d alone."""
+    n_theta = theta_terms(d)
+    if n_theta * 16 * 8 > THETA_MAX_BYTES:
+        raise ResourceError(f"theta quadrature of d={d} needs {n_theta} x 16 column blocks "
+                            f"of its matrix, over {THETA_MAX_BYTES} bytes")
 
 
 def block_ranges(n: int, size: int) -> list[tuple[int, int]]:
@@ -148,7 +173,7 @@ class LEngine:
         self.eps_target = float(eps_target)
         self.t_cap = max(float(t_cap), BASE_T_CAP)
         self.n_trunc = math.ceil(math.sqrt(d * (math.log(1.0 / eps_target) + 5.0) / math.pi))
-        self._n_theta = math.ceil(math.sqrt(self.d * THETA_C / math.pi))
+        self._n_theta = theta_terms(self.d)
         # one chi_d request: lambda_batch reads n_trunc values, the theta sum n_theta
         n_all = np.arange(1, max(self.n_trunc, self._n_theta) + 1, dtype=np.int64)
         self._chi_all = chi_values(self.d, n_all).astype(np.float64)
@@ -186,13 +211,20 @@ class LEngine:
         self._check_strip(s)
         out = np.empty(s.shape, dtype=np.complex128)
         err = np.empty(s.shape, dtype=np.float64)
-        # both halves of a row go through one upper_gamma call of at most 3e6
-        # lanes; each lane's value is independent of the batch it rides in
-        rows = max(1, int(1.5e6 // max(1, self._x.size)))
+        # both halves of a row go through upper_gamma calls of at most `lanes`
+        # lanes: whole rows, or one row in column chunks when a row is over;
+        # each lane's value is independent of the batch it rides in
+        nx, lanes = self._x.size, GAMMA_CALL_BYTES // _GAMMA_LANE_BYTES
+        rows = max(1, lanes // (2 * nx))
+        cols = lanes // (2 * rows)
         for i in range(0, s.size, rows):
             sb = s[i: i + rows, None]
             a1, a2 = sb / 2.0, (1.0 - sb) / 2.0
-            g1, g2 = np.split(upper_gamma(np.concatenate([a1, a2]), self._x[None, :]), 2)
+            a = np.concatenate([a1, a2])
+            g = np.empty((a.size, nx), dtype=np.complex128)
+            for j in range(0, nx, cols):
+                g[:, j: j + cols] = upper_gamma(a, self._x[None, j: j + cols])
+            g1, g2 = np.split(g, 2)
             t1 = np.exp(a1 * self._log_d_pi - sb * self._logn[None, :]) * g1
             t2 = np.exp(a2 * self._log_d_pi - (1.0 - sb) * self._logn[None, :]) * g2
             mag = np.abs(t1) + np.abs(t2)
@@ -258,13 +290,10 @@ class LEngine:
     # -- fast path ---------------------------------------------------------
 
     def _build_theta(self) -> tuple[np.ndarray, np.ndarray]:
+        check_theta_block(self.d)
         t_max = max(self.d * THETA_C / math.pi, 40.0)
         U = math.log(t_max)
         panels = max(4, math.ceil(U / (4.0 * math.pi / BASE_T_CAP / 1.5)))
-        if self._n_theta * 16 * panels * 8 > THETA_MAX_BYTES:
-            raise ResourceError(f"theta quadrature of d={self.d} needs a "
-                                f"{self._n_theta} x {16 * panels} matrix, over "
-                                f"{THETA_MAX_BYTES} bytes")
         gl_x, gl_w = np.polynomial.legendre.leggauss(16)
         edges = np.linspace(0.0, U, panels + 1)
         half = np.diff(edges) / 2.0
@@ -273,31 +302,40 @@ class LEngine:
         w = (half[:, None] * gl_w[None, :]).ravel()
         t = np.exp(u)
         n_theta = self._n_theta
-        n = np.arange(1, n_theta + 1, dtype=np.float64)
+        n2 = np.arange(1, n_theta + 1, dtype=np.float64) ** 2
         chi = self._chi_all[:n_theta]
-        # banded fill: a term falls with n and with t, so a row block's live
-        # columns end where its first row's do, and once a first row has no
-        # live column neither has any row after it. Only the rows with
-        # chi_d(n) != 0 are filled, through one reused buffer; the others stay
-        # 0 and add +0 to the full-shape product, so omega keeps its bits
-        n2 = n**2
-        expo = np.zeros((n_theta, t.size))
-        rows = max(1, _FAST_BLOCK_BYTES // (8 * t.size))
-        buf = np.empty(rows * t.size)
-        for r0 in range(0, n_theta, rows):
-            cols = np.flatnonzero(-math.pi * (n2[r0] * t) / self.d > EXP_NORMAL_FLOOR)
-            if cols.size == 0:
-                break
-            nz = r0 + np.flatnonzero(chi[r0: r0 + rows])
-            blk = buf[: nz.size * (cols[-1] + 1)].reshape(nz.size, cols[-1] + 1)
-            np.multiply.outer(n2[nz], t[: cols[-1] + 1], out=blk)
-            blk *= -math.pi
-            blk /= self.d
-            live = blk > EXP_NORMAL_FLOOR
-            np.exp(blk, out=blk, where=live)
-            blk[~live] = 0.0
-            expo[nz, : cols[-1] + 1] = blk
-        return u, w * (chi @ expo)
+        nz_all = np.flatnonzero(chi)
+        # omega one column block of whole panels at a time, through one reused
+        # (n_theta x width) buffer that holds the full-shape matrix's columns:
+        # chi @ block over all n_theta rows is gemv's per-column sum, so each
+        # value has the bits of the full-shape product. A term falls with n
+        # and with t, so the rows live in a block's first column are the only
+        # ones live in it; only those with chi_d(n) != 0 are filled, in
+        # chunks of `chunk` rows, and the rows that left the band are re-zeroed
+        width = max(16, _FAST_BLOCK_BYTES // (8 * n_theta) // 16 * 16)
+        chunk = max(1, _FAST_BLOCK_BYTES // (8 * width))
+        buf = np.zeros((n_theta, width))
+        tmp = np.empty(min(chunk, nz_all.size) * width)
+        omega = np.empty(t.size)
+        band = n_theta
+        for c0 in range(0, t.size, width):
+            cw = min(width, t.size - c0)
+            live_rows = np.count_nonzero(-math.pi * (n2 * t[c0]) / self.d > EXP_NORMAL_FLOOR)
+            buf[live_rows:band] = 0.0
+            band = live_rows
+            nz = nz_all[: np.searchsorted(nz_all, live_rows)]
+            for r0 in range(0, nz.size, chunk):
+                rows = nz[r0: r0 + chunk]
+                blk = tmp[: rows.size * cw].reshape(rows.size, cw)
+                np.multiply.outer(n2[rows], t[c0: c0 + cw], out=blk)
+                blk *= -math.pi
+                blk /= self.d
+                live = blk > EXP_NORMAL_FLOOR
+                np.exp(blk, out=blk, where=live)
+                blk[~live] = 0.0
+                buf[rows, :cw] = blk
+            omega[c0: c0 + cw] = chi @ buf[:, :cw]
+        return u, w * omega
 
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weighted omega of the theta quadrature, built on first

@@ -3,7 +3,8 @@
 Everything here is deterministic: prime sieves and von Mangoldt values on
 prime powers, cached per bound as read-only arrays, trial-division
 factorization, and squarefree masks over segments (the family enumeration
-needs squarefreeness on [x/2, x] without factoring each element).
+needs squarefreeness on [x/2, x] without factoring each element) with the
+odd squarefree m of a segment read from them.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def squarefree_segment(lo: int, hi: int) -> np.ndarray:
         if start <= hi:
             mask[start - lo:: q] = False
     return mask
+
+
+def odd_squarefree(lo: int, hi: int) -> np.ndarray:
+    """The odd squarefree m in [lo, hi], ascending, as int64: one segment of
+    the family D(x), for enumerate_family and the sampled drivers alike."""
+    mask = squarefree_segment(lo, hi)
+    mask[lo % 2:: 2] = False  # the even m
+    m = np.flatnonzero(mask)
+    m += lo
+    return m
 
 
 @lru_cache(maxsize=4)

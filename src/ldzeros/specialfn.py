@@ -28,7 +28,10 @@ suffix of the state arrays; a lane that converges inside that suffix keeps
 its value while its neighbours go on. Complex products are taken out of
 place: numpy's in-place complex multiply rounds differently on arrays of
 fewer than four elements, which would tie a lane's bits to the size of the
-suffix it sits in.
+suffix it sits in. For the same reason no complex product has an unnamed
+complex temporary as its right operand: from 16,384 lanes (256 KiB) numpy
+elides that temporary, computing the product in its buffer with the
+operands swapped, which rounds differently once both are complex.
 """
 
 from __future__ import annotations
@@ -217,7 +220,8 @@ def _upper_gamma_series_lower(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     lo = 0
     for k in range(1, 400):
         tv, sv, dv = term[lo:], s[lo:], done[lo:]
-        tv[...] = tv * (x[lo:] / (a[lo:] + k))
+        ratio = x[lo:] / (a[lo:] + k)  # named: an unnamed one would be elided (docstring)
+        tv[...] = tv * ratio
         np.add(sv, tv, out=sv, where=~dv)
         dv |= np.abs(tv) <= _SERIES_TOL * np.abs(sv)
         if dv.all():

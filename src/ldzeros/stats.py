@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import Family, chi_values, enumerate_family
-from .errors import DomainError, IndeterminateError
-from .lfunc import LEngine
-from .primes import prime_power_table, prime_sieve
+from .errors import AccuracyError, DomainError, IndeterminateError, ResourceError
+from .lfunc import LEngine, check_theta_block
+from .primes import odd_squarefree, prime_power_table, prime_sieve
 from .randmodel import default_cutoff, mc_values_cached, v_norm
 from .selberg import SigmaYD, sigma_y_d
 from .zeros import count_real_zeros, hypothesis_ld_check
@@ -31,6 +31,8 @@ MEMBERSHIP_C_DISTRIBUTION = 20.0
 # half-height of the membership rectangle scans (RunConfig.scan_height_cap)
 DEFAULT_SCAN_HEIGHT_CAP = 10.0
 MC_TAIL_TOL_FACTOR = 1e-4
+SEGMENT = 1 << 20           # m per segment of [x/2, x] that sample_family counts or sieves
+SAMPLE_MAX_TERMS = 1 << 28  # Moebius terms of sample_family's counts: x up to about 1.1e10
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +337,68 @@ def sample_members(family: Family, sample_size: int, seed: int) -> list[int]:
     ds = 8 * family.m
     if sample_size >= len(family):
         return ds.tolist()
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(family), size=sample_size, replace=False))
-    return ds[idx].tolist()
+    return ds[_drawn_indices(len(family), sample_size, seed)].tolist()
+
+
+def _drawn_indices(n: int, sample_size: int, seed: int) -> np.ndarray:
+    """The indices into D(x), |D(x)| = n > sample_size, that both samplers
+    draw without replacement by seed, ascending."""
+    return np.sort(np.random.default_rng(seed).choice(n, size=sample_size, replace=False))
+
+
+def _odd_squarefree_count(y: np.ndarray) -> np.ndarray:
+    """#{odd squarefree m <= y} at each y (int64, ascending, >= 0): the sum
+    over odd k <= sqrt(y) of mu(k) times the odd multiples of k^2 up to y.
+    A k with k^2 > y counts no multiple, so one k range serves every y."""
+    k_max = math.isqrt(int(y[-1]))
+    mu = np.ones(k_max + 1, dtype=np.int64)
+    for p in prime_sieve(k_max)[1:].tolist():  # the odd primes
+        mu[p::p] *= -1
+        mu[p * p:: p * p] = 0
+    k = np.flatnonzero(mu[1::2]) * 2 + 1
+    mu, k2 = mu[k], k * k
+    out = np.empty(y.size, dtype=np.int64)
+    rows = max(1, (1 << 18) // k.size)  # 2 MB of int64 per chunk
+    for i in range(0, y.size, rows):
+        out[i: i + rows] = ((y[i: i + rows, None] // k2 + 1) // 2) @ mu
+    return out
+
+
+def sample_family(x: float, sample_size: int, seed: int) -> list[int]:
+    """sample_members(enumerate_family(x), sample_size, seed), bit for bit,
+    for the drivers that evaluate each sampled d; D(x) is built only when the
+    sample is all of it. Otherwise |D(x)| and the members per SEGMENT-long
+    segment of [x/2, x] are counted by Moebius sums, the indices are drawn
+    as sample_members draws them, and only the segments that hold them are
+    sieved. Refused (ResourceError) before any work: an x whose largest
+    engine, d = 8 floor(x), passes the theta budget, or whose counts pass
+    SAMPLE_MAX_TERMS Moebius terms."""
+    if not 2 <= x < math.inf:  # nan fails too
+        raise DomainError(f"family requires a finite x >= 2, got {x}")
+    lo, hi = math.ceil(x / 2), math.floor(x)
+    check_theta_block(8 * hi)
+    segments, terms = (hi - lo) // SEGMENT + 1, math.isqrt(hi) // 2 + 1
+    if segments * terms > SAMPLE_MAX_TERMS:
+        raise ResourceError(f"sampling D({x:g}) needs {segments} segment counts of {terms} "
+                            f"Moebius terms, over {SAMPLE_MAX_TERMS}")
+    starts = np.arange(lo, hi + 1, SEGMENT, dtype=np.int64)
+    ends = np.minimum(starts + (SEGMENT - 1), hi)
+    # the members of D(x) before each segment, and in all of it
+    before = _odd_squarefree_count(np.concatenate([[lo - 1], ends]))
+    before -= before[0]
+    if sample_size >= before[-1]:
+        return sample_members(enumerate_family(x), sample_size, seed)
+    idx = _drawn_indices(int(before[-1]), sample_size, seed)
+    seg = np.searchsorted(before, idx, side="right") - 1
+    out: list[int] = []
+    for i in sorted(set(seg.tolist())):
+        ms = odd_squarefree(int(starts[i]), int(ends[i]))
+        if ms.size != before[i + 1] - before[i]:
+            raise AccuracyError(f"segment [{starts[i]}, {ends[i]}] holds {ms.size} members, "
+                                f"counted {before[i + 1] - before[i]}")
+        out += (8 * ms[idx[seg == i] - before[i]]).tolist()
+        del ms  # one segment's members alive at a time
+    return out
 
 
 def zeros_worker(args) -> dict:
@@ -368,7 +429,7 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
     if any(x < 1e3 for x in x_list):  # every x is refused or sampled before any d
         raise DomainError(f"x={min(x_list)} below the stated floor 1e3")
     samples = []
-    for x, ds in [(x, sample_members(enumerate_family(x), sample_size, seed)) for x in x_list]:
+    for x, ds in [(x, sample_family(x, sample_size, seed)) for x in x_list]:
         nu = nu_from_policy(nu_policy, x)
         sigma1 = 0.5 + nu / math.log(x)
         rows = list(mapper(zeros_worker, [(d, x, sigma1, eps_target) for d in ds]))

@@ -235,8 +235,10 @@ def test_family_requires_x_at_least_2():
             enumerate_family(x)
 
 
-def test_family_arrays_peak_at_18_bytes_per_m():
-    # FAMILY_MAX_BYTES counts 18 bytes per m in [x/2, x]: x = 1e8 fits, 1e9 does not
+def test_family_arrays_peak_at_their_bytes_per_m():
+    # FAMILY_MAX_BYTES counts FAMILY_BYTES_PER_M (5) bytes per m in [x/2, x]:
+    # the squarefree mask and the 0.4 of the m that are members; x = 1e8 fits,
+    # 1e9 does not
     import tracemalloc
 
     enumerate_family(1e3)
@@ -246,8 +248,9 @@ def test_family_arrays_peak_at_18_bytes_per_m():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 500_001 + 2**16, peak
-    assert 18 * (5 * 10**7 + 1) <= characters.FAMILY_MAX_BYTES < 18 * (5 * 10**8 + 1)
+    per_m = characters.FAMILY_BYTES_PER_M
+    assert peak <= per_m * 500_001 + 2**16, peak
+    assert per_m * (5 * 10**7 + 1) <= characters.FAMILY_MAX_BYTES < per_m * (5 * 10**8 + 1)
 
 
 @pytest.mark.parametrize("x", [1e9, 1e13, 1e300])

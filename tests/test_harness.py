@@ -444,35 +444,50 @@ def test_strict_discrepancy_writes_then_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_discrepancy_holds_one_family_at_a_time(tmp_path, monkeypatch):
-    # every x is enumerated before any d, but only its sample is kept: when
-    # a d of the second x is computed, the first family's array is gone
+    # a sample of all of D(x) enumerates it; every x is enumerated before any
+    # d, but only its sample is kept: when a d of the second x is computed,
+    # the first family's array is gone
     import gc
     import weakref
 
     from ldzeros import harness
 
     families = []
+    real = stats_module.enumerate_family
 
     def enumerate_family(x):
-        fam = stats_module.enumerate_family(x)
+        fam = real(x)
         families.append((x, weakref.ref(fam.m)))
         return fam
 
     alive = {}
 
     def worker(args):
-        d, x = args[0], 1e3 if args[0] <= 8e3 else 3e3
+        d, x = args[0], 1e2 if args[0] <= 8e2 else 3e2
         gc.collect()
         alive.setdefault(x, [x0 for x0, ref in families if ref() is not None])
         return d, None, 0.01 * (d % 97)
 
-    monkeypatch.setattr(harness, "enumerate_family", enumerate_family)
+    monkeypatch.setattr(stats_module, "enumerate_family", enumerate_family)
     monkeypatch.setattr(stats_module, "_membership_worker", worker)
-    cfg = RunConfig(x_list=(1000.0, 3000.0), sample_size=5, mc_samples=50,
+    cfg = RunConfig(x_list=(100.0, 300.0), sample_size=1000, mc_samples=50,
                     out=str(tmp_path / "disc.csv"))
     harness.run_discrepancy(cfg)
-    assert [x for x, _ in families] == [1000.0, 3000.0]
-    assert alive == {1e3: [], 3e3: []}
+    assert [x for x, _ in families] == [100.0, 300.0]
+    assert alive == {1e2: [], 3e2: []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--x", "1e3", "--sample", "2"],
+    ["gamma-min", "--x", "1e3", "--sample", "2", "--t-max", "5"],
+    ["discrepancy", "--x", "1e3,2e3", "--sample", "2", "--mc-samples", "10"],
+    ["rd-stats", "--x-list", "1e3,2e3", "--sample", "2"],
+], ids=lambda argv: argv[0])
+def test_sampled_drivers_never_build_the_family(tmp_path, monkeypatch, argv):
+    # a sample smaller than D(x) is drawn without enumerating D(x)
+    monkeypatch.setattr("ldzeros.stats.enumerate_family", _unreachable)
+    monkeypatch.setattr("ldzeros.harness.enumerate_family", _unreachable)
+    assert main(argv + ["--out", str(tmp_path / "r.out")]) == 0
 
 
 def test_provenance_line_format():
@@ -926,8 +941,10 @@ def _unreachable(*args, **kwargs):
     ["rd-stats", "--x-list", "1e3", "--sample", "1"],
 ], ids=lambda argv: argv[0])
 def test_cli_unwritable_out_exit_1(capsys, monkeypatch, argv):
-    # every driver's work starts with enumerate_family or rd_statistics
+    # every driver's work starts with enumerate_family, sample_family or
+    # rd_statistics
     monkeypatch.setattr("ldzeros.harness.enumerate_family", _unreachable)
+    monkeypatch.setattr("ldzeros.harness.sample_family", _unreachable)
     monkeypatch.setattr("ldzeros.harness.rd_statistics", _unreachable)
     out = "/nonexistent/dir/f.csv"
     assert main(argv + ["--out", out]) == 1
@@ -941,13 +958,13 @@ def test_cli_report_checks_out_before_reading(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, worker, code", [
-    (["rd-stats", "--x-list", "1e4,1e9"], "zeros_worker", 3),
+    (["rd-stats", "--x-list", "1e4,1e13"], "zeros_worker", 3),
     (["rd-stats", "--x-list", "1e4,500"], "zeros_worker", 1),
-    (["discrepancy", "--x", "1e3,1e9"], "_membership_worker", 3),
+    (["discrepancy", "--x", "1e3,1e13"], "_membership_worker", 3),
 ], ids=["rd-stats-x-too-large", "rd-stats-x-below-floor", "discrepancy-x-too-large"])
 def test_cli_refuses_a_bad_later_x_before_any_d(tmp_path, capsys, monkeypatch, argv, worker,
                                                  code):
-    # every x is enumerated, or refused, before the first d of the first x
+    # every x is sampled, or refused, before the first d of the first x
     monkeypatch.setattr(f"ldzeros.stats.{worker}", _unreachable)
     out = tmp_path / "r.out"
     assert main(argv + ["--sample", "40", "--out", str(out)]) == code
@@ -957,7 +974,7 @@ def test_cli_refuses_a_bad_later_x_before_any_d(tmp_path, capsys, monkeypatch, a
 
 @pytest.mark.parametrize("argv, compute", [
     (["rd-stats", "--x-list", "1e3", "--sample", "3"], "rd_statistics"),
-    (["discrepancy", "--x", "1e3", "--sample", "3", "--mc-samples", "10"], "enumerate_family"),
+    (["discrepancy", "--x", "1e3", "--sample", "3", "--mc-samples", "10"], "sample_family"),
 ], ids=["rd-stats", "discrepancy"])
 def test_cli_out_naming_its_own_dat_sidecar_exit_1(tmp_path, capsys, monkeypatch, argv, compute):
     # r.dat would be both the result file and its .dat plot data

@@ -391,7 +391,8 @@ def test_block_ranges_cover_and_never_go_narrow():
 
 def _theta_full_shape(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weighted omega from one full-shape (n_theta x nodes)
-    exponent matrix: the theta build as it was before its banded fill."""
+    exponent matrix: the theta build as it was before its banded fill and
+    its column blocks."""
     c = math.log(1.0 / 1e-15) + 3.0
     U = math.log(max(d * c / math.pi, 40.0))
     width = 4.0 * math.pi / lfunc.BASE_T_CAP / 1.5
@@ -413,14 +414,21 @@ def _theta_full_shape(d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w * (chi @ expo)
 
 
-@pytest.mark.parametrize("d", [8, 7976, 120120, 799960])
+@pytest.mark.parametrize("d", [8, 7976, 120120, 799960, 7999864])
 @pytest.mark.parametrize("t_cap", [12.0, 52.0])
-def test_theta_banded_bit_identical_to_full_shape(d, t_cap):
+def test_theta_banded_bit_identical_to_full_shape(monkeypatch, d, t_cap):
     # the fill skips the rows with chi_d(n) = 0 (about 81% of them at
-    # d = 120120 = 8 * 3 * 5 * 7 * 11 * 13) and leaves them 0
+    # d = 120120 = 8 * 3 * 5 * 7 * 11 * 13) and leaves them 0; omega is
+    # summed one column block at a time, whatever the block's width in whole
+    # panels (the default width comes first)
     eng = LEngine(d, t_cap=t_cap)
-    for got, want in zip(eng._quadrature(), _theta_full_shape(d)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = _theta_full_shape(d)
+    for got, w in zip(eng._quadrature(), want):
+        assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+    for width in (16, 32, 48, 64, 128, 4096):
+        monkeypatch.setattr(lfunc, "_FAST_BLOCK_BYTES", 8 * eng._n_theta * width)
+        for got, w in zip(eng._build_theta(), want):
+            assert np.array_equal(got.view(np.uint64), w.view(np.uint64)), width
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -506,12 +514,13 @@ def test_a_t_cap_under_the_base_is_raised_to_it(t_cap):
 
 @pytest.mark.parametrize("t_cap", [1e6, 1e300])
 def test_an_oversized_quadrature_is_a_resource_error_before_allocating(monkeypatch, t_cap):
-    # the budget binds on d alone: a moderate d's matrix over a lowered
-    # budget is refused before allocating, at any t_cap
+    # the budget binds on d alone: a moderate d whose one (n_theta x 16)
+    # column block passes a lowered budget by 8 bytes is refused before
+    # allocating, at any t_cap
     import tracemalloc
 
     eng = LEngine(7976, t_cap=t_cap)
-    monkeypatch.setattr(lfunc, "THETA_MAX_BYTES", 8 * eng._n_theta * 16 * 4)
+    monkeypatch.setattr(lfunc, "THETA_MAX_BYTES", 8 * eng._n_theta * 16 - 8)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="matrix"):
@@ -523,10 +532,18 @@ def test_an_oversized_quadrature_is_a_resource_error_before_allocating(monkeypat
     assert eng._theta is None and eng.fast_rel_err is None
 
 
-def test_a_large_quadrature_peaks_near_its_matrix():
-    # THETA_MAX_BYTES bounds the theta matrix; the build around it and the
-    # first batch (nodes, weights, the fast path's buffers) add little at a
-    # large d
+def test_a_budget_of_one_block_builds_the_quadrature(monkeypatch):
+    eng = LEngine(7976)
+    monkeypatch.setattr(lfunc, "THETA_MAX_BYTES", 8 * eng._n_theta * 16)
+    eng.lambda_fast(np.array([0.5 + 1.0j]))
+    assert eng.fast_rel_err is not None
+
+
+def test_a_large_quadrature_peaks_near_one_block():
+    # THETA_MAX_BYTES bounds one (n_theta x 16) column block of the theta
+    # matrix; the build (its block, a fill buffer of at most
+    # _FAST_BLOCK_BYTES), the probes' upper_gamma lanes and the first batch
+    # stay under their sum, a fraction of the full matrix (9.5 MB here)
     import tracemalloc
 
     eng = LEngine(799960)
@@ -537,8 +554,46 @@ def test_a_large_quadrature_peaks_near_its_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    block = eng._n_theta * 16 * 8
+    lanes = 6 * eng._x.size  # three probes, two halves each
     matrix = eng._n_theta * eng._theta[0].size * 8
-    assert matrix < peak < 1.1 * matrix, (peak, matrix)
+    assert peak < block + lfunc._FAST_BLOCK_BYTES + lanes * lfunc._GAMMA_LANE_BYTES, peak
+    assert peak < matrix / 4, (peak, matrix)
+
+
+def test_a_precise_point_has_its_bits_in_any_batch():
+    # at d = 7,999,864 a 40-point batch holds over 16,384 lower-series
+    # lanes (specialfn docstring), and one-point calls far fewer
+    eng = LEngine(7999864)
+    rng = np.random.default_rng(1)
+    s = rng.uniform(0.3, 1.2, 40) + 1j * rng.uniform(-14.0, 14.0, 40)
+    lam, err = eng.lambda_batch(s)
+    for i in range(s.size):
+        one, one_err = eng.lambda_batch(s[i: i + 1])
+        assert np.array_equal(_bits(one), _bits(lam[i: i + 1])), i
+        assert np.array_equal(_bits(one_err), _bits(err[i: i + 1])), i
+
+
+def test_precise_calls_are_capped_in_lanes(monkeypatch):
+    # a row over the cap goes through upper_gamma in column chunks, rows
+    # under it in whole rows, and the values keep their bits
+    eng = LEngine(79976)
+    s = np.array([0.62, 0.93 + 6j, 1.21 - 2.5j, 0.7 + 13j])
+    want = eng.lambda_batch(s)
+    sizes = []
+
+    def counting(a, x):
+        sizes.append(np.broadcast(a, x).size)
+        return upper_gamma(a, x)
+
+    monkeypatch.setattr(lfunc, "upper_gamma", counting)
+    for cap in (2 * eng._x.size // 3, 5 * eng._x.size):
+        sizes.clear()
+        monkeypatch.setattr(lfunc, "GAMMA_CALL_BYTES", cap * lfunc._GAMMA_LANE_BYTES)
+        got = eng.lambda_batch(s)
+        assert max(sizes) <= cap and len(sizes) > 1, (cap, sizes)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w)), cap
 
 
 # ---------------------------------------------------------------------------

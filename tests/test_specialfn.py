@@ -156,6 +156,20 @@ def test_upper_gamma_scalar_and_broadcast_shapes():
     assert arr.shape == (2, 3)
 
 
+def test_a_lower_series_lane_has_its_bits_among_many():
+    # past 16,384 lanes numpy elides an unnamed temporary operand, and a
+    # swapped complex product would round differently (module docstring)
+    rng = np.random.default_rng(3)
+    n = 20000
+    a = rng.uniform(-0.15, 1.0, n) + 1j * rng.uniform(3.0, 7.0, n)
+    x = rng.uniform(4.0, 5.0, n)
+    assert np.all(x < np.abs(a) + 2.0)  # every lane on the lower series
+    many = upper_gamma(a, x)
+    for i in rng.choice(n, 64, replace=False):
+        alone = upper_gamma(a[i: i + 1], x[i: i + 1])
+        assert np.array_equal(alone.view(np.uint64), many[i: i + 1].view(np.uint64)), i
+
+
 # ---------------------------------------------------------------------------
 # per-lane stopping, against the all-lanes kernel it replaced and mpmath
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ldzeros import lfunc, stats
 from ldzeros.characters import enumerate_family
-from ldzeros.errors import DomainError
+from ldzeros.errors import DomainError, ResourceError
 from ldzeros.lfunc import LEngine
 from ldzeros.randmodel import moment_rand
 from ldzeros.stats import (
@@ -16,11 +17,12 @@ from ldzeros.stats import (
     membership_y,
     moment_lhs,
     rd_statistics,
+    sample_family,
     sample_members,
     theory_bound,
 )
 from ldzeros.zeros import count_real_zeros
-from test_characters import char_average
+from test_characters import char_average, squarefree_oracle
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +302,63 @@ def test_sample_members_deterministic(fam1000):
     assert sample_members(fam1000, len(fam1000), seed=5) == (8 * fam1000.m).tolist()
     # a sample larger than D(x) is all of D(x)
     assert sample_members(fam1000, len(fam1000) + 1, seed=5) == (8 * fam1000.m).tolist()
+
+
+# ---------------------------------------------------------------------------
+# sampling D(x) without building it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [1e3, 2003.0, 1e4, 1e5, 1e6, 3e6 + 17, 1e7])
+def test_sample_family_is_sample_members_of_the_family(x):
+    fam = enumerate_family(x)
+    for seed, size in ((1, 12), (2, 200), (5, len(fam)), (5, len(fam) + 3)):
+        want = sample_members(fam, size, seed)
+        got = sample_family(x, size, seed)
+        assert got == want and all(type(d) is int for d in got), (seed, size)
+
+
+def test_odd_squarefree_counts_match_a_brute_force_count():
+    y = np.arange(0, 3000, dtype=np.int64)
+    brute = np.cumsum([m % 2 == 1 and squarefree_oracle(m) for m in range(3000)])
+    assert np.array_equal(stats._odd_squarefree_count(y), brute)
+    # |D(1e8)|, the odd squarefree m in [5e7, 1e8]
+    ends = stats._odd_squarefree_count(np.array([5 * 10**7 - 1, 10**8]))
+    assert ends[1] - ends[0] == 20_264_226
+
+
+def test_sample_family_at_1e8_holds_one_segment_at_a_time():
+    # |D(1e8)| is 20,264,226 m (162 MB as an array); 200 draws sieve their
+    # segments one by one, each a mask and its members
+    import tracemalloc
+
+    sample_family(1e4, 3, 1)  # the first draw imports numpy.random's internals
+    tracemalloc.start()
+    try:
+        ds = sample_family(1e8, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 200 and ds == sorted(set(ds)) and 4 * 10**8 <= ds[0] < ds[-1] <= 8 * 10**8
+    assert all(d % 16 == 8 and squarefree_oracle(d // 8) for d in ds)
+    assert peak < stats.SEGMENT * 5 + 2**20, peak
+
+
+def test_sample_family_refuses_before_any_work(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(stats, "odd_squarefree", unreachable)
+    monkeypatch.setattr(stats, "enumerate_family", unreachable)
+    for x in (1.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sample_family(x, 3, 1)
+    # x = 1e13: the largest engine's theta block and the Moebius terms of
+    # the segment counts are both over their budgets
+    with pytest.raises(ResourceError, match="theta"):
+        sample_family(1e13, 3, 1)
+    monkeypatch.setattr(lfunc, "THETA_MAX_BYTES", 1 << 40)
+    with pytest.raises(ResourceError, match="Moebius"):
+        sample_family(1e13, 3, 1)
+    monkeypatch.setattr(stats, "SAMPLE_MAX_TERMS", 50)  # D(1e4): one segment, 51 terms
+    with pytest.raises(ResourceError, match="Moebius"):
+        sample_family(1e4, 3, 1)
