@@ -148,11 +148,14 @@ Member = namedtuple("Member", "d m")
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """D(x): all d = 8m with m odd squarefree and x/2 <= m <= x, held as one
-    ascending read-only int64 array of m; d = 8m."""
+    """D(x) (all d = 8m, m odd squarefree, x/2 <= m <= x) or a seeded sample of
+    it, held as one ascending read-only int64 array of m; d = 8m."""
 
     x: float
     m: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.m.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.m)
@@ -177,5 +180,4 @@ def enumerate_family(x: float) -> Family:
     ms = odd_squarefree(lo, hi)
     if not len(ms):
         raise DomainError(f"family D(x) is empty at x={x}")
-    ms.flags.writeable = False
     return Family(x=float(x), m=ms)

@@ -25,6 +25,7 @@ from dataclasses import fields
 from . import errors
 from .harness import (
     FIELD_PARSERS,
+    MOMENT_KINDS,
     RunConfig,
     load_config_file,
     run_discrepancy,
@@ -193,7 +194,7 @@ def _parser() -> argparse.ArgumentParser:
     p = command("moments", "moment-matching and moment-bound checks",
                 "--x --nu --sample --seed --out --config",
                 _run_moments, sample_size=50)
-    p.add_argument("--kind", choices=("lemma22", "largesieve", "central"), default="lemma22")
+    p.add_argument("--kind", choices=MOMENT_KINDS, default="lemma22")
     p.add_argument("--k-list", type=_int_list, default="1,2,3", dest="k_list")
     # left out when not given, so _run_moments sees which were given and
     # run_moments' own defaults (10, 10.0, 40.0) apply

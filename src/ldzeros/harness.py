@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import CODE_VERSION_TAG
-from .characters import Family, enumerate_family
+from .characters import enumerate_family
 from .errors import AccuracyError, CacheError, DomainError, IndeterminateError
 from .lfunc import LEngine, euler_maclaurin_oracle
 from .randmodel import moment_rand
@@ -43,12 +43,12 @@ from .stats import (
     nu_from_policy,
     rd_statistics,
     sample_family,
-    sample_members,
     zeros_worker,
 )
 from .zeros import build_cover, count_real_zeros, gamma_min
 
 CACHE_ENV_VAR = "LDZEROS_CACHE"
+MOMENT_KINDS = ("lemma22", "largesieve", "central")
 EVAL_REL_TOL = 1e-3  # `eval` refuses a value whose error estimate exceeds this share of it
 
 
@@ -376,10 +376,10 @@ def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -
 def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"zeros_{int(x)}.jsonl")
-    ds = sample_family(x, config.sample_size, config.seed)
+    fam = sample_family(x, config.sample_size, config.seed)
     nu = nu_from_policy(config.nu_policy, x)
     sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
-    args_list = [(d, x, sigma1, config.eps_target) for d in ds]
+    args_list = [(d, x, sigma1, config.eps_target) for d in (8 * fam.m).tolist()]
     rows = _cached_map(config)(zeros_worker, args_list)
     _write(out, config, rows, jsonl=True)
     suspects = sum(len(r["suspects"]) for r in rows)
@@ -404,8 +404,8 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
         raise DomainError(f"t_max must be a positive finite number, got {t_max}")
     x = config.x_list[0]
     [out] = _writable(config.out or f"gamma_min_{int(x)}.jsonl")
-    args_list = [(d, x, t_max, config.eps_target)
-                 for d in sample_family(x, config.sample_size, config.seed)]
+    fam = sample_family(x, config.sample_size, config.seed)
+    args_list = [(d, x, t_max, config.eps_target) for d in (8 * fam.m).tolist()]
     rows = _cached_map(config)(_gamma_min_worker, args_list)
     return [_write(out, config, rows, jsonl=True)]
 
@@ -433,16 +433,12 @@ def run_fekete(d: int, count_zeros: bool, check_identity: bool, s: float) -> dic
 def run_discrepancy(config: RunConfig) -> list[str]:
     out = config.out or "discrepancy.csv"
     out, dat = _writable(out, os.path.splitext(out)[0] + ".dat")
-    rows, mapper = [], _cached_map(config)
-    # every x is sampled, or refused, before any d; only its sampled members
-    # are kept, as a Family of them, so at most one D(x) is ever alive
-    samples = []
-    for x in config.x_list:
-        ds = sample_family(x, config.sample_size, config.seed)
-        samples.append(Family(float(x), np.array(ds, dtype=np.int64) // 8))
-    for fam in samples:
-        rows.append(discrepancy(fam, config.z, config.mc_samples, config.seed,
-                                scan_height_cap=config.scan_height_cap, mapper=mapper))
+    mapper = _cached_map(config)
+    # every x is sampled, or refused, before any d
+    samples = [sample_family(x, config.sample_size, config.seed) for x in config.x_list]
+    rows = [discrepancy(fam, config.z, config.mc_samples, config.seed,
+                        scan_height_cap=config.scan_height_cap, mapper=mapper)
+            for fam in samples]
     _write(out, config, ["x,z,n_family,n_mc,D,bound,ratio,n_excluded"] + [
         f"{r.x!r},{r.z!r},{r.n_family},{r.n_mc},{r.d_stat!r},{r.bound!r},{r.ratio!r},"
         f"{len(r.excluded)}" for r in rows])
@@ -455,9 +451,13 @@ def run_discrepancy(config: RunConfig) -> list[str]:
 
 def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
                 y_lo: float = 10.0, z_hi: float = 40.0) -> list[str]:
+    if kind not in MOMENT_KINDS:
+        raise DomainError(f"unknown moments kind {kind!r}")
     x = config.x_list[0]
     [out] = _writable(config.out or f"moments_{kind}_{int(x)}.csv")
-    fam = enumerate_family(x)
+    # central evaluates each d of a sample; the other kinds sum over all of D(x)
+    fam = (sample_family(x, config.sample_size, config.seed) if kind == "central"
+           else enumerate_family(x))
 
     def lines():
         if kind == "lemma22":
@@ -473,17 +473,14 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
                 rep = large_sieve_check(fam, lambda n: 1.0, y_lo, z_hi, k)
                 rhs = rep.rhs_diagonal + rep.rhs_squares + rep.rhs_small
                 yield f"{k},{rep.lhs!r},{rhs!r},{rep.ratio!r},{rep.in_lemma_range}"
-        elif kind == "central":
+        else:
             nu = nu_from_policy(config.nu_policy, x)
             s0 = 0.5 + nu / math.log(x)
-            ds = sample_members(fam, config.sample_size, config.seed)
             yield "k,moment,ratio_first,ratio_second,k_in_range,n_restricted"
-            for rep in central_moments(fam, nu, k_list, s0, members=ds,
+            for rep in central_moments(fam, nu, k_list, s0,
                                        scan_height_cap=config.scan_height_cap):
                 yield (f"{rep.k},{rep.moment!r},{rep.ratio_first!r},{rep.ratio_second!r},"
                        f"{rep.k_in_range},{rep.n_restricted}")
-        else:
-            raise DomainError(f"unknown moments kind {kind!r}")
 
     return [_write(out, config, lines())]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import Family, chi_values, enumerate_family
+from .characters import FAMILY_MAX_BYTES, Family, chi_values, enumerate_family
 from .errors import AccuracyError, DomainError, IndeterminateError, ResourceError
 from .lfunc import LEngine, check_theta_block
 from .primes import odd_squarefree, prime_power_table, prime_sieve
@@ -74,7 +74,7 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
                       k: int) -> LargeSieveReport:
     """Moment of the prime-power sum against its explicit-constant envelope.
 
-    a maps n -> coefficient with |a(n)| <= 1 (dict or callable). The stated
+    a(n) is the coefficient of n, |a(n)| <= 1. The stated
     admissible range k <= log x / (10 log z) is unreachable at desk scale, so
     it is reported (in_lemma_range), not enforced.
     """
@@ -82,14 +82,13 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
         raise DomainError("k must be a positive integer")
     if not (1.0 < z_hi < math.inf and 0.0 < y_lo <= z_hi):
         raise DomainError(f"need 0 < y_lo <= z_hi, 1 < z_hi finite; got y_lo={y_lo}, z_hi={z_hi}")
-    coeff = a if callable(a) else (lambda n: a.get(n, 0.0))
     in_range = k <= math.log(family.x) / (10.0 * math.log(z_hi))
     pp, lam = prime_power_table(int(math.floor(z_hi)))
     keep = pp >= y_lo
     pp, lam = pp[keep], lam[keep]
     if pp.size == 0:
         raise DomainError(f"no prime power in [y_lo, z_hi] = [{y_lo}, {z_hi}]")
-    avals = np.array([coeff(int(n)) for n in pp], dtype=np.complex128)
+    avals = np.array([a(int(n)) for n in pp], dtype=np.complex128)
     if np.any(np.abs(avals) > 1.0 + 1e-12):
         raise DomainError("|a(n)| <= 1 violated")
     w = avals * lam / np.sqrt(pp.astype(np.float64))
@@ -99,10 +98,10 @@ def large_sieve_check(family: Family, a, y_lo: float, z_hi: float,
     lhs /= len(family)
     primes = prime_sieve(int(math.floor(z_hi)))
     pr = primes[(primes >= y_lo) & (primes <= z_hi)].astype(np.float64)
-    ap = np.array([abs(coeff(int(p))) for p in pr])
+    ap = np.array([abs(a(int(p))) for p in pr])
     diag_sum = float(np.sum(ap**2 * np.log(pr) ** 2 / pr))
     sq = primes[(primes >= math.sqrt(y_lo)) & (primes <= math.sqrt(z_hi))].astype(np.float64)
-    asq = np.array([abs(coeff(int(p * p))) for p in sq]) if len(sq) else np.array([])
+    asq = np.array([abs(a(int(p * p))) for p in sq]) if len(sq) else np.array([])
     sq_sum = float(np.sum(asq * np.log(sq) / sq)) if len(sq) else 0.0
     # log-domain so the k at its cap cannot overflow
     t1 = math.exp(k * math.log(20.0 * k * diag_sum)) if diag_sum > 0 else 0.0
@@ -127,9 +126,9 @@ class EmpiricalDistribution:
     excluded: list[tuple[int, str]] = field(default_factory=list)
 
 
-def membership_y(x: float, z: float, c: float = MEMBERSHIP_C_DISTRIBUTION) -> float:
+def membership_y(x: float, z: float) -> float:
     vz = v_norm(z)
-    return math.exp(c * vz * math.log(math.log(x) / vz))
+    return math.exp(MEMBERSHIP_C_DISTRIBUTION * vz * math.log(math.log(x) / vz))
 
 
 def membership(d: int, y: float, scan_height_cap: float) -> tuple[LEngine, SigmaYD]:
@@ -155,17 +154,16 @@ def _membership_worker(args) -> tuple[int, str | None, float | None]:
         return d, f"indeterminate: {exc}", None
 
 
-def empirical_distribution(family: Family, z: float, members=None,
+def empirical_distribution(family: Family, z: float,
                            scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
                            mapper=map) -> EmpiricalDistribution:
     """Ld(z)/V_z over family members certified to carry the default Selberg
     abscissa at y = exp(c V_z log(log x / V_z)), c = MEMBERSHIP_C_DISTRIBUTION;
     exclusions carry reasons.
 
-    members, if given, are the d to use (default: all of D(x)). mapper may be
-    a result store's cached_map (cached values come back as lists, fresh ones
-    as tuples); results are canonicalized by d, so output does not depend on
-    the worker split.
+    mapper may be a result store's cached_map (cached values come back as
+    lists, fresh ones as tuples); results are canonicalized by d, so output
+    does not depend on the worker split.
     """
     x = family.x
     nu_floor = 0.5 + math.log(math.log(x)) / math.log(x)
@@ -173,8 +171,7 @@ def empirical_distribution(family: Family, z: float, members=None,
         raise DomainError(f"z={z} outside [1/2 + loglog x/log x, 1] = [{nu_floor:.4f}, 1]")
     y = membership_y(x, z)
     out = EmpiricalDistribution(x=x, z=z, y=y, values=np.array([]))
-    ds = (8 * family.m).tolist() if members is None else members
-    args = [(d, z, y, scan_height_cap) for d in ds]
+    args = [(d, z, y, scan_height_cap) for d in (8 * family.m).tolist()]
     results = sorted(mapper(_membership_worker, args), key=lambda r: r[0])
     vals = []
     for d, reason, value in results:
@@ -224,14 +221,13 @@ class DiscrepancyReport:
 
 
 def discrepancy(family: Family, z: float, mc_samples: int, seed: int,
-                members=None, scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
+                scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP,
                 mapper=map) -> DiscrepancyReport:
     """Exact two-sample sup-CDF distance between the family values and Monte
     Carlo draws of the model, plus the theoretical envelope and their ratio."""
     if mc_samples < 1:
         raise DomainError("mc_samples must be positive")
-    emp = empirical_distribution(family, z, members=members,
-                                 scan_height_cap=scan_height_cap, mapper=mapper)
+    emp = empirical_distribution(family, z, scan_height_cap=scan_height_cap, mapper=mapper)
     if len(emp.values) == 0:
         raise DomainError("family empty after membership exclusions")
     cutoff = default_cutoff(z, MC_TAIL_TOL_FACTOR * v_norm(z))
@@ -256,7 +252,7 @@ class CentralMomentReport:
     s: complex
     moment: float
     n_restricted: int
-    n_family: int
+    n_family: int            # |family|: all of D(x), or the sample drawn from it
     envelope_first: float    # nu^{4k} (k (log x)^2)^k
     envelope_second: float   # nu^{8k} (k (log x)^2)^k
     ratio_first: float
@@ -265,15 +261,15 @@ class CentralMomentReport:
     excluded: tuple[tuple[int, str], ...]
 
 
-def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
+def central_moments(family: Family, nu: float, k_list, s: complex,
                     scan_height_cap: float = DEFAULT_SCAN_HEIGHT_CAP) -> list[CentralMomentReport]:
-    """(1/|D(x)|) sum over the restricted subfamily of |Ld(s)|^{2k}, one
+    """(1/|family|) sum over its restricted members of |Ld(s)|^{2k}, one
     report per k in k_list, with both candidate envelopes (the two exponent
     variants are both reported rather than adjudicated).
 
     Restriction: default Selberg abscissa at y = x^{4/nu}, and the low-zero
     disc check with its own capped nu. It does not depend on k, so it and
-    |Ld(s)| are computed once per d; members, if given, are the d to use.
+    |Ld(s)| are computed once per d.
     """
     k_list = tuple(k_list)
     if any(k < 1 for k in k_list):
@@ -287,8 +283,7 @@ def central_moments(family: Family, nu: float, k_list, s: complex, members=None,
     nu_hyp = min(nu, llx**0.2)
     kept: list[float] = []  # |Ld(s)| of the restricted subfamily, in order
     excluded: list[tuple[int, str]] = []
-    ds = (8 * family.m).tolist() if members is None else members
-    for d in ds:
+    for d in (8 * family.m).tolist():
         try:
             eng, sig = membership(d, max(y, 10.0), scan_height_cap)
             if not sig.attained_by_default:
@@ -331,13 +326,13 @@ def nu_from_policy(policy: str | float, x: float) -> float:
     return float(policy)
 
 
-def sample_members(family: Family, sample_size: int, seed: int) -> list[int]:
-    """d of min(sample_size, |D(x)|) members drawn without replacement by seed
-    (all of D(x) when sample_size >= len(family)), ascending, as Python ints."""
-    ds = 8 * family.m
-    if sample_size >= len(family):
-        return ds.tolist()
-    return ds[_drawn_indices(len(family), sample_size, seed)].tolist()
+def sample_members(family: Family, sample_size: int, seed: int) -> Family:
+    """min(sample_size, |family|) members of family drawn without replacement
+    by seed (all of them when sample_size >= len(family)), as a Family at the
+    same x with its own copy of m, so that family can be freed."""
+    n = len(family)
+    drawn = np.arange(n) if sample_size >= n else _drawn_indices(n, sample_size, seed)
+    return Family(family.x, family.m[drawn])
 
 
 def _drawn_indices(n: int, sample_size: int, seed: int) -> np.ndarray:
@@ -364,15 +359,16 @@ def _odd_squarefree_count(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_family(x: float, sample_size: int, seed: int) -> list[int]:
-    """sample_members(enumerate_family(x), sample_size, seed), bit for bit,
-    for the drivers that evaluate each sampled d; D(x) is built only when the
-    sample is all of it. Otherwise |D(x)| and the members per SEGMENT-long
-    segment of [x/2, x] are counted by Moebius sums, the indices are drawn
-    as sample_members draws them, and only the segments that hold them are
-    sieved. Refused (ResourceError) before any work: an x whose largest
-    engine, d = 8 floor(x), passes the theta budget, or whose counts pass
-    SAMPLE_MAX_TERMS Moebius terms."""
+def sample_family(x: float, sample_size: int, seed: int) -> Family:
+    """sample_members(enumerate_family(x), sample_size, seed), bit for bit;
+    D(x) is built only when the sample is all of it. Otherwise |D(x)| and the
+    members per SEGMENT-long segment of [x/2, x] are counted by Moebius sums,
+    the indices are drawn as sample_members draws them, and only the segments
+    that hold them are sieved. Refused (ResourceError) before any d: an x
+    whose largest engine, d = 8 floor(x), passes the theta budget, or whose
+    counts pass SAMPLE_MAX_TERMS Moebius terms; after the counts, a draw of
+    over n // 50 of the n members, which numpy's Generator.choice makes from a
+    permutation of all n indices, when 8n bytes pass FAMILY_MAX_BYTES."""
     if not 2 <= x < math.inf:  # nan fails too
         raise DomainError(f"family requires a finite x >= 2, got {x}")
     lo, hi = math.ceil(x / 2), math.floor(x)
@@ -386,19 +382,22 @@ def sample_family(x: float, sample_size: int, seed: int) -> list[int]:
     # the members of D(x) before each segment, and in all of it
     before = _odd_squarefree_count(np.concatenate([[lo - 1], ends]))
     before -= before[0]
-    if sample_size >= before[-1]:
+    n = int(before[-1])
+    if sample_size >= n:
         return sample_members(enumerate_family(x), sample_size, seed)
-    idx = _drawn_indices(int(before[-1]), sample_size, seed)
+    if sample_size > n // 50 and 8 * n > FAMILY_MAX_BYTES:
+        raise ResourceError(f"sampling D({x:g}) permutes {8 * n} bytes, over {FAMILY_MAX_BYTES}")
+    idx = _drawn_indices(n, sample_size, seed)
     seg = np.searchsorted(before, idx, side="right") - 1
-    out: list[int] = []
+    out = [np.empty(0, dtype=np.int64)]
     for i in sorted(set(seg.tolist())):
         ms = odd_squarefree(int(starts[i]), int(ends[i]))
         if ms.size != before[i + 1] - before[i]:
             raise AccuracyError(f"segment [{starts[i]}, {ends[i]}] holds {ms.size} members, "
                                 f"counted {before[i + 1] - before[i]}")
-        out += (8 * ms[idx[seg == i] - before[i]]).tolist()
+        out.append(ms[idx[seg == i] - before[i]])
         del ms  # one segment's members alive at a time
-    return out
+    return Family(float(x), np.concatenate(out))
 
 
 def zeros_worker(args) -> dict:
@@ -429,7 +428,7 @@ def rd_statistics(x_list, nu_policy, sample_size: int, seed: int,
     if any(x < 1e3 for x in x_list):  # every x is refused or sampled before any d
         raise DomainError(f"x={min(x_list)} below the stated floor 1e3")
     samples = []
-    for x, ds in [(x, sample_family(x, sample_size, seed)) for x in x_list]:
+    for x, ds in [(x, (8 * sample_family(x, sample_size, seed).m).tolist()) for x in x_list]:
         nu = nu_from_policy(nu_policy, x)
         sigma1 = 0.5 + nu / math.log(x)
         rows = list(mapper(zeros_worker, [(d, x, sigma1, eps_target) for d in ds]))

@@ -73,8 +73,7 @@ def fam2000():
 def test_criterion_01_functional_equation(fam1e4):
     with criterion(1, "functional-equation residual <= 1e-10 (50 d x 20 s)"):
         rng = np.random.default_rng(SEED)
-        members = sample_members(fam1e4, 50, SEED)
-        for d in members:
+        for d in (8 * sample_members(fam1e4, 50, SEED).m).tolist():
             eng = LEngine(d, t_cap=12.0)
             s = rng.uniform(0.25, 1.25, 20) + 1j * rng.uniform(-10.0, 10.0, 20)
             lam_s, _ = eng.lambda_batch(s)
@@ -164,9 +163,8 @@ def test_criterion_08_zero_count_certification(fam1e4):
                       "trapezoid within 0.1 of integers"):
         cov = build_cover(1e4, math.log(math.log(1e4)))
         z1, r1 = float(cov.centers[0]), float(cov.radii[0])
-        members = sample_members(fam1e4, 200, SEED)
         jittered = 0
-        for d in members:
+        for d in (8 * sample_members(fam1e4, 200, SEED).m).tolist():
             eng = LEngine(d, t_cap=12.0)
             cc, r_used = _lprime_count_with_jitter(eng, complex(z1), r1)
             if r_used != r1:
@@ -204,8 +202,8 @@ def test_criterion_10_discrepancy_shape(fam1e3, fam1e4):
         for x, fam, size in ((1e3, fam1e3, None), (1e4, fam1e4, 700), (1e5, None, 700)):
             if fam is None:
                 fam = enumerate_family(x)
-            members = None if size is None else sample_members(fam, size, SEED)
-            reports[x] = discrepancy(fam, z, mc, SEED, members=members)
+            sample = fam if size is None else sample_members(fam, size, SEED)
+            reports[x] = discrepancy(sample, z, mc, SEED)
         ratios = [r.ratio for r in reports.values()]
         assert max(ratios) / min(ratios) < 3.0, ratios
         assert reports[1e5].d_stat <= reports[1e3].d_stat + 0.05
@@ -231,7 +229,7 @@ def test_criterion_11_rd_statistics():
 def test_criterion_12_hypothesis_checks(fam1e3):
     with criterion(12, "gamma_min found below t=50 for 200 d of D(1e3); "
                        "low-zero disc check passes >= 95% with witnesses on failure"):
-        members = sample_members(fam1e3, 200, SEED)
+        members = (8 * sample_members(fam1e3, 200, SEED).m).tolist()
         nu = math.log(math.log(1e3)) ** 0.2
         passes = fails = indeterminate = 0
         for d in members:

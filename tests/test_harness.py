@@ -432,7 +432,8 @@ def test_strict_discrepancy_writes_then_exits_2(tmp_path, monkeypatch, capsys):
     out = tmp_path / "disc.csv"
     argv = ["discrepancy", "--x", "1e3", "--sample", "6", "--mc-samples", "200",
             "--out", str(out)]
-    first = stats_module.sample_members(stats_module.enumerate_family(1e3), 6, seed=1)[0]
+    sample = stats_module.sample_members(stats_module.enumerate_family(1e3), 6, seed=1)
+    first = 8 * int(sample.m[0])
     monkeypatch.setattr("ldzeros.stats.membership", membership)
     assert main(argv) == 0
     relaxed = [out.read_bytes(), out.with_suffix(".dat").read_bytes()]
@@ -488,6 +489,28 @@ def test_sampled_drivers_never_build_the_family(tmp_path, monkeypatch, argv):
     monkeypatch.setattr("ldzeros.stats.enumerate_family", _unreachable)
     monkeypatch.setattr("ldzeros.harness.enumerate_family", _unreachable)
     assert main(argv + ["--out", str(tmp_path / "r.out")]) == 0
+
+
+def test_moments_builds_the_family_only_for_the_whole_family_kinds(tmp_path, monkeypatch):
+    # central evaluates a sample drawn without building D(x); lemma22 and
+    # largesieve sum over all of D(x); an unknown kind is refused before any
+    # work, the output check included
+    from ldzeros import harness
+
+    built = []
+    real = harness.enumerate_family
+    monkeypatch.setattr("ldzeros.stats.enumerate_family", _unreachable)
+    monkeypatch.setattr(harness, "enumerate_family", _unreachable)
+    cfg = RunConfig(x_list=(2000.0,), sample_size=3, out=str(tmp_path / "m.csv"))
+    harness.run_moments(cfg, "central", k_list=(1,))
+    assert (tmp_path / "m.csv").read_text().splitlines()[-1].endswith(",3")
+    monkeypatch.setattr(harness, "enumerate_family", lambda x: built.append(x) or real(x))
+    for kind in ("lemma22", "largesieve"):
+        harness.run_moments(cfg, kind, k_list=(1,))
+    assert built == [2000.0, 2000.0]
+    monkeypatch.setattr(harness, "_writable", _unreachable)
+    with pytest.raises(errors.DomainError, match="unknown moments kind 'cubic'"):
+        harness.run_moments(cfg, "cubic")
 
 
 def test_provenance_line_format():

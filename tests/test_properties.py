@@ -51,9 +51,10 @@ def test_sample_members_are_python_int_members(x, data):
     fam = enumerate_family(x)
     size = data.draw(st.integers(min_value=1, max_value=len(fam)))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
-    ds = sample_members(fam, size, seed)
-    assert len(ds) == size and ds == sorted(set(ds))
-    assert all(type(d) is int for d in ds)
+    sample = sample_members(fam, size, seed)
+    ds = (8 * sample.m).tolist()
+    assert len(sample) == len(ds) == size and ds == sorted(set(ds)) and sample.x == fam.x
+    assert sample.m.dtype == np.int64 and not sample.m.flags.writeable
     members = set(brute_family(x))
     assert all(d % 8 == 0 and d // 8 in members for d in ds)
 

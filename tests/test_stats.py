@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldzeros import lfunc, stats
-from ldzeros.characters import enumerate_family
+from ldzeros.characters import Family, enumerate_family
 from ldzeros.errors import DomainError, ResourceError
 from ldzeros.lfunc import LEngine
 from ldzeros.randmodel import moment_rand
@@ -160,11 +160,10 @@ def test_theory_bound_formula():
 # ---------------------------------------------------------------------------
 
 def test_empirical_distribution_z1_definition(fam1000):
-    members = (8 * fam1000.m[:6]).tolist()
-    emp = empirical_distribution(fam1000, 1.0, members=members)
+    emp = empirical_distribution(Family(1000.0, fam1000.m[:6]), 1.0)
     assert len(emp.values) == 6
     direct = []
-    for d in members:
+    for d in (8 * fam1000.m[:6]).tolist():
         eng = LEngine(d, t_cap=12.0)
         ld, _ = eng.log_deriv(1.0)
         direct.append(ld.real / 2.0)  # V_1 = 2
@@ -172,15 +171,17 @@ def test_empirical_distribution_z1_definition(fam1000):
 
 
 def test_empirical_distribution_membership_y_constant():
-    # c = 20 for distribution runs, 10 for moment runs
+    # c = 20, the one constant of the distribution runs (central moments take
+    # y = x^(4/nu) instead); V_z = 2.5 at z = 0.9 and 2 at z = 1
+    assert stats.MEMBERSHIP_C_DISTRIBUTION == 20.0
     assert membership_y(1e4, 0.9) == pytest.approx(
         math.exp(20 * 2.5 * math.log(math.log(1e4) / 2.5)))
-    assert membership_y(1e4, 0.9, 10.0) == pytest.approx(
-        math.exp(10 * 2.5 * math.log(math.log(1e4) / 2.5)))
+    assert membership_y(1e3, 1.0) == pytest.approx(
+        math.exp(20 * 2.0 * math.log(math.log(1e3) / 2.0)))
 
 
 def test_empirical_distribution_excluded_fraction_small(fam1000):
-    emp = empirical_distribution(fam1000, 0.9, members=(8 * fam1000.m[:50]).tolist())
+    emp = empirical_distribution(Family(1000.0, fam1000.m[:50]), 0.9)
     assert len(emp.excluded) <= 1  # expected none at desk scale
 
 
@@ -190,8 +191,7 @@ def test_empirical_distribution_z_range(fam1000):
 
 
 def test_discrepancy_small_run(fam1000):
-    rep = discrepancy(fam1000, 0.9, mc_samples=2000, seed=9,
-                      members=(8 * fam1000.m[:40]).tolist())
+    rep = discrepancy(Family(1000.0, fam1000.m[:40]), 0.9, mc_samples=2000, seed=9)
     assert 0.0 <= rep.d_stat <= 1.0
     assert rep.bound == pytest.approx(theory_bound(1000.0, 0.9))
     assert rep.n_family == 40
@@ -213,25 +213,26 @@ def test_discrepancy_two_sample_mean_comparison(fam1000):
 # ---------------------------------------------------------------------------
 
 def test_central_moments_nonneg_and_jensen(fam1000):
+    # the moment is the sum over the kept d of |Ld(s)|^2, each from its own
+    # engine, divided by the sample size (not |D(x)|)
     nu = math.log(math.log(1000.0))
     s0 = 0.5 + nu / math.log(1000.0)
-    members = (8 * fam1000.m[:20]).tolist()
-    [rep] = central_moments(fam1000, nu, (1,), s0, members=members)
+    sample = sample_members(fam1000, 20, 3)
+    [rep] = central_moments(sample, nu, (1,), s0)
     assert rep.moment >= 0.0
     assert not rep.k_in_range  # desk-scale range violation is reported
-    vals = []
-    for d in members:
-        eng = LEngine(d, t_cap=12.0)
-        ld, _ = eng.log_deriv(s0)
-        vals.append(ld.real)
-    mean_sq = abs(np.mean(vals)) ** 2 * len(members) / len(fam1000)
-    assert rep.moment >= mean_sq - 1e-12
+    excluded = {d for d, _ in rep.excluded}
+    kept = [d for d in (8 * sample.m).tolist() if d not in excluded]
+    assert rep.n_family == 20 and rep.n_restricted == len(kept) > 0
+    vals = [abs(LEngine(d).log_deriv(s0)[0]) for d in kept]
+    assert rep.moment == pytest.approx(sum(v * v for v in vals) / 20, rel=1e-12)
+    assert rep.moment >= (sum(vals) / 20) ** 2  # Jensen
 
 
 def test_central_moments_reports_both_envelopes(fam1000):
     nu = math.log(math.log(1000.0))
-    [rep] = central_moments(fam1000, nu, (1,), 0.5 + nu / math.log(1000.0),
-                            members=(8 * fam1000.m[:10]).tolist())
+    [rep] = central_moments(Family(1000.0, fam1000.m[:10]), nu, (1,),
+                            0.5 + nu / math.log(1000.0))
     assert rep.envelope_second == pytest.approx(rep.envelope_first * nu**4)
 
 
@@ -246,22 +247,22 @@ def test_central_moments_restriction_is_computed_once_per_d(fam1000, monkeypatch
                         lambda d, *a, **kw: built.append(d) or real_engine(d, *a, **kw))
     nu = math.log(math.log(1000.0))
     s0 = 0.5 + nu / math.log(1000.0)
-    members = (8 * fam1000.m[:4]).tolist()
-    central_moments(fam1000, nu, (1,), s0, members=members)
-    assert built == members
+    sample = Family(1000.0, fam1000.m[:4])
+    central_moments(sample, nu, (1,), s0)
+    assert built == (8 * sample.m).tolist()
     built.clear()
-    reps = central_moments(fam1000, nu, (1, 2, 3), s0, members=members)
-    assert built == members
+    reps = central_moments(sample, nu, (1, 2, 3), s0)
+    assert built == (8 * sample.m).tolist()
     assert [rep.k for rep in reps] == [1, 2, 3]
     for k, rep in zip((1, 2, 3), reps):
-        [single] = central_moments(fam1000, nu, (k,), s0, members=members)
+        [single] = central_moments(sample, nu, (k,), s0)
         assert rep == single
 
 
 def test_central_moments_rejects_k_below_1_before_any_work(fam1000, monkeypatch):
     monkeypatch.setattr("ldzeros.stats.membership", lambda *a, **kw: pytest.fail("reached"))
     with pytest.raises(DomainError):
-        central_moments(fam1000, 2.0, (1, 0), 0.7, members=[8 * int(fam1000.m[0])])
+        central_moments(Family(1000.0, fam1000.m[:1]), 2.0, (1, 0), 0.7)
 
 
 @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
@@ -269,7 +270,7 @@ def test_central_moments_rejects_nonpositive_nu_before_any_work(fam1000, monkeyp
     # nu = 0 used to divide by zero in y = x^(4/nu); nu < 0 put s left of 1/2
     monkeypatch.setattr("ldzeros.stats.membership", lambda *a, **kw: pytest.fail("reached"))
     with pytest.raises(DomainError, match="nu"):
-        central_moments(fam1000, nu, (1,), 0.7, members=[8 * int(fam1000.m[0])])
+        central_moments(Family(1000.0, fam1000.m[:1]), nu, (1,), 0.7)
 
 
 def test_rd_statistics_reproducible():
@@ -294,14 +295,14 @@ def test_rd_statistics_counts_certified():
 def test_sample_members_deterministic(fam1000):
     a = sample_members(fam1000, 17, seed=5)
     b = sample_members(fam1000, 17, seed=5)
-    assert a == b
-    assert a == sorted(a) and all(type(d) is int for d in a)
+    assert np.array_equal(a.m, b.m) and a.x == fam1000.x
+    assert np.all(np.diff(a.m) > 0) and a.m.dtype == np.int64 and not a.m.flags.writeable
     # the draw is the one numpy's generator makes for these indices
     idx = np.sort(np.random.default_rng(5).choice(len(fam1000), size=17, replace=False))
-    assert a == [8 * int(m) for m in fam1000.m[idx]]
-    assert sample_members(fam1000, len(fam1000), seed=5) == (8 * fam1000.m).tolist()
+    assert a.m.tolist() == [int(m) for m in fam1000.m[idx]]
+    assert np.array_equal(sample_members(fam1000, len(fam1000), seed=5).m, fam1000.m)
     # a sample larger than D(x) is all of D(x)
-    assert sample_members(fam1000, len(fam1000) + 1, seed=5) == (8 * fam1000.m).tolist()
+    assert np.array_equal(sample_members(fam1000, len(fam1000) + 1, seed=5).m, fam1000.m)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,8 @@ def test_sample_family_is_sample_members_of_the_family(x):
     for seed, size in ((1, 12), (2, 200), (5, len(fam)), (5, len(fam) + 3)):
         want = sample_members(fam, size, seed)
         got = sample_family(x, size, seed)
-        assert got == want and all(type(d) is int for d in got), (seed, size)
+        assert np.array_equal(got.m, want.m) and got.x == want.x == x, (seed, size)
+        assert got.m.dtype == np.int64 and not got.m.flags.writeable, (seed, size)
 
 
 def test_odd_squarefree_counts_match_a_brute_force_count():
@@ -334,10 +336,11 @@ def test_sample_family_at_1e8_holds_one_segment_at_a_time():
     sample_family(1e4, 3, 1)  # the first draw imports numpy.random's internals
     tracemalloc.start()
     try:
-        ds = sample_family(1e8, 200, 1)
+        fam = sample_family(1e8, 200, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    ds = (8 * fam.m).tolist()
     assert len(ds) == 200 and ds == sorted(set(ds)) and 4 * 10**8 <= ds[0] < ds[-1] <= 8 * 10**8
     assert all(d % 16 == 8 and squarefree_oracle(d // 8) for d in ds)
     assert peak < stats.SEGMENT * 5 + 2**20, peak
@@ -362,3 +365,36 @@ def test_sample_family_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(stats, "SAMPLE_MAX_TERMS", 50)  # D(1e4): one segment, 51 terms
     with pytest.raises(ResourceError, match="Moebius"):
         sample_family(1e4, 3, 1)
+
+
+def test_sample_family_refuses_a_draw_that_permutes_all_of_d_x():
+    # above n // 50 draws, numpy's Generator.choice permutes all n indices:
+    # 8 |D(1e9)| = 1.6 GB, refused after the counts and before the draw
+    import time
+    import tracemalloc
+
+    sample_family(1e4, 3, 1)  # the first draw imports numpy.random's internals
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="permutes 1621138960 bytes"):
+            sample_family(1e9, 5_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20 and time.perf_counter() - t0 < 10.0, peak
+
+
+def test_sample_family_draw_budget_binds_only_above_n_over_50(monkeypatch):
+    # |D(1e5)| = n; with the budget under 8n, n // 50 draws are served with the
+    # bits of sample_members and one more is refused
+    fam = enumerate_family(1e5)
+    n = len(fam)
+    monkeypatch.setattr(stats, "FAMILY_MAX_BYTES", 8 * n - 1)
+    got = sample_family(1e5, n // 50, 4)
+    assert np.array_equal(got.m, sample_members(fam, n // 50, 4).m)
+    with pytest.raises(ResourceError, match="permutes"):
+        sample_family(1e5, n // 50 + 1, 4)
+    monkeypatch.setattr(stats, "FAMILY_MAX_BYTES", 8 * n)
+    assert np.array_equal(sample_family(1e5, n // 50 + 1, 4).m,
+                          sample_members(fam, n // 50 + 1, 4).m)

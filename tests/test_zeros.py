@@ -393,7 +393,7 @@ def test_rect_count_equals_direct_evaluation_on_membership_boxes():
         y = membership_y(x, 0.9)
         hh = min(y ** (3.0 * (SIGMA_BETA_TOP - 0.5)) / math.log(y), DEFAULT_SCAN_HEIGHT_CAP)
         box = (0.5 + 2.0 / math.log(y), SIGMA_BETA_TOP, -hh, hh)
-        for d in sample_members(enumerate_family(x), 20, 7):
+        for d in (8 * sample_members(enumerate_family(x), 20, 7).m).tolist():
             eng = _RecordingEngine(LEngine(d))
             rc = rect_zero_count(eng, *box)
             count, winding = _rect_count_direct(eng._engine, *box)
@@ -458,7 +458,7 @@ def test_line_bound_on_the_real_grid_is_under_the_near_zero_tolerance():
 
     for x in (1e3, 1e4, 1e5):
         sigma1 = 0.5 + nu_from_policy("auto", x) / math.log(x)
-        for d in sample_members(enumerate_family(x), 8, 3):
+        for d in (8 * sample_members(enumerate_family(x), 8, 3).m).tolist():
             eng = LEngine(d)
             grid = np.linspace(sigma1, 1.0, 97)
             vals, err = eng.l_line(grid + 1j * lfunc.COMPLEX_STEP_H, (1.0 - sigma1) / 96)
