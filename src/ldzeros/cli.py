@@ -38,7 +38,6 @@ from .harness import (
     run_report,
     run_verify,
     run_zeros,
-    word_or_number,
 )
 
 # (exception class, exit code, stderr label); a subclass precedes its base
@@ -165,11 +164,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--deriv", action="store_true")
     p.add_argument("--oracle", action="store_true")
 
-    p = command("zeros", "certified real-zero counts of L'",
-                "--x --nu --sample --seed --threads --eps-target --cache-dir --verify-cache"
-                " --strict --out --config",
-                lambda a, c: run_zeros(c, sigma_min=a.sigma_min))
-    p.add_argument("--sigma-min", type=word_or_number("auto"), default="auto", dest="sigma_min")
+    command("zeros", "certified real-zero counts of L'",
+            "--x --nu --sample --seed --threads --eps-target --cache-dir --verify-cache"
+            " --strict --out --config",
+            lambda a, c: run_zeros(c))
 
     p = command("gamma-min", "least zero heights over a family sample",
                 "--x --sample --seed --threads --eps-target --cache-dir --verify-cache --out"
@@ -182,7 +180,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count-zeros", action="store_true", dest="count_zeros")
     p.add_argument("--check-identity", action="store_true", dest="check_identity")
-    p.add_argument("--s", type=float, default=0.75)
+    p.add_argument("--s", type=float, help="read by --check-identity; default 0.75")
 
     p = command("discrepancy", "family vs model sup-CDF distance",
                 "--z --mc-samples --sample --seed --threads --cache-dir --verify-cache --strict"

@@ -373,12 +373,12 @@ def run_eval(config: RunConfig, d: int, s: complex, deriv: bool, oracle: bool) -
     return res
 
 
-def run_zeros(config: RunConfig, sigma_min: str | float = "auto") -> list[str]:
+def run_zeros(config: RunConfig) -> list[str]:
     x = config.x_list[0]
     [out] = _writable(config.out or f"zeros_{int(x)}.jsonl")
     fam = sample_family(x, config.sample_size, config.seed)
     nu = nu_from_policy(config.nu_policy, x)
-    sigma1 = 0.5 + nu / math.log(x) if sigma_min == "auto" else float(sigma_min)
+    sigma1 = 0.5 + nu / math.log(x)
     args_list = [(d, x, sigma1, config.eps_target) for d in (8 * fam.m).tolist()]
     rows = _cached_map(config)(zeros_worker, args_list)
     _write(out, config, rows, jsonl=True)
@@ -410,7 +410,12 @@ def run_gamma_min(config: RunConfig, t_max: float) -> list[str]:
     return [_write(out, config, rows, jsonl=True)]
 
 
-def run_fekete(d: int, count_zeros: bool, check_identity: bool, s: float) -> dict:
+def run_fekete(d: int, count_zeros: bool, check_identity: bool, s: float | None = None) -> dict:
+    if not (count_zeros or check_identity):
+        raise DomainError("fekete needs --count-zeros or --check-identity")
+    if s is not None and not check_identity:
+        raise DomainError("fekete reads --s only with --check-identity")
+    s = 0.75 if s is None else s
     # imported here, by the one driver that uses it, so the other commands
     # never load (or, without bytecode caches, compile) the module
     from .fekete import fekete_real_zeros, mellin_identity_check
@@ -453,6 +458,8 @@ def run_moments(config: RunConfig, kind: str, y_max: int = 10, k_list=(1, 2, 3),
                 y_lo: float = 10.0, z_hi: float = 40.0) -> list[str]:
     if kind not in MOMENT_KINDS:
         raise DomainError(f"unknown moments kind {kind!r}")
+    if kind == "lemma22" and y_max < 3:  # else no odd prime n <= y_max, and lhs = rand = 0
+        raise DomainError(f"moments --kind lemma22 needs --y-max >= 3, got {y_max}")
     x = config.x_list[0]
     [out] = _writable(config.out or f"moments_{kind}_{int(x)}.csv")
     # central evaluates each d of a sample; the other kinds sum over all of D(x)

@@ -40,8 +40,9 @@ Two evaluation paths, one contract:
   all n_theta rows (a 0 row adds +0), which is gemv's per-column sum of the
   full-shape product: omega's bits do not depend on the block width, the
   banding or the skipped rows.
-  Points are evaluated in row blocks through two reused, cache-sized
-  buffers; each value is the bits of the unblocked (points x nodes) product.
+  Points are evaluated by one kernel, _fast_sum, in cache-sized blocks of
+  whole anchors (below); each value has the bits of the unblocked (points x
+  nodes) product.
   An engine has one quadrature, whose panel width is set by BASE_T_CAP, so
   engines that differ only in t_cap compute the same fast values bit for
   bit, and t_cap only raises the strip above the base one it is built for.
@@ -50,23 +51,23 @@ Two evaluation paths, one contract:
   only a large d can need (check_theta_block, which the sampled drivers run
   on their largest d before their first).
 
-* The fast path's *line kernel* (lambda_line, l_line) serves the points
+* On the fast path's *line kernel* (lambda_line, l_line), the points
   s_k = s_0 + k h of one line, laid out by their callers (rectangle edges,
-  the grid of count_real_zeros, the heights of gamma_min): e^{s u/2} and
-  e^{(1-s) u/2} are exponentials only at every LINE_ANCHOR-th point, and
-  products with the powers rho^j = e^{+-j h u/2} (running products) in
-  between, reduced with the same @ wo; a line pays one exponential per
-  node per anchor, not per point. Against exact exponentials at the
-  anchors, a term j steps past its anchor is off by at most
-  j (ulp(rho) + 2 ulp) relative, ulp(rho) = eps (1 + |h| u_max/2), and by
-  offset * u_max/2 for the point's offset from s_anchor + j h (at most
+  the grid of count_real_zeros, the heights of gamma_min), are anchors only
+  at every LINE_ANCHOR-th point: e^{s u/2} and e^{(1-s) u/2} are
+  exponentials there, and products with the powers rho^j = e^{+-j h u/2}
+  (running products) in between, reduced with the same @ wo; a line pays
+  one exponential per node per anchor, not per point. Against exact
+  exponentials at the anchors, a term j steps past its anchor is off by at
+  most j (ulp(rho) + 2 ulp) relative, ulp(rho) = eps (1 + |h| u_max/2), and
+  by offset * u_max/2 for the point's offset from s_anchor + j h (at most
   LINE_OFFSET_TOL (|s_k| + |s_k - s_0|), else DomainError). Each value
   carries that times sum_j |wo_j| (|e1_j| + |e2_j|), taken at the line's
   extreme Re s, as its bound: rect_zero_count adds it to its proximity
   margin node by node. Through the complex step of L' it grows at most by
   u_max/2 + |(log gamma factor)'|, far under count_real_zeros's near-zero
-  tolerance. lambda_fast is unchanged, so every one-point, probe and
-  circle value keeps its bits.
+  tolerance. lambda_fast is the same kernel with no powers: every point is
+  its own anchor, and a one-point call is one (1 x nodes) product.
 
 L' on the real axis is one complex step sigma + ih on either path: _step
 serves l_prime and log_deriv, _fast_step l_prime_fast and log_deriv_fast.
@@ -123,15 +124,15 @@ def check_theta_block(d: int) -> None:
 
 
 def block_ranges(n: int, size: int) -> list[tuple[int, int]]:
-    """(start, stop) pairs covering range(n) in blocks of `size`; a last
-    remainder under size/2 joins the block before it, so no block is
-    narrower than min(n, size/2). BLAS then sees the same kernel shapes, and
-    produces the same bits, as for one unblocked call: a one-row product
-    would go to a dot kernel and a narrow one to a small-matrix kernel.
+    """(start, stop) pairs covering range(n) in blocks of at most `size`; a
+    last remainder under size/2 shares the block before it evenly, so no
+    block is narrower than min(n, size/2). BLAS then sees the same kernel
+    shapes, and produces the same bits, as for one unblocked call: a one-row
+    product would go to a dot kernel and a narrow one to a small-matrix kernel.
     """
     edges = list(range(0, n, size)) + [n]
     if len(edges) > 2 and n - edges[-2] < size // 2:
-        del edges[-2]
+        edges[-2] = (edges[-3] + n) // 2
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -349,29 +350,39 @@ class LEngine:
             self.fast_rel_err = float(np.max(np.abs(fast - ref) / scale)) * 4.0 + 1e-12
         return self._theta
 
+    def _fast_sum(self, anchors: np.ndarray, powers: tuple[np.ndarray, np.ndarray] | None,
+                  n: int) -> np.ndarray:
+        """The first n sums (e^{s u/2} + e^{(1-s) u/2}) @ wo over the rows of the
+        anchors s: exact exponentials, then, given powers (p1, p2), those
+        times each row of p1 and p2. Blocks of whole anchors, as many as
+        _FAST_BLOCK_BYTES holds but at least four (block_ranges: none is then
+        under two), go through two reused buffers: no product is narrow, so
+        none changes a bit."""
+        u, wo = self._quadrature()
+        p1, p2 = powers or (None, None)
+        per = 1 if p1 is None else 1 + len(p1)
+        blocks = block_ranges(anchors.size, max(4, _FAST_BLOCK_BYTES // (16 * per * u.size)))
+        e1 = np.empty((max((b - a for a, b in blocks), default=0), per, u.size),
+                      dtype=np.complex128)
+        e2 = np.empty_like(e1)
+        wo = wo.astype(np.complex128)
+        out = np.empty(n, dtype=np.complex128)
+        for a, b in blocks:
+            x1, x2 = e1[: b - a], e2[: b - a]
+            for x, p, z in ((x1, p1, anchors[a:b] / 2.0), (x2, p2, (1.0 - anchors[a:b]) / 2.0)):
+                np.multiply.outer(z, u, out=x[:, 0])
+                np.exp(x[:, 0], out=x[:, 0])
+                if per > 1:
+                    np.multiply(x[:, :1], p, out=x[:, 1:])
+            np.add(x1, x2, out=x1)
+            out[a * per: b * per] = x1.reshape(-1, u.size)[: n - a * per] @ wo
+        return out
+
     def lambda_fast(self, s: np.ndarray) -> np.ndarray:
         """Lambda(s) on the cached theta quadrature (vectorized over s)."""
         s = np.asarray(s, dtype=np.complex128)
         self._check_strip(s)
-        # row blocks through two reused buffers: the same elementwise
-        # operations and the same gemv rows as one (points x nodes) product
-        u, wo = self._quadrature()
-        flat = s.ravel()
-        out = np.empty(flat.shape, dtype=np.complex128)
-        blocks = block_ranges(flat.size, max(2, _FAST_BLOCK_BYTES // (16 * u.size)))
-        rows = max((b - a for a, b in blocks), default=0)
-        e1 = np.empty((rows, u.size), dtype=np.complex128)
-        e2 = np.empty_like(e1)
-        wo = wo.astype(np.complex128)
-        for a, b in blocks:
-            x1, x2 = e1[: b - a], e2[: b - a]
-            np.multiply.outer(flat[a:b] / 2.0, u, out=x1)
-            np.multiply.outer((1.0 - flat[a:b]) / 2.0, u, out=x2)
-            np.exp(x1, out=x1)
-            np.exp(x2, out=x2)
-            np.add(x1, x2, out=x1)
-            out[a:b] = x1 @ wo
-        return out.reshape(s.shape)
+        return self._fast_sum(s.ravel(), None, s.size).reshape(s.shape)
 
     def lambda_line(self, s: np.ndarray, step: complex) -> tuple[np.ndarray, np.ndarray]:
         """Lambda at the points s_k = s_0 + k step of one line, given to a few
@@ -398,24 +409,7 @@ class LEngine:
         # rows j - 1 of p1, p2: e^{+-j step u/2} as running products, j >= 1
         p1, p2 = (np.cumprod(np.broadcast_to(np.exp(h / 2.0 * u), (LINE_ANCHOR - 1, u.size)),
                              axis=0) for h in (step, -step))
-        # row blocks of whole anchor groups through two reused, cache-sized
-        # buffers; row 0 of a group is its anchor's exact exponentials
-        groups = min(-(-s.size // LINE_ANCHOR),
-                     max(1, _FAST_BLOCK_BYTES // (16 * LINE_ANCHOR * u.size)))
-        e1 = np.empty((groups, LINE_ANCHOR, u.size), dtype=np.complex128)
-        e2 = np.empty_like(e1)
-        wo = wo.astype(np.complex128)
-        out = np.empty(s.shape, dtype=np.complex128)
-        for a in range(0, s.size, groups * LINE_ANCHOR):
-            anchors = s[a: a + groups * LINE_ANCHOR: LINE_ANCHOR]
-            g, b = anchors.size, min(s.size, a + groups * LINE_ANCHOR)
-            for e, p, x in ((e1, p1, anchors / 2.0), (e2, p2, (1.0 - anchors) / 2.0)):
-                np.multiply.outer(x, u, out=e[:g, 0])
-                np.exp(e[:g, 0], out=e[:g, 0])
-                np.multiply(e[:g, :1], p, out=e[:g, 1:])
-            np.add(e1[:g], e2[:g], out=e1[:g])
-            out[a:b] = e1[:g].reshape(-1, u.size)[: b - a] @ wo
-        return out, err
+        return self._fast_sum(s[::LINE_ANCHOR], (p1, p2), s.size), err
 
     def _gamma_factors(self, s: np.ndarray) -> np.ndarray:
         """(d/pi)^{s/2} Gamma(s/2) at an array of points."""

@@ -616,7 +616,10 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
     if t_max > engine.t_cap + 1e-9:
         raise DomainError(f"t_max {t_max} beyond engine cap {engine.t_cap}")
     # the grid np.arange(step, t_max + step, step) has n heights step + i step
-    n = math.ceil((t_max + step - step) / step)  # computed as np.arange does
+    heights = (t_max + step - step) / step  # computed as np.arange does
+    if not math.isfinite(heights):
+        raise DomainError(f"t_max {t_max} over step {step} is not a finite count of heights")
+    n = math.ceil(heights)
     i0, upto, cell, before = 0, 0.0, None, np.empty((2, 0))  # last height and value read
     while cell is None and i0 < n:
         upto += max(GAMMA_STRETCH, step)
@@ -670,19 +673,12 @@ def gamma_min(engine: LEngine, t_max: float = 50.0, step: float | None = None,
 
 
 def hypothesis_radii(x: float, nu: float) -> dict[str, float]:
-    """Center, hypothesis radius, and the four concentric proof radii."""
+    """Center s0 = 1/2 + nu/log x, r0 = s0 - 1/2 and the hypothesis radius
+    r_hyp = r0 + 1/(nu^3 log x)."""
     logx = math.log(x)
     s0 = 0.5 + nu / logx
     r0 = s0 - 0.5
-    eps = 1.0 / (nu**3 * logx)
-    return {
-        "s0": s0,
-        "r_hyp": r0 + eps,
-        "r0": r0,
-        "r1": r0 + eps / 4.0,
-        "r2": r0 + eps / 2.0,
-        "r3": r0 + 3.0 * eps / 4.0,
-    }
+    return {"s0": s0, "r_hyp": r0 + 1.0 / (nu**3 * logx), "r0": r0}
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -358,20 +359,31 @@ def test_report_aggregates(tmp_path):
     assert 0 <= float(mean) <= 25
 
 
-@pytest.mark.parametrize("cmd", [["zeros", "--sigma-min", "0.6"], ["gamma-min", "--t-max", "10"]],
+def _gamma_min_rows(tmp_path, x, cache):
+    out = tmp_path / f"{x}-{'cached' if cache else 'fresh'}.jsonl"
+    argv = ["gamma-min", "--t-max", "10", "--x", str(x), "--sample", "40", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv + (["--cache-dir", str(tmp_path / "cache")] if cache else [])) == 0
+    return out.read_text().splitlines()[1:]  # after the provenance line
+
+
+def _zeros_rows_at_one_sigma1(tmp_path, x, cache):
+    # zeros sets sigma1 from x; at one sigma1 for both x, x is the only
+    # argument of a shared d that tells the two rows apart
+    args = [(d, x, 0.6, 1e-12) for d in (8 * stats_module.sample_family(x, 40, 1).m).tolist()]
+    rows = (ResultStore(str(tmp_path / "cache")).cached_map(stats_module.zeros_worker, args)
+            if cache else map(stats_module.zeros_worker, args))
+    return [json.dumps(r, sort_keys=True) for r in rows]
+
+
+@pytest.mark.parametrize("rows", [_zeros_rows_at_one_sigma1, _gamma_min_rows],
                          ids=["zeros", "gamma-min"])
-def test_cache_shared_across_x_equals_fresh_runs(tmp_path, cmd):
+def test_cache_shared_across_x_equals_fresh_runs(tmp_path, rows):
     # D(1000) and D(1500) share the d = 8m with 750 <= m <= 1000; a key that
     # left out x served D(1000)'s rows, labelled x = 1000, to the D(1500) run
-    def run(x, cache):
-        out = tmp_path / f"{x}-{'cached' if cache else 'fresh'}.jsonl"
-        argv = cmd + ["--x", x, "--sample", "40", "--seed", "1", "--out", str(out)]
-        assert main(argv + (["--cache-dir", str(tmp_path / "cache")] if cache else [])) == 0
-        return out.read_bytes()
-
-    cached = [run(x, cache=True) for x in ("1000", "1500")]
-    assert cached == [run(x, cache=False) for x in ("1000", "1500")]
-    d_sets = [{json.loads(t)["d"] for t in f.decode().splitlines()[1:]} for f in cached]
+    cached = [rows(tmp_path, x, cache=True) for x in (1000.0, 1500.0)]
+    assert cached == [rows(tmp_path, x, cache=False) for x in (1000.0, 1500.0)]
+    d_sets = [{json.loads(t)["d"] for t in r} for r in cached]
     assert d_sets[0] & d_sets[1]  # the second run had entries to mislabel
 
 
@@ -491,6 +503,20 @@ def test_sampled_drivers_never_build_the_family(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", str(tmp_path / "r.out")]) == 0
 
 
+@pytest.mark.parametrize("y_max", ["2", "1", "0", "-5"])
+def test_cli_lemma22_without_an_odd_prime_up_to_y_max_exit_1(tmp_path, monkeypatch, capsys,
+                                                             y_max):
+    # chi_d(2) = 0 for every d = 8m and X(2) = 0 in the model, so with no odd
+    # prime n <= y_max every k read lhs = rand = 0 and passed criterion 5
+    monkeypatch.setattr("ldzeros.harness.enumerate_family", _unreachable)
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--x", "2000", "--kind", "lemma22", "--y-max", y_max, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: moments --kind lemma22 needs --y-max >= 3, got {y_max}\n")
+    assert not out.exists()
+
+
 def test_moments_builds_the_family_only_for_the_whole_family_kinds(tmp_path, monkeypatch):
     # central evaluates a sample drawn without building D(x); lemma22 and
     # largesieve sum over all of D(x); an unknown kind is refused before any
@@ -565,7 +591,8 @@ def test_cli_unknown_subcommand_exit_1(capsys):
     ["zeros", "--x", "1e3", "--z", "0.8"],
     ["fekete", "--d", "8", "--seed", "3"],
     ["eval", "--d", "8", "--s", "0.7", "--out", "f"],
-], ids=["gamma-min-nu", "zeros-z", "fekete-seed", "eval-out"])
+    ["zeros", "--x", "1e3", "--sigma-min", "abc"],  # --nu (sigma1 - 1/2) log x sets sigma1
+], ids=["gamma-min-nu", "zeros-z", "fekete-seed", "eval-out", "zeros-sigma-min"])
 def test_cli_flag_not_offered_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -580,6 +607,16 @@ def test_cli_gamma_min_bad_t_max_exit_1(tmp_path, capsys, t_max):
     err = capsys.readouterr().err
     assert err.startswith("usage error: t_max must be a positive finite number")
     assert "Traceback" not in err
+
+
+def test_cli_gamma_min_t_max_without_a_finite_height_count_exit_1(tmp_path, capsys):
+    # t_max / step overflowed to inf, and math.ceil of it raised OverflowError
+    out = tmp_path / "g.jsonl"
+    argv = ["gamma-min", "--x", "1e3", "--sample", "1", "--t-max", "1e308", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: t_max 1e+308 over step ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_gamma_min_far_above_the_base_strip_exits_0_without_a_traceback(tmp_path):
@@ -619,6 +656,25 @@ def test_cli_fekete_bad_d_exit_1_promptly(d):
                            "--count-zeros"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--d", "8"], "fekete needs --count-zeros or --check-identity"),
+    (["--d", "8", "--count-zeros", "--s", "0.1"], "fekete reads --s only with --check-identity"),
+], ids=["no-job", "s-without-identity"])
+def test_cli_fekete_refuses_a_run_that_reads_nothing_it_is_given(capsys, argv, why):
+    # the first printed {"d": 8} and exited 0; the second ignored --s
+    assert main(["fekete"] + argv) == 1
+    assert tuple(capsys.readouterr()) == ("", f"usage error: {why}\n")
+
+
+@pytest.mark.parametrize("argv, s", [([], 0.75), (["--s", "0.9"], 0.9)])
+def test_cli_fekete_identity_reads_s_or_its_default(monkeypatch, capsys, argv, s):
+    report = SimpleNamespace(residual_first=0.0, residual_second=0.0, lhs_first=1.0,
+                             lhs_second=1.0)
+    monkeypatch.setattr("ldzeros.fekete.mellin_identity_check", lambda d, s: report)
+    assert main(["fekete", "--d", "8", "--check-identity"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["identity"]["s"] == s
 
 
 def test_cli_eval_json(capsys):
@@ -755,7 +811,6 @@ def test_each_error_survives_the_pickle_a_pool_sends_it_in(exc):
     ["rd-stats", "--x-list", "1e3,abc"],
     ["moments", "--x", "100", "--k-list", "1,a"],
     ["zeros", "--x", "1e3", "--nu", "abc"],
-    ["zeros", "--x", "1e3", "--sigma-min", "abc"],
     ["rd-stats", "--x-list", "1e3", "--sample", "-3"],
     ["zeros", "--x", "nan"],
     ["zeros", "--x", "nan", "--out", "z.jsonl"],
@@ -766,7 +821,7 @@ def test_each_error_survives_the_pickle_a_pool_sends_it_in(exc):
     ["eval", "--d", "8", "--s", "0.5,nan"],
     ["eval", "--d", "8", "--s", "inf"],
 ], ids=["s-abc", "s-im-abc", "s-three-parts", "s-missing", "x-list-abc", "rd-x-list-abc",
-        "k-list-a", "nu-abc", "sigma-min-abc", "rd-sample-negative", "zeros-x-nan",
+        "k-list-a", "nu-abc", "rd-sample-negative", "zeros-x-nan",
         "zeros-x-nan-out", "gamma-min-x-inf", "moments-x-nan", "rd-x-list-nan",
         "x-list-nan", "s-im-nan", "s-inf"])
 def test_cli_malformed_argument_is_usage_error_exit_1(capsys, argv):

@@ -653,6 +653,42 @@ def test_line_kernel_is_mirror_exact(d):
         assert np.array_equal(err_c, err), kind
 
 
+def _lambda_line_unblocked(u: np.ndarray, wo: np.ndarray, s: np.ndarray,
+                           step: complex) -> np.ndarray:
+    """The line kernel as one (points x nodes) product, without blocks: each
+    anchor's exact exponentials, then those times the running products
+    e^{+-j step u/2}, j = 1 .. LINE_ANCHOR - 1."""
+    k, anchors = lfunc.LINE_ANCHOR, s[:: lfunc.LINE_ANCHOR]
+    rows = []
+    for z, h in ((anchors / 2.0, step), ((1.0 - anchors) / 2.0, -step)):
+        head = np.exp(np.multiply.outer(z, u))[:, None]
+        powers = np.cumprod(np.broadcast_to(np.exp(h / 2.0 * u), (k - 1, u.size)), axis=0)
+        rows.append(np.concatenate([head, head * powers], axis=1))
+    return (rows[0] + rows[1]).reshape(-1, u.size)[: s.size] @ wo
+
+
+@pytest.mark.parametrize("d", [8, 7976, 799928])
+def test_line_kernel_bit_identical_to_its_unblocked_rows(monkeypatch, d):
+    # blocks of whole anchors, a short remainder shared with the block
+    # before among them, give each value the bits of one unblocked product,
+    # at the default budget and at a two-anchor one, which the kernel's
+    # floor of four anchors a block raises (two-anchor blocks could leave
+    # a one-row tail, which BLAS sums as a dot)
+    eng = LEngine(d)
+    u, wo = eng._quadrature()
+    k = lfunc.LINE_ANCHOR
+    step = 0.01j
+    s = 0.7 - 12.0j + np.arange(40 * k) * step
+    for budget in (lfunc._FAST_BLOCK_BYTES, 2 * 16 * k * u.size):
+        monkeypatch.setattr(lfunc, "_FAST_BLOCK_BYTES", budget)
+        size = max(4, budget // (16 * k * u.size))  # anchors per block
+        for n in (1, 2, k, k + 1, size * k - 1, size * k, size * k + 1, (size + 1) * k + 3,
+                  (2 * size + 1) * k, (2 * size + 1) * k + 1, (3 * size - 1) * k - 5, 40 * k):
+            got, _ = eng.lambda_line(s[:n], step)
+            want = _lambda_line_unblocked(u, wo, s[:n], step)
+            assert np.array_equal(_bits(got), _bits(want)), (budget, n)
+
+
 @pytest.mark.parametrize("bad", ["off the line", "wrong step", "outside the strip"])
 def test_line_kernel_refuses_points_off_its_line(bad):
     eng = LEngine(104)

@@ -689,11 +689,6 @@ def test_gamma_min_stretches_are_the_arange_grid_bit_for_bit(monkeypatch, step, 
 # hypothesis disc
 # ---------------------------------------------------------------------------
 
-def test_hypothesis_radii_nested():
-    rr = hypothesis_radii(1e3, 1.14)
-    assert rr["r0"] < rr["r1"] < rr["r2"] < rr["r3"] < rr["r_hyp"]
-
-
 def test_hypothesis_check_d8(eng8):
     nu = math.log(math.log(1e3)) ** 0.2
     res = hypothesis_ld_check(eng8, 1e3, nu)
