@@ -17,6 +17,12 @@ coefficients come from one small product per d, built once and cached
 multiply-adds, and its value does not depend on the batch it is read in.
 grid_error bounds the dropped terms and the rounding: the scan's error scale.
 
+Memory does not follow d or the grid size: the scan reads its grid, the
+pieces' product its degrees, and fekete_eval and end_moment their chi_d,
+one block of at most _BLOCK_BYTES of working arrays at a time, and chi_d is
+read from the int8 char_table with no wider copy of a whole period.
+fekete_real_zeros's traced peak stays under 2 _BLOCK_BYTES past that table.
+
 F_d has a double zero at t = 1 (the full-period sum and the evenness of
 chi_d kill F_d(1) and F_d'(1)), so the scan's values near 1 sink under their
 error scale. An end certificate closes that gap: the exact integer moments
@@ -50,7 +56,7 @@ NEAR_REACH = 40              # pieces of radius 1/d out to delta = NEAR_REACH/d,
 PIECE_TAIL = 1.5 * 5.0 ** -PIECE_TERMS  # dropped terms <= PIECE_TAIL min(1/(1 - t), d)
 GRID_ROUNDING = 45.0         # fekete_grid's rounding <= GRID_ROUNDING eps min(t/(1 - t), d)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_PIECE_BLOCK = 4096          # degrees n per block of the pieces' coefficient product
+_BLOCK_BYTES = 1 << 19       # working arrays of one block: scan points, degrees n or chi_d reads
 
 
 def fekete_eval(d: int, t: float) -> tuple[float, float]:
@@ -64,15 +70,23 @@ def fekete_eval(d: int, t: float) -> tuple[float, float]:
         raise DomainError(f"fekete_eval needs t in [0, 1), got {t}")
     if t == 0.0:
         return 0.0, 0.0
-    chi = char_table(d).astype(np.float64)
-    n = np.arange(1, d, dtype=np.float64)
+    chi = char_table(d)
     log_t = math.log(t)
-    with np.errstate(under="ignore"):
-        powers = np.exp(n * log_t)
-    terms = chi[1:] * powers
-    value = math.fsum(terms)
+    width = _BLOCK_BYTES // 32  # n, n log t, the powers and the terms: four float64 per n
+    sums = []  # (sum t^n, sum n t^n) of each block
+
+    def terms():
+        for a in range(1, d, width):
+            n = np.arange(a, min(a + width, d), dtype=np.float64)
+            with np.errstate(under="ignore"):
+                powers = np.exp(n * log_t)
+            sums.append((float(np.sum(powers)), float(n @ powers)))
+            yield chi[a:a + n.size] * powers
+
+    value = math.fsum(itertools.chain.from_iterable(terms()))  # every term, exactly rounded
+    power_sum, moment = (math.fsum(col) for col in zip(*sums))
     eps = float(np.finfo(float).eps)
-    err = (45.0 * eps * float(np.sum(powers)) + 2.0 * eps * abs(log_t) * float(n @ powers)
+    err = (45.0 * eps * power_sum + 2.0 * eps * abs(log_t) * moment
            + (d - 1) * math.ulp(0.0) + 2.0 * eps * abs(value))
     return value, err
 
@@ -89,7 +103,9 @@ def _pieces(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     delta_k/5, so every centre t_k is positive. Their b_kj = r_k^j sum_n
     chi_d(n) C(n, j) t_k^(n-j) = G[k, j] (d r_k / t_k)^j come from one product
     G = P @ C blocked over n, P[k, n] = t_k^n = exp(n log t_k) (the powers of
-    fekete_eval) and C[n, j] = chi_d(n) C(n, j) / d^j.
+    fekete_eval) and C[n, j] = chi_d(n) C(n, j) / d^j. A block of n is as
+    wide as its (pieces x width) P and (PIECE_TERMS x width) C fit
+    _BLOCK_BYTES, and reads its chi_d from the int8 table.
     """
     centres, radii, top = [], [], 0.0  # top: delta at the upper end of the next piece
     while 1.0 - top > SERIES_EDGE:
@@ -97,17 +113,21 @@ def _pieces(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         centres.append(1.0 - (top + radii[-1]))
         top += 2.0 * radii[-1]
     centres, radii = np.array(centres[::-1]), np.array(radii[::-1])
-    chi = char_table(d).astype(np.float64)
+    chi = char_table(d)
     gram = np.zeros((centres.size, PIECE_TERMS))
-    for a in range(0, d, _PIECE_BLOCK):
-        n = np.arange(a, min(a + _PIECE_BLOCK, d), dtype=np.float64)
-        binom = np.empty((PIECE_TERMS, n.size))  # row j: chi_d(n) C(n, j) / d^j
-        binom[0] = chi[a:a + n.size]
+    width = max(1, _BLOCK_BYTES // (8 * (centres.size + PIECE_TERMS)))
+    log_centres = np.log(centres)
+    # one reused pair of buffers: row j of binom is chi_d(n) C(n, j) / d^j
+    binom, powers = np.empty((PIECE_TERMS, width)), np.empty((centres.size, width))
+    for a in range(0, d, width):
+        n = np.arange(a, min(a + width, d), dtype=np.float64)
+        bn, pw = binom[:, :n.size], powers[:, :n.size]
+        bn[0] = chi[a:a + n.size]
         for j in range(1, PIECE_TERMS):
-            np.multiply(binom[j - 1], (n - (j - 1)) / (j * d), out=binom[j])
-        powers = np.multiply.outer(np.log(centres), n)
+            np.multiply(bn[j - 1], (n - (j - 1)) / (j * d), out=bn[j])
+        np.multiply.outer(log_centres, n, out=pw)
         with np.errstate(under="ignore"):
-            gram += np.exp(powers, out=powers) @ binom.T
+            gram += np.exp(pw, out=pw) @ bn.T
     j = np.arange(PIECE_TERMS)
     series = np.zeros(PIECE_TERMS)
     series[1:min(d, PIECE_TERMS)] = chi[1:PIECE_TERMS]
@@ -150,11 +170,8 @@ def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     cuts = np.searchsorted(flat, lows[1:]).tolist()
     out = np.empty(flat.shape, dtype=np.float64)
     for k, (a, b) in enumerate(zip([0, *cuts], [*cuts, flat.size])):
-        if b - a == 1:  # Python floats: the same operations without numpy's per-call cost
-            rho, acc = (float(flat[a]) - float(centres[k])) / float(radii[k]), 0.0
-            for c in coeffs[::-1, k].tolist():
-                acc = acc * rho + c
-            out[a] = acc
+        if b - a == 1:
+            out[a] = _piece_value(d, float(flat[a]), k)
         elif b > a:
             rho, acc = (flat[a:b] - centres[k]) / radii[k], out[a:b]
             acc.fill(0.0)
@@ -166,8 +183,39 @@ def fekete_grid(d: int, ts: np.ndarray) -> np.ndarray:
     return out.reshape(ts.shape)
 
 
-def zero_scan_grid(d: int, n_points: int) -> np.ndarray:
-    """Scan grid on (0, 1): half uniform, half geometrically accumulating at 1.
+def _piece_value(d: int, t: float, k: int | None = None) -> float:
+    """fekete_grid at one t, from piece k (by default the piece that serves
+    t), on Python floats: the same operations without numpy's per-call cost."""
+    lows, centres, radii, coeffs = _pieces(d)
+    if k is None:
+        k = int(np.searchsorted(lows, t, side="right")) - 1
+    rho, acc = (t - float(centres[k])) / float(radii[k]), 0.0
+    for c in coeffs[::-1, k].tolist():
+        acc = acc * rho + c
+    return acc
+
+
+def _linspace_part(start: float, stop: float, num: int, a: int, b: int) -> np.ndarray:
+    """np.linspace(start, stop, num)[a:b] from linspace's own formula, bit for
+    bit: k (stop - start) / (num - 1) + start, and stop at k = num - 1."""
+    y = np.arange(a, b, dtype=np.float64) * ((stop - start) / max(1, num - 1)) + start
+    if b == num > max(a, 1):
+        y[-1] = stop
+    return y
+
+
+def zero_scan_blocks(d: int, n_points: int, size: int):
+    """The scan grid on (0, 1) in ascending blocks of at most 2 size points:
+    half uniform, half geometrically accumulating at 1.
+
+    The grid is the sorted, de-duplicated union of two runs, a linspace and
+    1 - a logspace, each computed size points at a time from those functions'
+    own formulas (np.power(10, .) of a linspace for logspace), so the blocks'
+    concatenation is, bit for bit, the whole np.linspace and 1 - np.logspace
+    arrays merged by a sort and de-duplicated. A block takes each run's next
+    chunk up to the smaller of their last values; the uniform run is
+    strictly ascending, so only a repeated geometric value can meet the
+    previous block's last one, and it is dropped.
 
     The geometric part stops a safe distance before 1: inside ~100 d ulp of
     the endpoint F_d is dominated by its forced zero at t = 1 and double
@@ -177,12 +225,24 @@ def zero_scan_grid(d: int, n_points: int) -> np.ndarray:
     delta_min = max(1e-12, 100.0 * d * float(np.finfo(float).eps))
     n_uniform = n_points // 2
     n_geom = n_points - n_uniform
-    uni = np.linspace(1.0 / (n_uniform + 1), 1.0 - 1.0 / (n_uniform + 1), n_uniform)
-    geom = 1.0 - np.logspace(math.log10(0.5), math.log10(delta_min), n_geom)
-    ts = np.sort(np.concatenate([uni, geom]), kind="stable")  # two sorted runs: one merge
-    keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = ts[1:] != ts[:-1]
-    return ts[keep]
+    edge = 1.0 / (n_uniform + 1)
+    lo, hi = math.log10(0.5), math.log10(delta_min)
+    runs = [(n_uniform, lambda a, b: _linspace_part(edge, 1.0 - edge, n_uniform, a, b)),
+            (n_geom, lambda a, b: 1.0 - np.power(10.0, _linspace_part(lo, hi, n_geom, a, b)))]
+    at, last = [0, 0], None
+    while at[0] < n_uniform or at[1] < n_geom:
+        chunks = [run(i, min(i + size, n)) for (n, run), i in zip(runs, at)]
+        cut = min(c[-1] for c in chunks if c.size)
+        taken = [c[:np.searchsorted(c, cut, side="right")] for c in chunks]
+        at = [i + c.size for i, c in zip(at, taken)]
+        block = np.sort(np.concatenate(taken))
+        keep = np.empty(block.size, dtype=bool)  # (np.unique would import numpy.ma)
+        keep[0] = block[0] != last
+        keep[1:] = block[1:] != block[:-1]
+        block = block[keep]
+        if block.size:
+            last = block[-1]
+            yield block
 
 
 def end_moment(d: int) -> tuple[int, int]:
@@ -191,22 +251,28 @@ def end_moment(d: int) -> tuple[int, int]:
     M_j = F_d^(j)(1) = sum_n n (n-1) ... (n-j+1) chi_d(n), exactly: int64 dot
     products over chunks of n short enough that no chunk sum can overflow
     (each term is at most (d-1) ... (d-j)), added as Python integers, and
-    Python integers throughout once a term can pass int64. k is the first j
-    with M_j != 0. M_0 is a full-period character sum, and M_1 = 0 for even
-    chi_d since chi_d(d - n) = chi_d(n), so k = 2 across the family: the zero
-    at t = 1 is double.
+    Python integers throughout once a term can pass int64. Each block of n,
+    with its falling factorials and its chi_d read from the int8 table, fits
+    _BLOCK_BYTES. k is the first j with M_j != 0. M_0 is a full-period
+    character sum, and M_1 = 0 for even chi_d since chi_d(d - n) = chi_d(n),
+    so k = 2 across the family: the zero at t = 1 is double.
     """
-    chi = char_table(d)[1:].astype(np.int64)
-    n = np.arange(1, d, dtype=np.int64)
-    falling = np.ones(d - 1, dtype=np.int64)  # n (n-1) ... (n-k+1)
+    chi = char_table(d)
+    width = _BLOCK_BYTES // 24  # n, its falling factorial and chi_d: three int64 per n
     for k in itertools.count():
-        step = _INT64_MAX // max(1, math.perm(d - 1, k)) if falling.dtype == np.int64 else d
-        m_k = sum(int(falling[a:a + step] @ chi[a:a + step]) for a in range(0, d - 1, step))
+        top = math.perm(d - 1, k)  # the largest term
+        dtype = np.int64 if top <= _INT64_MAX else object
+        step = max(1, _INT64_MAX // max(1, top)) if dtype is np.int64 else width
+        m_k = 0
+        for a in range(1, d, width):
+            n = np.arange(a, min(a + width, d), dtype=np.int64).astype(dtype, copy=False)
+            falling = np.ones_like(n)  # n (n-1) ... (n-k+1)
+            for i in range(k):
+                falling *= n - i
+            c = chi[a:a + n.size].astype(dtype)
+            m_k += sum(int(falling[i:i + step] @ c[i:i + step]) for i in range(0, n.size, step))
         if m_k:
             return k, m_k
-        if math.perm(d - 1, k + 1) > _INT64_MAX:
-            chi, n, falling = chi.astype(object), n.astype(object), falling.astype(object)
-        falling = falling * (n - k)
 
 
 def end_interval(d: int, k: int, m_k: int) -> float:
@@ -259,6 +325,8 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
         raise DomainError(f"Fekete polynomials need d >= 2, got {d}")
     if grid_points is None:
         grid_points = min(16 * d, 1 << 17)
+    if grid_points < 2:
+        raise DomainError(f"the zero scan needs at least 2 grid points, got {grid_points}")
     report = FeketeZeroReport(d=d, count=0)
     end_sign = 0.0  # the sign of F_d on (1 - delta*, 1)
     try:
@@ -268,32 +336,50 @@ def fekete_real_zeros(d: int, grid_points: int | None = None) -> FeketeZeroRepor
     except AccuracyError as exc:
         report.suspects.append({"reason": f"end certificate failed: {exc}"})
     t_end = 1.0 - report.end_delta
-    ts = zero_scan_grid(d, grid_points)
-    head = int(np.searchsorted(ts, t_end, side="right"))  # from index head on, inside
-    # by index, so that no view keeps the full grid alive through the scan
-    ts = np.concatenate([ts[:head], ts[head:-1:END_SAMPLE], ts[max(head, ts.size - 1):]])
-    vals = fekete_grid(d, ts)
-    sign = np.sign(vals)
-    flips = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    bounds = (float(ts[0]), float(ts[-1]))
-    for i in flips:
-        lo, hi = float(ts[i]), float(ts[i + 1])
+    # one block at a time: its read points, their values and signs; kept are
+    # the flips, dips and wrong-sign points, and the sign across block edges
+    flips, dips, against = [], [], []
+    prev = None  # the last read (t, sign)
+    inside = 0  # grid points past t_end so far
+    # blocks of at most _BLOCK_BYTES / 64 points: eight float64 arrays of one fit the budget
+    blocks = zero_scan_blocks(d, grid_points, _BLOCK_BYTES // 128)
+    block = next(blocks)
+    first = float(block[0])
+    while block is not None:
+        ts, block = block, next(blocks, None)
+        head = int(np.searchsorted(ts, t_end, side="right"))  # from index head on, inside
+        read = np.ones(ts.size, dtype=bool)
+        read[head:] = (np.arange(inside, inside + ts.size - head) % END_SAMPLE) == 0
+        read[-1] |= block is None  # the grid's last point
+        inside += ts.size - head
+        ts = ts[read]
+        if not ts.size:
+            continue
+        vals = fekete_grid(d, ts)
+        sign = np.sign(vals)
+        if prev is not None and prev[1] * sign[0] < 0:
+            flips.append((prev[0], float(ts[0])))
+        i = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
+        flips.extend(zip(ts[i].tolist(), ts[i + 1].tolist()))
+        prev = (float(ts[-1]), float(sign[-1]))
+        # read points whose values dip under the local error scale (rounding,
+        # and the pieces' dropped terms) without flipping
+        errs = 3.0 * grid_error(d, ts)
+        dips.extend(ts[(np.abs(vals) < errs) & (ts <= t_end)].tolist())
+        against.extend(ts[(np.abs(vals) > errs) & (ts > t_end) & (sign == -end_sign)].tolist())
+    bounds = (first, prev[0])
+    for lo, hi in flips:
         if lo >= t_end:
-            continue  # inside the end interval: read against the certificate's sign below
-        cert = certify_sign_change(lambda u: float(fekete_grid(d, np.array([u]))[0]),
+            continue  # inside the end interval: read against the certificate's sign
+        cert = certify_sign_change(lambda u: _piece_value(d, u),
                                    lambda u: fekete_eval(d, u), lo, hi, bounds, REFINE_TOL)
         if cert is None:
             report.suspects.append({"interval": (lo, hi), "reason": "uncertified sign change"})
         else:
             report.zeros.append((cert.location, cert.half_width))
-    # grid cells whose values dip under the local error scale (rounding, and
-    # the pieces' dropped terms) without flipping
-    errs = grid_error(d, ts)
-    dips = ts[(np.abs(vals) < 3 * errs) & (ts <= t_end)]
-    end = slice(head, None)
-    against = ts[end][(np.abs(vals[end]) > 3 * errs[end]) & (sign[end] == -end_sign)]
-    report.suspects.extend({"at": float(t), "reason": "wrong sign in the end interval"}
+    report.suspects.extend({"at": t, "reason": "wrong sign in the end interval"}
                            for t in against)
+    dips = np.array(dips)
     if report.zeros:
         z, w = np.array(report.zeros).T
         dips = dips[~(np.abs(dips[:, None] - z) <= w * 4 + 1e-10).any(axis=1)]
@@ -317,10 +403,12 @@ def _exp_sinh_nodes(h: float, w_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _mellin_rhs(d: int, s: complex, h: float) -> complex:
     v, dv = _exp_sinh_nodes(h, 4.2)
-    chi = char_table(d).astype(np.float64)
     u = np.exp(-v)
-    # F_d(e^-v) by Horner over nodes
-    fd = np.polynomial.polynomial.polyval(u, chi)
+    # F_d(e^-v) by Horner over nodes, numpy's polyval loop
+    fd = np.zeros_like(u)
+    for c in char_table(d)[::-1].tolist():
+        fd *= u
+        fd += c
     with np.errstate(over="ignore"):
         denom = -np.expm1(-d * v)
     return complex(np.sum(v ** (s - 1.0) * fd / denom * dv))

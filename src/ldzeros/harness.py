@@ -17,7 +17,6 @@ Drivers raise the classes in errors.py; the CLI maps them to exit codes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -203,13 +202,21 @@ def _canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(data: bytes) -> str:
+    """The hex sha256 of `data`. hashlib is imported here, on the store's own
+    paths: it loads libcrypto, about 3.4 MB resident, which a run without a
+    store never needs."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 @lru_cache(maxsize=1)
 def _source_digest() -> str:
     """sha256 over the names and bytes of the package's *.py files: any change
     to the code gives every ResultStore key a new value."""
     files = sorted(pathlib.Path(__file__).parent.glob("*.py"))
-    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes()
-                                   for f in files)).hexdigest()
+    return _sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files))
 
 
 class ResultStore:
@@ -233,7 +240,7 @@ class ResultStore:
         return bool(self.root)
 
     def _path(self, key: str) -> str:
-        h = hashlib.sha256(key.encode()).hexdigest()
+        h = _sha256(key.encode())
         return os.path.join(self.root, h[:2], h + ".json")
 
     def lookup(self, key: str):
@@ -241,8 +248,10 @@ class ResultStore:
         root, or an entry that cannot be read as a JSON object or fails its
         key or hash check (discarded with a warning). Values are JSON objects
         or arrays, never null."""
+        if not self.enabled():
+            return None
         path = self._path(key)
-        if not self.enabled() or not os.path.exists(path):
+        if not os.path.exists(path):
             return None
         try:
             with open(path, encoding="utf-8") as fh:
@@ -250,8 +259,7 @@ class ResultStore:
             if blob.get("key") != key:
                 raise CacheError(f"key mismatch in {path}")
             stored = blob["value"]
-            sha = hashlib.sha256(_canonical_json(stored).encode()).hexdigest()
-            if sha != blob.get("value_sha"):
+            if _sha256(_canonical_json(stored).encode()) != blob.get("value_sha"):
                 raise CacheError(f"hash mismatch in {path}")
         except (CacheError, OSError, ValueError, KeyError, AttributeError) as exc:
             # OSError: an unreadable entry, such as a directory; ValueError:
@@ -272,7 +280,7 @@ class ResultStore:
         self.misses += 1
         path = self._path(key)
         blob = {"key": key, "value": value,
-                "value_sha": hashlib.sha256(_canonical_json(value).encode()).hexdigest()}
+                "value_sha": _sha256(_canonical_json(value).encode())}
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -291,8 +299,7 @@ class ResultStore:
         against theirs, in job order, so the result, the store and the counts
         are the same at any thread count."""
         def sampled(args):
-            digest = hashlib.sha256(repr(args).encode()).hexdigest()
-            return int(digest, 16) % self.VERIFY_EVERY == 0
+            return int(_sha256(repr(args).encode()), 16) % self.VERIFY_EVERY == 0
 
         keys = [self.key(worker, args) for args in args_list]
         values = [self.lookup(key) for key in keys]

@@ -107,6 +107,17 @@ EPS = float(np.finfo(np.float64).eps)
 BASE_T_CAP = 12.0          # least t_cap, and the height the fast-path panel width is set for
 EM_TERMS = 14              # Bernoulli correction terms of hurwitz_zeta_shifted
 THETA_C = math.log(1.0 / 1e-15) + 3.0  # theta cutoff exponent: t_max and n_theta
+# 16-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's leggauss(16)
+# (symmetric there by construction), so no run imports numpy.polynomial
+_GL_HALF = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                     0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                     0.9445750230732326, 0.9894009349916499])
+_GL_HALF_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                       0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                       0.062253523938647456, 0.027152459411754176])
+GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
+GL_WEIGHTS = np.concatenate([_GL_HALF_W[::-1], _GL_HALF_W])
+GL_NODES.flags.writeable = GL_WEIGHTS.flags.writeable = False
 
 
 def theta_terms(d: int) -> int:
@@ -295,12 +306,11 @@ class LEngine:
         t_max = max(self.d * THETA_C / math.pi, 40.0)
         U = math.log(t_max)
         panels = max(4, math.ceil(U / (4.0 * math.pi / BASE_T_CAP / 1.5)))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(16)
         edges = np.linspace(0.0, U, panels + 1)
         half = np.diff(edges) / 2.0
         mid = (edges[:-1] + edges[1:]) / 2.0
-        u = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        w = (half[:, None] * gl_w[None, :]).ravel()
+        u = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
+        w = (half[:, None] * GL_WEIGHTS[None, :]).ravel()
         t = np.exp(u)
         n_theta = self._n_theta
         n2 = np.arange(1, n_theta + 1, dtype=np.float64) ** 2

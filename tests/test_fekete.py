@@ -20,9 +20,19 @@ from ldzeros.fekete import (
     fekete_real_zeros,
     grid_error,
     mellin_identity_check,
-    zero_scan_grid,
 )
 from test_characters import kronecker
+
+
+def _scan_grid_whole(d: int, n_points: int) -> np.ndarray:
+    """The scan grid as one array, zero_scan_blocks's oracle: the whole
+    linspace and 1 - logspace, merged by a stable sort and de-duplicated."""
+    delta_min = max(1e-12, 100.0 * d * float(np.finfo(float).eps))
+    n_uniform = n_points // 2
+    uni = np.linspace(1.0 / (n_uniform + 1), 1.0 - 1.0 / (n_uniform + 1), n_uniform)
+    geom = 1.0 - np.logspace(math.log10(0.5), math.log10(delta_min), n_points - n_uniform)
+    ts = np.sort(np.concatenate([uni, geom]), kind="stable")
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
 # F_8(t) = t - t^3 - t^5 + t^7 = t (1 - t^2)(1 - t^4): no roots in open (0,1).
@@ -90,6 +100,16 @@ def test_fekete_eval_err_bounds_its_error(d, t):
         assert abs(mpmath.mpf(v) - want) <= err, (v, err)
 
 
+@pytest.mark.parametrize("t", [0.3, 0.9, 0.999, 1.0 - 1e-6])
+def test_blocked_fekete_eval_keeps_its_exactly_rounded_value(monkeypatch, t):
+    # one block at d = 7,976 by default, 80 blocks of 100 degrees here: math.fsum
+    # takes every term either way; only err's last bits may move
+    value, err = fekete_eval(7976, t)
+    monkeypatch.setattr(fekete, "_BLOCK_BYTES", 32 * 100)
+    got, got_err = fekete_eval(7976, t)
+    assert got == value and got_err == pytest.approx(err, rel=1e-12)
+
+
 def test_fekete_grid_matches_eval():
     ts = np.array([0.2, 0.77, 0.95, 0.9999])
     for d in (8, 5016):
@@ -127,7 +147,7 @@ def find_zero_bearing(family, limit: int | None = None):
     """First family member whose Fekete polynomial has a certified zero in (0,1)."""
     for m in family.m[:limit].tolist():
         d = 8 * m
-        ts = zero_scan_grid(d, BEARING_GRID)
+        ts = _scan_grid_whole(d, BEARING_GRID)
         vals = fekete_grid(d, ts)
         sign = np.sign(vals)
         if np.any((sign[:-1] * sign[1:]) < 0):
@@ -144,8 +164,50 @@ def test_existence_in_family_sweep():
     assert rep.count >= 1
 
 
+@pytest.mark.parametrize("d, n_points", [(5, 2), (8, 3), (104, 17), (104, 1664), (4168, 2048),
+                                         (7976, 127616), (79640, 1 << 17), (8, 1 << 19)])
+def test_scan_blocks_are_the_whole_grid_bit_for_bit(d, n_points):
+    # ascending blocks of at most 2 size points, for any size; (8, 2^19) has
+    # 28 repeated geometric values, some of them across block edges
+    want = _scan_grid_whole(d, n_points)
+    for size in (1, 3, 64, 1000, 4096):
+        if n_points // size > 20000:
+            continue
+        blocks = list(fekete.zero_scan_blocks(d, n_points, size))
+        assert all(0 < b.size <= 2 * size and np.all(np.diff(b) > 0) for b in blocks)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
+
+
+@pytest.mark.parametrize("grid_points", [1, 0, -5])
+def test_a_scan_of_under_two_points_is_refused(grid_points):
+    with pytest.raises(DomainError):
+        fekete_real_zeros(104, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("d", [248, 1592])
+def test_tiny_scan_blocks_give_the_same_report(monkeypatch, d):
+    # blocks of at most 6 points (the pieces stay cached from the first run):
+    # the sign carried across block edges finds the same flips
+    want = fekete_real_zeros(d)
+    real, ends = fekete.fekete_grid, []
+
+    def edges(d, ts):
+        vals = real(d, ts)
+        ends.append(np.sign(vals[[0, -1]]))
+        return vals
+
+    monkeypatch.setattr(fekete, "fekete_grid", edges)
+    monkeypatch.setattr(fekete, "_BLOCK_BYTES", 128 * 3)
+    got = fekete_real_zeros(d)
+    assert got.count == want.count == 2 and got.zeros == want.zeros
+    assert (got.suspects, got.end_delta, got.end_order) == (want.suspects, want.end_delta,
+                                                            want.end_order)
+    assert any(a[1] * b[0] < 0 for a, b in zip(ends, ends[1:]))  # a flip across an edge
+
+
 def test_scan_grid_concentrates_near_one():
-    g = zero_scan_grid(1000, 1024)
+    g = np.concatenate(list(fekete.zero_scan_blocks(1000, 1024, 1024)))
     assert g[0] > 0.0 and g[-1] < 1.0
     assert np.sum(g > 0.99) > 100
 
@@ -159,6 +221,17 @@ def test_mellin_identities_d8():
         rep = mellin_identity_check(8, s)
         assert rep.residual_first <= 1e-6, s
         assert rep.residual_second <= 1e-5, s
+
+
+@pytest.mark.parametrize("d", [8, 104, 1992])
+def test_mellin_rhs_is_polyval_bit_for_bit(d):
+    # the right side with numpy's polyval, which _mellin_rhs's Horner loop replaced
+    s = 0.75 + 1j * 1e-20
+    v, dv = fekete._exp_sinh_nodes(0.04, 4.2)
+    fd = np.polynomial.polynomial.polyval(np.exp(-v), char_table(d).astype(np.float64))
+    with np.errstate(over="ignore"):
+        denom = -np.expm1(-d * v)
+    assert fekete._mellin_rhs(d, s, 0.04) == complex(np.sum(v ** (s - 1.0) * fd / denom * dv))
 
 
 def test_mellin_lhs_anchor_at_1():
@@ -235,6 +308,21 @@ def test_a_corrupted_piece_coefficient_fails_the_bound(monkeypatch, piece, j):
     assert _points_over_the_bound(d) != []
 
 
+@pytest.mark.parametrize("width", [1, 7, 100])
+def test_pieces_from_narrow_blocks_stay_within_the_bound(monkeypatch, width):
+    # the pieces' product summed over blocks of `width` degrees: only the
+    # coefficients' last bits follow the width
+    d = 7976
+    fekete._pieces.cache_clear()
+    n_pieces = fekete._pieces(d)[1].size - 1
+    fekete._pieces.cache_clear()
+    monkeypatch.setattr(fekete, "_BLOCK_BYTES", 8 * (n_pieces + PIECE_TERMS) * width)
+    try:
+        assert _points_over_the_bound(d) == []
+    finally:
+        fekete._pieces.cache_clear()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 24])
 def test_small_d_builds_its_pieces_without_warnings(d):
     # the pieces of radius 1/d stop before t = 0, so every centre has a log
@@ -265,7 +353,7 @@ def test_shuffled_grid_gives_the_sorted_values_permuted():
     # every t reads its own piece, so its value does not depend on the batch:
     # a shuffled grid and one-point calls give the sorted grid's bits
     d = 7976
-    ts = zero_scan_grid(d, 16 * d)
+    ts = _scan_grid_whole(d, 16 * d)
     want = fekete_grid(d, ts)
     perm = np.random.default_rng(3).permutation(ts.size)
     assert np.array_equal(fekete_grid(d, ts[perm]).view(np.uint64), want[perm].view(np.uint64))
@@ -283,6 +371,8 @@ def test_fekete_grid_rejects_t_outside_the_unit_interval(t):
 
 
 def test_scan_reads_the_end_interval_sparsely(monkeypatch):
+    # the scan's reads, summed over its block calls (the sign-change
+    # certificates read single points without fekete_grid)
     real, sizes = fekete.fekete_grid, []
 
     def counted(d, ts):
@@ -291,10 +381,10 @@ def test_scan_reads_the_end_interval_sparsely(monkeypatch):
 
     monkeypatch.setattr(fekete, "fekete_grid", counted)
     rep = fekete_real_zeros(4168)
-    ts = zero_scan_grid(4168, 16 * 4168)
+    ts = _scan_grid_whole(4168, 16 * 4168)
     inside = int(np.sum(ts > 1.0 - rep.end_delta))
-    assert inside > 10 * END_SAMPLE
-    assert sizes[0] == ts.size - inside + (inside - 2) // END_SAMPLE + 2
+    assert inside > 10 * END_SAMPLE and len(sizes) > 1
+    assert sum(sizes) == ts.size - inside + (inside - 2) // END_SAMPLE + 2
 
 
 def test_fekete_grid_memory_flat_in_grid_size():
@@ -304,7 +394,7 @@ def test_fekete_grid_memory_flat_in_grid_size():
     import tracemalloc
 
     for d in (7976, 79640):
-        ts = zero_scan_grid(d, 16 * d)
+        ts = _scan_grid_whole(d, 16 * d)
         char_table(d)
         fekete._pieces.cache_clear()
         tracemalloc.start()
@@ -349,6 +439,12 @@ def test_end_moment_exact_over_several_chunks(monkeypatch, limit):
     # limit makes d = 79,640 take 460 chunks (2^40) or, past M_0, Python ints
     monkeypatch.setattr(fekete, "_INT64_MAX", limit)
     for d in (104, 79640):
+        assert end_moment(d) == _end_moment_lists(d)
+
+
+def test_end_moment_exact_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(fekete, "_BLOCK_BYTES", 24 * 5)  # five n per block
+    for d in (104, 7976):
         assert end_moment(d) == _end_moment_lists(d)
 
 
@@ -401,24 +497,23 @@ def test_failed_end_certificate_leaves_the_dips_suspect(monkeypatch):
 def test_grid_flip_inside_end_interval_is_a_suspect(monkeypatch):
     # negating the last read value flips a sign under the error scale: noise,
     # not a suspect; a value that clears 3 err with the sign opposite to the
-    # end certificate's is one
+    # end certificate's is one. Both are set at a grid point, in whichever
+    # block call reads it
     k, m_k = end_moment(4168)
     t_end = 1.0 - end_interval(4168, k, m_k)
     want = 1.0 if (-1) ** k * m_k > 0 else -1.0
-    real, at = fekete.fekete_grid, []
+    grid = _scan_grid_whole(4168, 16 * 4168)
+    target = grid[grid > t_end][END_SAMPLE]  # the second read point inside: both flips inside
+    real = fekete.fekete_grid
 
     def noise(d, ts):
         vals = real(d, ts)
-        if np.size(ts) > 1:
-            vals[-1] = -vals[-1]
+        vals[ts == grid[-1]] *= -1.0
         return vals
 
     def against(d, ts):
         vals = real(d, ts)
-        if np.size(ts) > 1:
-            j = int(np.searchsorted(ts, t_end, side="right")) + 1  # both flips inside
-            vals[j] = -want
-            at.append(float(ts[j]))
+        vals[ts == target] = -want
         return vals
 
     monkeypatch.setattr(fekete, "fekete_grid", noise)
@@ -427,7 +522,7 @@ def test_grid_flip_inside_end_interval_is_a_suspect(monkeypatch):
     monkeypatch.setattr(fekete, "fekete_grid", against)
     rep = fekete_real_zeros(4168)
     assert rep.count == 2
-    assert rep.suspects == [{"at": at[0], "reason": "wrong sign in the end interval"}]
+    assert rep.suspects == [{"at": float(target), "reason": "wrong sign in the end interval"}]
 
 
 @pytest.mark.parametrize("d, count", [(104, 0), (248, 2), (1592, 2)])
@@ -442,20 +537,27 @@ def test_noise_flips_in_the_end_interval_are_not_suspects(monkeypatch, d, count)
 
     def flipped(d, ts):
         vals = real(d, ts)
-        if np.size(ts) > 1:
-            inside = np.flatnonzero(ts > t_end)
-            clear = inside[np.abs(vals[inside]) > 3 * grid_error(d, ts[inside])]
-            read.append((ts[inside], vals[inside].copy(), clear - inside[0]))
-            j = int(clear[np.sign(vals[clear]) == want][0]) + 1
-            vals[j] = -want * float(grid_error(d, ts[j:j + 1])[0])
+        read.append((ts.copy(), vals.copy()))
+        if target is not None:
+            vals[ts == target] = -want * float(grid_error(d, np.array([target]))[0])
         return vals
 
+    # the flip goes on the read point after the first clear one with the
+    # certificate's sign, in whichever block call reads it: a scan with no
+    # flip finds that point across the block calls
+    target = None
     monkeypatch.setattr(fekete, "fekete_grid", flipped)
+    fekete_real_zeros(d)
+    ts, vals = (np.concatenate(a) for a in zip(*read))
+    inside = np.flatnonzero(ts > t_end)
+    clear = inside[np.abs(vals[inside]) > 3 * grid_error(d, ts[inside])]
+    assert clear.size >= 5 and np.all(np.sign(vals[clear]) == want)
+    target = float(ts[clear[0] + 1])
+    read.clear()
     rep = fekete_real_zeros(d)
     assert rep.count == count and rep.suspects == []
     assert 1.0 - rep.end_delta == t_end
-    ts, vals, clear = read[0]
-    assert clear.size >= 5 and np.all(np.sign(vals[clear]) == want)
+    assert target in np.concatenate([t for t, _ in read])
 
 
 @pytest.mark.parametrize("fail_end", [False, True], ids=["certified", "no-end-certificate"])
@@ -471,21 +573,28 @@ def test_scan_reads_the_head_then_every_end_sample_th_point_and_the_last(monkeyp
     monkeypatch.setattr(fekete, "fekete_grid", lambda d, ts: read.append(ts) or real(d, ts))
     rep = fekete_real_zeros(d)
     assert (rep.end_delta == 0.0) == fail_end
-    ts = zero_scan_grid(d, 16 * d)
+    ts = _scan_grid_whole(d, 16 * d)
     inside = ts[ts > 1.0 - rep.end_delta]
     want = np.concatenate([ts[: ts.size - inside.size], inside[:-1:END_SAMPLE], inside[-1:]])
-    assert np.array_equal(read[0].view(np.uint64), want.view(np.uint64))
+    assert len(read) > 1  # one call per block
+    assert np.array_equal(np.concatenate(read).view(np.uint64), want.view(np.uint64))
 
 
 def test_scan_lets_go_of_the_full_grid():
-    # the 127,616-point grid of d = 7,976 is freed once the read points are
-    # taken from it; a view of it kept through the scan read 5.83 MiB here
+    # the scan reads its grid (127,616 points at d = 7,976, 131,072 at
+    # 79,640) one block at a time, and every other working set is blocked
+    # too, so the peak past the cached int8 char_table stays under
+    # 2 _BLOCK_BYTES at any d; the whole grid held through the scan read
+    # 5.83 MiB at d = 7,976
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        fekete_real_zeros(7976)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.2 * 2**20, peak
+    for d in (7976, 79640):
+        char_table(d)
+        fekete._pieces.cache_clear()
+        tracemalloc.start()
+        try:
+            fekete_real_zeros(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fekete._BLOCK_BYTES, (d, peak)

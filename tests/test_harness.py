@@ -182,6 +182,15 @@ def test_store_disabled_passthrough():
     assert store.lookup(store.key(_identity, 5)) is None and store.misses == 0
 
 
+def test_a_store_less_lookup_hashes_nothing(monkeypatch):
+    # with no store, lookup returns before it hashes the key for its path
+    def refuse(data):
+        raise AssertionError("hashed with no store")
+
+    monkeypatch.setattr("ldzeros.harness._sha256", refuse)
+    assert ResultStore(None).lookup("k") is None
+
+
 def test_store_version_tag_in_key_separates(tmp_path, monkeypatch):
     # the source digest is every key's version tag: a changed source computes
     # afresh, and the old entry still serves the old source

@@ -386,7 +386,27 @@ def test_block_ranges_cover_and_never_go_narrow():
         for size in (2, 3, 7, 16):
             blocks = block_ranges(n, size)
             assert [a for a, _ in blocks] + [n] == [0] + [b for _, b in blocks]
-            assert all(min(n, size // 2) <= b - a <= size + size // 2 for a, b in blocks)
+            assert all(min(n, size // 2) <= b - a <= size for a, b in blocks)
+
+
+def test_gauss_legendre_constants_are_leggauss_16():
+    # bit for bit numpy's rule, which the theta build used to call; and,
+    # whatever numpy's version, a 16-point Gauss-Legendre rule: weights
+    # summing to 2 and x^k integrated for k <= 31, summed exactly over the
+    # stored doubles (the worst, k = 8, is off by 9.3 eps relative, from
+    # leggauss's own weights, which sit up to 63 ulp from the true ones)
+    from fractions import Fraction
+
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(lfunc.GL_NODES.view(np.uint64), x.view(np.uint64))
+    assert np.array_equal(lfunc.GL_WEIGHTS.view(np.uint64), w.view(np.uint64))
+    assert math.fsum(lfunc.GL_WEIGHTS.tolist()) == 2.0
+    nodes = [Fraction(v) for v in lfunc.GL_NODES.tolist()]
+    weights = [Fraction(v) for v in lfunc.GL_WEIGHTS.tolist()]
+    for k in range(32):
+        got = sum(wi * xi**k for wi, xi in zip(weights, nodes))
+        want = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+        assert abs(got - want) <= 16 * lfunc.EPS * Fraction(2, k + 1), k
 
 
 def _theta_full_shape(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -547,7 +567,6 @@ def test_a_large_quadrature_peaks_near_one_block():
     import tracemalloc
 
     eng = LEngine(799960)
-    np.polynomial.legendre.leggauss(16)  # its first call imports numpy.polynomial
     tracemalloc.start()
     try:
         eng.lambda_fast(np.array([0.7, 0.8 + 1.0j]))
